@@ -33,6 +33,7 @@ from .indices import (
     AttributionReport,
     BernoulliWeights,
     SimpleWeights,
+    all_coefficients,
     attribute_all,
     compute_bernoulli_index,
     compute_simple_index,

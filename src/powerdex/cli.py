@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,10 +41,10 @@ from .indices import (
     PATH_BERNOULLI,
     BernoulliWeights,
     SimpleWeights,
+    all_coefficients,
     attribute_all,
     compute_bernoulli_index,
     compute_simple_index,
-    interpolate_coefficients,
 )
 from .interaction import (
     BernoulliInteractionWeights,
@@ -476,19 +475,6 @@ def _load_inline_or_file(raw: str, what: str):
     return _load_json(raw)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("POWERDEX_THREADS")
-    if raw is None or raw == "":
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise SchemaError("POWERDEX_THREADS must be a positive integer") from None
-    if threads < 1:
-        raise SchemaError("POWERDEX_THREADS must be a positive integer")
-    return threads
-
-
 def _load_common(args) -> tuple[NamedSpace, Model, ProductDistribution, Instance]:
     named, model = load_model_file(args.model)
     if (args.dist is None) == (getattr(args, "from_csv", None) is None):
@@ -517,7 +503,7 @@ def _parse_set(arg: str, named: NamedSpace) -> Coalition:
 def cmd_attribute(args) -> int:
     named, model, dist, e = _load_common(args)
     scheme = parse_scheme(_load_inline_or_file(args.scheme, "scheme"), named.space.n)
-    report = attribute_all(model, dist, e, scheme, threads=_thread_count())
+    report = attribute_all(model, dist, e, scheme)
     doc = {
         "command": "attribute",
         "features": list(named.names),
@@ -530,8 +516,7 @@ def cmd_attribute(args) -> int:
     }
     if args.diag and report.path == "interpolation":
         doc["coefficient_sums"] = [
-            _fmt_all(interpolate_coefficients(model, dist, e, a))
-            for a in range(named.space.n)
+            _fmt_all(sums) for sums in all_coefficients(model, dist, e)
         ]
     _emit(doc, args.out)
     return EXIT_OK

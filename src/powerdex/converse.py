@@ -22,7 +22,7 @@ from .core import (
     as_rational,
     mixture_distribution,
 )
-from .indices import SimpleWeights, compute_simple_index
+from .indices import SimpleWeights, attribute_all
 from .interpolation import solve_linear_system
 from .models import Model
 
@@ -162,11 +162,9 @@ def index_engine_oracle(
     model: Model, e: Instance, weights: SimpleWeights
 ) -> IndexOracle:
     """An index oracle backed by this library's own interpolation engine."""
+    untagged = SimpleWeights(weights.n, weights.q)  # no preset: always interpolates
 
     def oracle(dist: ProductDistribution) -> list[Fraction]:
-        return [
-            compute_simple_index(model, dist, e, a, weights)
-            for a in range(model.space.n)
-        ]
+        return list(attribute_all(model, dist, e, untagged).values)
 
     return oracle

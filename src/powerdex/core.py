@@ -32,11 +32,14 @@ class WeightError(PowerdexError):
 def parse_rational(text: str) -> Fraction:
     """Parse the rational literal grammar: "p/q" (q > 0), integer, or decimal string.
 
-    Decimal strings convert exactly ("0.25" -> 1/4).
+    Decimal strings convert exactly ("0.25" -> 1/4).  The grammar has no
+    exponents: "1e999999999" would otherwise build a billion-digit integer.
     """
     if not isinstance(text, str):
         raise ValueError(f"rational literal must be a string, got {type(text).__name__}")
     s = text.strip()
+    if "e" in s or "E" in s:
+        raise ValueError(f"invalid rational literal {text!r}: exponents are not allowed")
     if "/" in s:
         num_s, _, den_s = s.partition("/")
         try:

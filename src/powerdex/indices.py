@@ -2,24 +2,29 @@
 
 Three computation paths, all exact:
 
-* interpolation -- works for any cardinality-based weight vector; scales
-  2n expected values at the integer nodes z = 0..n-1 and solves the
-  Vandermonde system for the per-size marginal sums.
+* interpolation -- works for any cardinality-based weight vector; 2n
+  expected values per feature at the integer nodes z = 0..n-1, combined
+  with the dual Vandermonde weights of the vector (equivalently: solve
+  the Vandermonde system for the per-size marginal sums).
 * bernoulli-direct -- two expected values, for indices whose coalition
   distribution factors into independent per-feature inclusion trials.
 * closed-form -- the marginal preset, which needs no expectations at all.
+
+Every path that needs expectations goes through ``batched_node_sums``:
+the distributions of all requested features at one node form one batch
+for ``Model.expected_values``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (
     Coalition,
+    FeatureSpace,
     Instance,
     ProductDistribution,
     WeightError,
@@ -29,8 +34,8 @@ from .core import (
     mixture_row,
     point_mass_row,
 )
-from .interpolation import vandermonde_solve
-from .models import CountingModel, Model, conditional_expectation
+from .interpolation import vandermonde_dual, vandermonde_solve
+from .models import Model, conditional_expectation
 
 PATH_INTERPOLATION = "interpolation"
 PATH_BERNOULLI = "bernoulli-direct"
@@ -165,6 +170,93 @@ def marginal_contribution(
     )
 
 
+# A variant of a batch: its coefficient and the rows it puts in place of
+# the node's rows, keyed by feature.
+Variant = tuple[Fraction, Mapping[int, Sequence[Fraction]]]
+
+
+def batched_node_sums(
+    model: Model,
+    space: FeatureSpace,
+    node_rows: Iterable[Sequence[Sequence[Fraction]]],
+    targets: Sequence[Sequence[Variant]],
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Per target and node, the sum of coefficient * E[F] over the target's variants.
+
+    ``node_rows`` yields the n base probability rows of each node, and a
+    variant's distribution is the node's rows with its own rows put in.
+    Each node submits one batch, every variant of every target, to
+    ``model.expected_values``.  Also returns the number of distributions
+    built for each target, which is its engine-call count.
+    """
+    sums: list[list[Fraction]] = [[] for _ in targets]
+    calls = [0] * len(targets)
+    for rows in node_rows:
+        batch = []
+        for t, variants in enumerate(targets):
+            for _, overrides in variants:
+                varied = list(rows)
+                for i, row in overrides.items():
+                    varied[i] = row
+                batch.append(ProductDistribution._from_trusted_rows(space, tuple(varied)))
+                calls[t] += 1
+        values = iter(model.expected_values(batch))
+        for t, variants in enumerate(targets):
+            sums[t].append(
+                sum((coef * next(values) for coef, _ in variants), Fraction(0))
+            )
+    return sums, calls
+
+
+def mixed_rows(
+    dist: ProductDistribution, hits: Sequence[int], z: Fraction
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Every marginal blended toward e by the z-mixture (hits: positions of e)."""
+    if not z:
+        # the input rows themselves, so a batch sees the z = 0 free
+        # distributions of different features as one
+        return dist.probs
+    return tuple(mixture_row(row, hit, z) for row, hit in zip(dist.probs, hits))
+
+
+def _gap(
+    space: FeatureSpace, dist: ProductDistribution, e: Instance, a: int
+) -> tuple[Variant, ...]:
+    """Feature a pinned to e_a minus feature a left on its own marginal."""
+    return (
+        (Fraction(1), {a: point_mass_row(space, a, e[a])}),
+        (Fraction(-1), {a: dist.probs[a]}),
+    )
+
+
+def _interpolation_gaps(
+    model: Model, dist: ProductDistribution, e: Instance, features: Sequence[int]
+) -> tuple[list[Fraction], list[list[Fraction]], list[int]]:
+    """The nodes 0..n-1 and, per feature, its gap under each node's z-mixture."""
+    space = dist.space
+    n = space.n
+    nodes = [Fraction(z) for z in range(n)]
+    hits = [space.position(i, e[i]) for i in range(n)]
+    gaps, calls = batched_node_sums(
+        model,
+        space,
+        (mixed_rows(dist, hits, z) for z in nodes),
+        [_gap(space, dist, e, a) for a in features],
+    )
+    return nodes, gaps, calls
+
+
+def _coefficients(
+    model: Model, dist: ProductDistribution, e: Instance, features: Sequence[int]
+) -> list[tuple[Fraction, ...]]:
+    nodes, gaps, _ = _interpolation_gaps(model, dist, e, features)
+    n = len(nodes)
+    return [
+        vandermonde_solve(nodes, [(1 + z) ** (n - 1) * g for z, g in zip(nodes, gap)])
+        for gap in gaps
+    ]
+
+
 def interpolate_coefficients(
     model: Model, dist: ProductDistribution, e: Instance, a: int
 ) -> tuple[Fraction, ...]:
@@ -178,23 +270,46 @@ def interpolate_coefficients(
     """
     space = check_shared_space(model, dist, e)
     space.check_feature(a)
-    n = space.n
-    nodes = [Fraction(z) for z in range(n)]
-    values = []
-    pinned_row = point_mass_row(space, a, e[a])
-    free_row = dist.probs[a]
-    hits = [space.position(i, e[i]) for i in range(n)]
-    for z in nodes:
-        rows = [
-            pinned_row if i == a else mixture_row(dist.probs[i], hits[i], z)
-            for i in range(n)
-        ]
-        pinned = ProductDistribution._from_trusted_rows(space, tuple(rows))
-        rows[a] = free_row
-        free = ProductDistribution._from_trusted_rows(space, tuple(rows))
-        gap = model.expected_value(pinned) - model.expected_value(free)
-        values.append((1 + z) ** (n - 1) * gap)
-    return vandermonde_solve(nodes, values)
+    return _coefficients(model, dist, e, [a])[0]
+
+
+def all_coefficients(
+    model: Model, dist: ProductDistribution, e: Instance
+) -> list[tuple[Fraction, ...]]:
+    """``interpolate_coefficients`` of every feature, from one batch per node."""
+    space = check_shared_space(model, dist, e)
+    return _coefficients(model, dist, e, range(space.n))
+
+
+def _interpolated_indices(
+    model: Model,
+    dist: ProductDistribution,
+    e: Instance,
+    features: Sequence[int],
+    q: Sequence[Fraction],
+) -> tuple[list[Fraction], list[int]]:
+    # sum_k q_k c_k = sum_z u_z * gap(z), with u the dual weights of q
+    # scaled by the (1+z)^(n-1) of the generating polynomial
+    nodes, gaps, calls = _interpolation_gaps(model, dist, e, features)
+    n = len(nodes)
+    u = [(1 + z) ** (n - 1) * w for z, w in zip(nodes, vandermonde_dual(nodes, q))]
+    values = [sum((w * g for w, g in zip(u, gap)), Fraction(0)) for gap in gaps]
+    return values, calls
+
+
+def _bernoulli_indices(
+    model: Model,
+    dist: ProductDistribution,
+    e: Instance,
+    features: Sequence[int],
+    theta: Sequence[Fraction],
+) -> tuple[list[Fraction], list[int]]:
+    space = dist.space
+    mixed = bernoulli_mixture(dist, e, theta)
+    sums, calls = batched_node_sums(
+        model, space, [mixed.probs], [_gap(space, dist, e, a) for a in features]
+    )
+    return [s[0] for s in sums], calls
 
 
 def marginal_index(
@@ -231,10 +346,8 @@ def compute_simple_index(
         raise WeightError(f"weights are for n={weights.n}, space has n={space.n}")
     if weights.preset == "marginal":
         return marginal_index(model, dist, e, a)
-    coefficients = interpolate_coefficients(model, dist, e, a)
-    return sum(
-        (qk * ck for qk, ck in zip(weights.q, coefficients) if qk), Fraction(0)
-    )
+    space.check_feature(a)
+    return _interpolated_indices(model, dist, e, [a], weights.q)[0][0]
 
 
 def compute_bernoulli_index(
@@ -252,13 +365,7 @@ def compute_bernoulli_index(
     space.check_feature(a)
     if len(weights.theta) != space.n:
         raise WeightError(f"theta has {len(weights.theta)} entries for n={space.n}")
-    mixed = bernoulli_mixture(dist, e, weights.theta)
-    rows = list(mixed.probs)
-    rows[a] = point_mass_row(space, a, e[a])
-    pinned = ProductDistribution._from_trusted_rows(space, tuple(rows))
-    rows[a] = dist.probs[a]
-    free = ProductDistribution._from_trusted_rows(space, tuple(rows))
-    return model.expected_value(pinned) - model.expected_value(free)
+    return _bernoulli_indices(model, dist, e, [a], weights.theta)[0][0]
 
 
 def _bernoulli_equivalent(weights: SimpleWeights) -> Optional[BernoulliWeights]:
@@ -274,49 +381,38 @@ def attribute_all(
     dist: ProductDistribution,
     e: Instance,
     scheme: IndexScheme,
-    threads: int = 1,
 ) -> AttributionReport:
     """All n per-feature indices, routed through the cheapest valid path.
 
     Presets with a two-expectation equivalent (banzhaf, binomial) take
     the bernoulli-direct path; the marginal preset takes its closed
-    form; everything else interpolates.  Per-feature work is independent
-    and may be spread over ``threads`` workers; exact arithmetic makes
-    the result identical regardless of scheduling.
+    form; everything else interpolates.  The expectations of all
+    features at one node go to the model as one batch.
     """
     space = check_shared_space(model, dist, e)
     n = space.n
+    features = range(n)
     if isinstance(scheme, BernoulliWeights):
         if len(scheme.theta) != n:
             raise WeightError(f"theta has {len(scheme.theta)} entries for n={n}")
         path = PATH_BERNOULLI
-        compute = lambda counted, a: compute_bernoulli_index(counted, dist, e, a, scheme)
+        values, calls = _bernoulli_indices(model, dist, e, features, scheme.theta)
     elif isinstance(scheme, SimpleWeights):
         if scheme.n != n:
             raise WeightError(f"weights are for n={scheme.n}, space has n={n}")
         direct = _bernoulli_equivalent(scheme)
         if scheme.preset == "marginal":
             path = PATH_CLOSED_FORM
-            compute = lambda counted, a: marginal_index(counted, dist, e, a)
+            values = [marginal_index(model, dist, e, a) for a in features]
+            calls = [0] * n  # the closed form builds no distributions
         elif direct is not None:
             path = PATH_BERNOULLI
-            compute = lambda counted, a: compute_bernoulli_index(counted, dist, e, a, direct)
+            values, calls = _bernoulli_indices(model, dist, e, features, direct.theta)
         else:
             path = PATH_INTERPOLATION
-            compute = lambda counted, a: compute_simple_index(counted, dist, e, a, scheme)
+            values, calls = _interpolated_indices(model, dist, e, features, scheme.q)
     else:
         raise TypeError(f"unsupported scheme {scheme!r}")
-
-    def one_feature(a: int) -> tuple[Fraction, int]:
-        counted = CountingModel(model)
-        value = compute(counted, a)
-        return value, counted.expected_value_calls
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_feature, range(n)))
-    else:
-        results = [one_feature(a) for a in range(n)]
-    values = tuple(value for value, _ in results)
-    calls = tuple(count for _, count in results)
-    return AttributionReport(values=values, scheme=scheme, path=path, engine_calls=calls)
+    return AttributionReport(
+        values=tuple(values), scheme=scheme, path=path, engine_calls=tuple(calls)
+    )

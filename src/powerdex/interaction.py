@@ -26,7 +26,8 @@ from .core import (
     point_mass_row,
     subsets,
 )
-from .interpolation import vandermonde_solve
+from .indices import batched_node_sums, mixed_rows
+from .interpolation import vandermonde_dual
 from .models import Model, conditional_expectation
 
 PATH_BIVARIATE = "bivariate-interpolation"
@@ -204,46 +205,29 @@ def compute_interaction_simple(
             f"grid must be {n - m + 1} z-nodes by {m + 1} y-nodes for n={n}, |A|={m}"
         )
 
-    inside = set(a_set)
+    # the nested solves (in z per y-node, then in y per z-degree) reduce
+    # to the outer product of the dual weights of the row and of the signs
     hits = [space.position(i, e[i]) for i in range(n)]
-    scaled = []
-    for z in grid.z_nodes:
-        outside_rows = {
-            i: mixture_row(dist.probs[i], hits[i], z)
-            for i in range(n)
-            if i not in inside
-        }
-        column = []
-        for y in grid.y_nodes:
-            rows = tuple(
-                mixture_row(dist.probs[i], hits[i], y) if i in inside else outside_rows[i]
-                for i in range(n)
-            )
-            value = model.expected_value(
-                ProductDistribution._from_trusted_rows(space, rows)
-            )
-            if prefactor == PREFACTOR_FACTORED:
-                scale = (1 + z) ** (n - m) * (1 + y) ** m
-            else:
-                scale = (1 + z) ** n
-            column.append(scale * value)
-        scaled.append(column)
-
-    # nested univariate solves: in z per y-node, then in y per z-degree
-    per_y = [
-        vandermonde_solve(grid.z_nodes, [scaled[i][j] for i in range(len(grid.z_nodes))])
-        for j in range(len(grid.y_nodes))
+    if prefactor == PREFACTOR_FACTORED:
+        z_power, y_power = n - m, m
+    else:
+        z_power, y_power = n, 0
+    z_weights = vandermonde_dual(grid.z_nodes, row)
+    y_weights = vandermonde_dual(grid.y_nodes, [(-1) ** (m - j) for j in range(m + 1)])
+    variants = [
+        (
+            w * (1 + y) ** y_power,
+            {i: mixture_row(dist.probs[i], hits[i], y) for i in a_set},
+        )
+        for y, w in zip(grid.y_nodes, y_weights)
     ]
-    total = Fraction(0)
-    for k in range(n - m + 1):
-        if not row[k]:
-            continue
-        c_k = vandermonde_solve(grid.y_nodes, [per_y[j][k] for j in range(m + 1)])
-        for j, c in enumerate(c_k):
-            if c:
-                sign = -1 if (m - j) % 2 else 1
-                total += row[k] * sign * c
-    return total
+    (sums,), _ = batched_node_sums(
+        model, space, (mixed_rows(dist, hits, z) for z in grid.z_nodes), [variants]
+    )
+    return sum(
+        (w * (1 + z) ** z_power * s for z, w, s in zip(grid.z_nodes, z_weights, sums)),
+        Fraction(0),
+    )
 
 
 def compute_interaction_bernoulli(
@@ -274,22 +258,14 @@ def compute_interaction_bernoulli(
     if len(theta) != space.n:
         raise WeightError(f"theta has {len(theta)} entries for n={space.n}")
 
-    base_rows = []
-    for i in range(space.n):
-        hit = space.position(i, e[i])
-        if i in a_set:
-            base_rows.append(dist.probs[i])  # replaced per subset below
-        else:
-            base_rows.append(bernoulli_row(dist.probs[i], hit, theta[i]))
-
-    total = Fraction(0)
-    for b in subsets(a_set):
-        rows = list(base_rows)
-        for i in b:
-            rows[i] = point_mass_row(space, i, e[i])
-        value = model.expected_value(
-            ProductDistribution._from_trusted_rows(space, tuple(rows))
-        )
-        sign = -1 if (m - len(b)) % 2 else 1
-        total += sign * value
-    return total
+    base_rows = tuple(
+        row if i in a_set else bernoulli_row(row, space.position(i, e[i]), theta[i])
+        for i, row in enumerate(dist.probs)
+    )
+    pins = {i: point_mass_row(space, i, e[i]) for i in a_set}
+    variants = [
+        (Fraction(-1 if (m - len(b)) % 2 else 1), {i: pins[i] for i in b})
+        for b in subsets(a_set)
+    ]
+    (sums,), _ = batched_node_sums(model, space, [base_rows], [variants])
+    return sums[0]

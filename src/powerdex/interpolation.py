@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .core import PowerdexError
@@ -41,6 +42,54 @@ def vandermonde_solve(
                 nxt[t] -= nodes[i] * b
             basis = nxt
     return tuple(coeffs)
+
+
+def vandermonde_dual(
+    nodes: Sequence[Fraction], weights: Sequence[Fraction]
+) -> tuple[Fraction, ...]:
+    """The vector u = V^-T w for the Vandermonde matrix V of the nodes.
+
+    For every value vector v, sum_i u_i * v_i equals
+    sum_k w_k * vandermonde_solve(nodes, v)[k], so a fixed weighted sum of
+    interpolated coefficients becomes one dot product with the sampled
+    values.  u_i is sum_k w_k [x^k] L_i(x), with L_i the Lagrange basis
+    polynomial of node i: O(n^2) operations.
+    """
+    n = len(nodes)
+    if len(weights) != n:
+        raise ValueError("node and weight counts differ")
+    if len(set(nodes)) != n:
+        raise ValueError("interpolation nodes must be distinct")
+    # With nodes X/D for integers X, V = V_X diag(D^-k), so u = V_X^-T (w_k D^k):
+    # everything below is integer arithmetic over one common denominator
+    # until the last division.
+    nodes = [Fraction(x) for x in nodes]
+    scale = lcm(*(x.denominator for x in nodes))
+    xs = [x.numerator * (scale // x.denominator) for x in nodes]
+    scaled = [Fraction(w) * scale**k for k, w in enumerate(weights)]
+    common = lcm(*(w.denominator for w in scaled))
+    ws = [w.numerator * (common // w.denominator) for w in scaled]
+    master = [1]  # coefficients of prod_t (x - xs[t])
+    for x in xs:
+        nxt = [0] * (len(master) + 1)
+        for t, b in enumerate(master):
+            nxt[t + 1] += b
+            nxt[t] -= x * b
+        master = nxt
+    dual = []
+    for i, x in enumerate(xs):
+        # synthetic division of the master polynomial by (t - x), top down
+        carry = 0
+        numerator = 0
+        for k in range(n, 0, -1):
+            carry = master[k] + x * carry
+            numerator += ws[k - 1] * carry
+        denominator = common
+        for j, other in enumerate(xs):
+            if j != i:
+                denominator *= x - other
+        dual.append(Fraction(numerator, denominator))
+    return tuple(dual)
 
 
 def solve_linear_system(

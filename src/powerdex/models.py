@@ -2,7 +2,9 @@
 
 Every model exposes two primitives: ``evaluate`` on a full instance and
 ``expected_value`` under a product distribution.  The expected-value
-engine is the workhorse that all attribution reductions call.
+engine is the workhorse that all attribution reductions call; they
+submit their calls in batches through ``expected_values``, which models
+may override to share work between the distributions of one batch.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ class Model(abc.ABC):
     @abc.abstractmethod
     def expected_value(self, dist: ProductDistribution) -> Fraction:
         """Exact expectation of the model under a product distribution."""
+
+    def expected_values(self, dists: Sequence[ProductDistribution]) -> list[Fraction]:
+        """``[self.expected_value(d) for d in dists]``, possibly sharing work."""
+        return [self.expected_value(d) for d in dists]
 
 
 class TableModel(Model):
@@ -168,9 +174,13 @@ class TreeModel(Model):
     def __init__(self, space: FeatureSpace, root: TreeNode):
         self.space = space
         self.root = root
-        self._validate(root, seen_nodes=set(), path_features=frozenset())
+        read: set[int] = set()
+        self._validate(root, seen_nodes=set(), path_features=frozenset(), read=read)
+        self._read = tuple(sorted(read))  # the features some split branches on
 
-    def _validate(self, node: TreeNode, seen_nodes: set, path_features: frozenset):
+    def _validate(
+        self, node: TreeNode, seen_nodes: set, path_features: frozenset, read: set
+    ):
         if id(node) in seen_nodes:
             raise ValueError("tree nodes may not be shared; the structure must be a tree")
         seen_nodes.add(id(node))
@@ -189,9 +199,10 @@ class TreeModel(Model):
                 f"split on feature {node.feature} has {len(node.children)} children "
                 f"for {len(domain)} domain values"
             )
+        read.add(node.feature)
         on_path = path_features | {node.feature}
         for child in node.children:
-            self._validate(child, seen_nodes, on_path)
+            self._validate(child, seen_nodes, on_path, read)
 
     def evaluate(self, instance: Instance) -> Fraction:
         check_shared_space(self, instance)
@@ -205,6 +216,27 @@ class TreeModel(Model):
         check_shared_space(self, dist)
         return self._expected(self.root, dist)
 
+    def expected_values(self, dists: Sequence[ProductDistribution]) -> list[Fraction]:
+        """One traversal per distinct tuple of the rows the tree reads.
+
+        Distributions that share their row objects on every feature the
+        tree splits on have the same expectation.  Every distribution of
+        the batch is alive for the whole call, so the rows' identities
+        are stable keys.
+        """
+        check_shared_space(self, *dists)
+        read = self._read
+        seen: dict[tuple[int, ...], Fraction] = {}
+        values = []
+        for dist in dists:
+            probs = dist.probs
+            key = tuple([id(probs[i]) for i in read])
+            value = seen.get(key)
+            if value is None:
+                value = seen[key] = self.expected_value(dist)
+            values.append(value)
+        return values
+
     def _expected(self, node: TreeNode, dist: ProductDistribution) -> Fraction:
         if isinstance(node, Leaf):
             return node.value
@@ -215,14 +247,7 @@ class TreeModel(Model):
         return total
 
     def features_used(self) -> frozenset[int]:
-        used = set()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Split):
-                used.add(node.feature)
-                stack.extend(node.children)
-        return frozenset(used)
+        return frozenset(self._read)
 
 
 class EnsembleModel(Model):
@@ -246,6 +271,14 @@ class EnsembleModel(Model):
             (w * m.expected_value(dist) for w, m in self.components), Fraction(0)
         )
 
+    def expected_values(self, dists: Sequence[ProductDistribution]) -> list[Fraction]:
+        check_shared_space(self, *dists)
+        totals = [Fraction(0)] * len(dists)
+        for w, m in self.components:
+            for k, value in enumerate(m.expected_values(dists)):
+                totals[k] += w * value
+        return totals
+
 
 class CountingModel(Model):
     """Delegating wrapper that counts engine calls (used for call-count contracts)."""
@@ -263,6 +296,10 @@ class CountingModel(Model):
     def expected_value(self, dist: ProductDistribution) -> Fraction:
         self.expected_value_calls += 1
         return self.inner.expected_value(dist)
+
+    def expected_values(self, dists: Sequence[ProductDistribution]) -> list[Fraction]:
+        self.expected_value_calls += len(dists)
+        return self.inner.expected_values(dists)
 
 
 def conditional_expectation(

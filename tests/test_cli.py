@@ -141,21 +141,6 @@ def test_attribute_diag_includes_coefficient_sums(capsys):
     assert doc["coefficient_sums"] == [["1/4", "1/2"], ["1/4", "1/2"]]
 
 
-def test_threads_env_does_not_change_bytes(tmp_path, monkeypatch):
-    plain = tmp_path / "plain.json"
-    threaded = tmp_path / "threaded.json"
-    assert main(attribute_args('{"preset":"shapley"}') + ["--out", str(plain)]) == 0
-    monkeypatch.setenv("POWERDEX_THREADS", "3")
-    assert main(attribute_args('{"preset":"shapley"}') + ["--out", str(threaded)]) == 0
-    assert plain.read_bytes() == threaded.read_bytes()
-
-
-def test_threads_env_validated(monkeypatch, capsys):
-    monkeypatch.setenv("POWERDEX_THREADS", "zero")
-    code, _ = run_cli(*attribute_args('{"preset":"shapley"}'), capsys=capsys)
-    assert code == 2
-
-
 # ---------------------------------------------------------------------------
 # schema and scheme errors
 
@@ -164,6 +149,13 @@ def test_unknown_preset_is_schema_error(capsys):
     code, captured = run_cli(*attribute_args('{"preset":"shappley"}'), capsys=capsys)
     assert code == 2
     assert "preset" in captured.err
+
+
+def test_exponent_literal_is_schema_error(capsys):
+    code, captured = run_cli(*attribute_args('{"q":["1e999999999","0"]}'), capsys=capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert "exponent" in captured.err
 
 
 def test_non_normalized_weights_exit_3(capsys):

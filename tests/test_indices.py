@@ -13,7 +13,9 @@ from powerdex import (
     ProductDistribution,
     SimpleWeights,
     TableModel,
+    TreeModel,
     WeightError,
+    all_coefficients,
     attribute_all,
     brute_simple_index,
     compute_bernoulli_index,
@@ -24,6 +26,8 @@ from powerdex import (
     marginal_contribution,
     marginal_index,
 )
+
+from powerdex.models import Leaf, Split
 
 from corpus import (
     and_space,
@@ -240,16 +244,61 @@ def test_attribute_all_marginal_uses_closed_form(and2):
     assert report.engine_calls == (0, 0)
     assert report.values == (Fraction(1, 2), Fraction(1, 2))
 
-def test_attribute_all_threads_do_not_change_results():
-    rng = random.Random(8)
-    space = random_space(rng, 6)
+class SpyTree(TreeModel):
+    """A tree that counts its traversals."""
+
+    traversals = 0
+
+    def expected_value(self, dist):
+        self.traversals += 1
+        return super().expected_value(dist)
+
+
+def test_tree_skips_traversals_for_a_feature_it_never_reads():
+    rng = random.Random(5)
+    space = random_space(rng, 4)
+    leaves = lambda k: tuple(Leaf(Fraction(rng.randint(-9, 9), 7)) for _ in range(k))
+    root = Split(0, tuple(Split(1, leaves(len(space.domains[1]))) for _ in space.domains[0]))
+    spy = SpyTree(space, root)
+    dist = random_distribution(rng, space)
+    e = random_instance(rng, space)
+    counted = CountingModel(spy)
+    value = compute_simple_index(counted, dist, e, 3, SimpleWeights.shapley(4))
+    assert value == 0  # a dummy feature
+    assert counted.expected_value_calls == 8  # the 2n contract counts distributions
+    assert spy.traversals == 4  # one traversal per node: pinned and free coincide
+
+
+def test_attribute_all_engine_calls_count_requested_expectations():
+    rng = random.Random(12)
+    space = random_space(rng, 5)
+    model = EnsembleModel([(Fraction(1, 2), random_tree_model(rng, space)) for _ in range(2)])
+    dist = random_distribution(rng, space)
+    e = random_instance(rng, space)
+    for scheme in (
+        SimpleWeights.shapley(5),
+        random_simple_weights(rng, 5),
+        SimpleWeights.banzhaf(5),
+        BernoulliWeights([Fraction(k, 5) for k in range(5)]),
+        SimpleWeights.marginal(5),
+    ):
+        counted = CountingModel(model)
+        report = attribute_all(counted, dist, e, scheme)
+        assert counted.expected_value_calls == sum(report.engine_calls), report.path
+        assert report == attribute_all(model, dist, e, scheme)
+
+
+def test_all_coefficients_match_per_feature_interpolation():
+    rng = random.Random(31)
+    space = random_space(rng, 5)
     model = random_tree_model(rng, space)
     dist = random_distribution(rng, space)
     e = random_instance(rng, space)
-    w = SimpleWeights.shapley(6)
-    sequential = attribute_all(model, dist, e, w)
-    threaded = attribute_all(model, dist, e, w, threads=3)
-    assert sequential == threaded
+    counted = CountingModel(model)
+    sums = all_coefficients(counted, dist, e)
+    assert counted.expected_value_calls == 2 * 5 * 5
+    assert sums == [interpolate_coefficients(model, dist, e, a) for a in range(5)]
+
 
 # ---------------------------------------------------------------------------
 # structural properties (small-scale; the acceptance suite runs the corpus)

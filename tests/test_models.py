@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from powerdex import (
     AdditiveModel,
@@ -22,6 +24,7 @@ from corpus import (
     and_table_model,
     and_tree_model,
     ones_instance,
+    random_additive_model,
     random_distribution,
     random_instance,
     random_space,
@@ -189,3 +192,53 @@ def test_ensemble_equals_weighted_component_sum():
             (w * m.expected_value(dist) for w, m in zip(weights, models)), Fraction(0)
         )
         assert ensemble.expected_value(dist) == expected
+
+
+# ---------------------------------------------------------------------------
+# the batch contract: expected_values equals a loop over expected_value
+
+
+def _model_of_kind(kind, rng, space):
+    if kind == "table":
+        return TableModel.tabulate(random_tree_model(rng, space))
+    if kind == "additive":
+        return random_additive_model(rng, space)
+    if kind == "tree":
+        return random_tree_model(rng, space)
+    return EnsembleModel(
+        [(Fraction(rng.randint(-3, 3), rng.randint(1, 4)), random_tree_model(rng, space))
+         for _ in range(3)]
+    )
+
+
+@given(
+    st.sampled_from(["table", "additive", "tree", "ensemble"]),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_expected_values_equals_the_loop(kind, seed):
+    rng = random.Random(seed)
+    space = random_space(rng, rng.randint(1, 5))
+    model = _model_of_kind(kind, rng, space)
+    pool = [random_distribution(rng, space).probs for _ in range(3)]
+    batch = []
+    for _ in range(rng.randint(0, 8)):
+        if batch and rng.random() < 0.2:
+            batch.append(rng.choice(batch))  # the same distribution again
+            continue
+        rows = []
+        for i in range(space.n):
+            row = rng.choice(pool)[i]  # shared with other members of the batch
+            if rng.random() < 0.3:
+                row = tuple(list(row))  # equal, but a distinct object
+            rows.append(row)
+        batch.append(ProductDistribution(space, rows))
+    assert model.expected_values(batch) == [model.expected_value(d) for d in batch]
+
+
+def test_expected_values_checks_every_space(and2):
+    space, model, dist = and2
+    tree = and_tree_model(space)
+    other = ProductDistribution.uniform(and_space(3))
+    for m in (model, tree, EnsembleModel([(Fraction(1), tree)])):
+        with pytest.raises(SpaceMismatchError):
+            m.expected_values([dist, other])
