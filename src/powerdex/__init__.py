@@ -35,11 +35,13 @@ from .indices import (
     SimpleWeights,
     all_coefficients,
     attribute_all,
+    bernoulli_indices,
     compute_bernoulli_index,
     compute_simple_index,
     interpolate_coefficients,
     marginal_contribution,
     marginal_index,
+    simple_indices,
 )
 from .converse import (
     ConverseDiagnostics,

@@ -41,10 +41,9 @@ from .indices import (
     PATH_BERNOULLI,
     BernoulliWeights,
     SimpleWeights,
-    all_coefficients,
     attribute_all,
-    compute_bernoulli_index,
-    compute_simple_index,
+    bernoulli_indices,
+    simple_indices,
 )
 from .interaction import (
     BernoulliInteractionWeights,
@@ -61,6 +60,7 @@ from .models import (
     Leaf,
     Model,
     Split,
+    TREE_DEPTH_LIMIT,
     TableModel,
     TreeModel,
 )
@@ -124,6 +124,9 @@ def _load_json(path: str):
         raise SchemaError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        # the json parser recurses once per nesting level
+        raise SchemaError(f"{path} nests too deeply to parse") from None
 
 
 def parse_space(doc) -> NamedSpace:
@@ -150,11 +153,13 @@ def parse_space(doc) -> NamedSpace:
     return NamedSpace(tuple(names), FeatureSpace(domains))
 
 
-def _parse_tree_node(doc, named: NamedSpace, context: str):
+def _parse_tree_node(doc, named: NamedSpace, context: str, depth: int = 0):
     if not isinstance(doc, dict):
         raise SchemaError(f"{context}: tree node must be an object")
     if "leaf" in doc:
         return Leaf(_rational(doc["leaf"], f"{context}.leaf"))
+    if depth == TREE_DEPTH_LIMIT:
+        raise SchemaError(f"{context}: tree is deeper than the limit of {TREE_DEPTH_LIMIT} splits")
     name = _require(doc, "feature", context)
     children_doc = _require(doc, "children", context)
     feature = named.index(name)
@@ -172,11 +177,12 @@ def _parse_tree_node(doc, named: NamedSpace, context: str):
             f"{context}.children: missing children for values {sorted(missing)!r} "
             f"of feature {name!r}"
         )
-    children = tuple(
-        _parse_tree_node(children_doc[v], named, f"{context}.children[{v!r}]")
-        for v in domain
-    )
-    return Split(feature, children)
+    children = []  # a loop, not a generator: one stack frame per tree level
+    for v in domain:
+        children.append(
+            _parse_tree_node(children_doc[v], named, f"{context}.children[{v!r}]", depth + 1)
+        )
+    return Split(feature, tuple(children))
 
 
 def parse_model(doc, named: NamedSpace, context: str = "model") -> Model:
@@ -472,6 +478,8 @@ def _load_inline_or_file(raw: str, what: str):
             return json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"inline {what} is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise SchemaError(f"inline {what} nests too deeply to parse") from None
     return _load_json(raw)
 
 
@@ -503,7 +511,7 @@ def _parse_set(arg: str, named: NamedSpace) -> Coalition:
 def cmd_attribute(args) -> int:
     named, model, dist, e = _load_common(args)
     scheme = parse_scheme(_load_inline_or_file(args.scheme, "scheme"), named.space.n)
-    report = attribute_all(model, dist, e, scheme)
+    report = attribute_all(model, dist, e, scheme, coefficient_sums=args.diag)
     doc = {
         "command": "attribute",
         "features": list(named.names),
@@ -514,10 +522,8 @@ def cmd_attribute(args) -> int:
         "values": _fmt_all(report.values),
         "decimals": _decimals(report.values),
     }
-    if args.diag and report.path == "interpolation":
-        doc["coefficient_sums"] = [
-            _fmt_all(sums) for sums in all_coefficients(model, dist, e)
-        ]
+    if report.coefficient_sums is not None:
+        doc["coefficient_sums"] = [_fmt_all(sums) for sums in report.coefficient_sums]
     _emit(doc, args.out)
     return EXIT_OK
 
@@ -613,14 +619,13 @@ def cmd_oracle_check(args) -> int:
             brute_interaction_index(model, dist, e, a_set, scheme, table=table),
         )
         doc["set"] = [named.names[i] for i in a_set]
+    elif isinstance(scheme, SimpleWeights):
+        for a, fast in enumerate(simple_indices(model, dist, e, scheme)):
+            brute = brute_simple_index(model, dist, e, a, scheme, table=table)
+            record(f"index[{named.names[a]}]", fast, brute)
     else:
-        for a in range(n):
-            if isinstance(scheme, SimpleWeights):
-                fast = compute_simple_index(model, dist, e, a, scheme)
-                brute = brute_simple_index(model, dist, e, a, scheme, table=table)
-            else:
-                fast = compute_bernoulli_index(model, dist, e, a, scheme)
-                brute = brute_bernoulli_index(model, dist, e, a, scheme, table=table)
+        for a, fast in enumerate(bernoulli_indices(model, dist, e, scheme)):
+            brute = brute_bernoulli_index(model, dist, e, a, scheme, table=table)
             record(f"index[{named.names[a]}]", fast, brute)
     doc["scheme"] = scheme_descriptor(scheme)
     doc["checks"] = checks

@@ -11,8 +11,9 @@ Three computation paths, all exact:
 * closed-form -- the marginal preset, which needs no expectations at all.
 
 Every path that needs expectations goes through ``batched_node_sums``:
-the distributions of all requested features at one node form one batch
-for ``Model.expected_values``.
+the distributions of all requested features at one node form one
+request.  Here each of them is the node's distribution with one marginal
+swapped, so ``Model.expected_values_swapped`` answers them from one pass.
 """
 
 from __future__ import annotations
@@ -145,6 +146,9 @@ class AttributionReport:
     scheme: IndexScheme
     path: str
     engine_calls: tuple[int, ...]  # expected-value calls, per feature
+    # per feature, its interpolate_coefficients vector: interpolation path,
+    # on request only
+    coefficient_sums: Optional[tuple[tuple[Fraction, ...], ...]] = None
 
     @property
     def total_engine_calls(self) -> int:
@@ -185,23 +189,33 @@ def batched_node_sums(
 
     ``node_rows`` yields the n base probability rows of each node, and a
     variant's distribution is the node's rows with its own rows put in.
-    Each node submits one batch, every variant of every target, to
-    ``model.expected_values``.  Also returns the number of distributions
-    built for each target, which is its engine-call count.
+    Each node makes one request for every variant of every target: when
+    each variant puts in a single row, to ``model.expected_values_swapped``
+    (one pass over the node's distribution answers them all), otherwise
+    to ``model.expected_values``.  Also returns the number of
+    distributions requested for each target, which is its engine-call
+    count.
     """
     sums: list[list[Fraction]] = [[] for _ in targets]
     calls = [0] * len(targets)
+    overrides = [rows for variants in targets for _, rows in variants]
+    swaps = None
+    if all(len(rows) == 1 for rows in overrides):
+        swaps = [next(iter(rows.items())) for rows in overrides]
     for rows in node_rows:
-        batch = []
-        for t, variants in enumerate(targets):
-            for _, overrides in variants:
+        if swaps is not None:
+            node = ProductDistribution._from_trusted_rows(space, tuple(rows))
+            values = iter(model.expected_values_swapped(node, swaps))
+        else:
+            batch = []
+            for extra in overrides:
                 varied = list(rows)
-                for i, row in overrides.items():
+                for i, row in extra.items():
                     varied[i] = row
                 batch.append(ProductDistribution._from_trusted_rows(space, tuple(varied)))
-                calls[t] += 1
-        values = iter(model.expected_values(batch))
+            values = iter(model.expected_values(batch))
         for t, variants in enumerate(targets):
+            calls[t] += len(variants)
             sums[t].append(
                 sum((coef * next(values) for coef, _ in variants), Fraction(0))
             )
@@ -213,8 +227,8 @@ def mixed_rows(
 ) -> tuple[tuple[Fraction, ...], ...]:
     """Every marginal blended toward e by the z-mixture (hits: positions of e)."""
     if not z:
-        # the input rows themselves, so a batch sees the z = 0 free
-        # distributions of different features as one
+        # the input rows themselves: nothing to build, and a tree's batch
+        # key (row identity) sees them as the input rows
         return dist.probs
     return tuple(mixture_row(row, hit, z) for row, hit in zip(dist.probs, hits))
 
@@ -246,15 +260,16 @@ def _interpolation_gaps(
     return nodes, gaps, calls
 
 
-def _coefficients(
-    model: Model, dist: ProductDistribution, e: Instance, features: Sequence[int]
-) -> list[tuple[Fraction, ...]]:
-    nodes, gaps, _ = _interpolation_gaps(model, dist, e, features)
-    n = len(nodes)
-    return [
-        vandermonde_solve(nodes, [(1 + z) ** (n - 1) * g for z, g in zip(nodes, gap)])
-        for gap in gaps
-    ]
+def _coefficient_sums(gaps: Iterable[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
+    # the gaps at z = 0..n-1, scaled by (1+z)^(n-1), interpolate the per-size sums
+    sums = []
+    for gap in gaps:
+        n = len(gap)
+        nodes = [Fraction(z) for z in range(n)]
+        sums.append(
+            vandermonde_solve(nodes, [(1 + z) ** (n - 1) * g for z, g in zip(nodes, gap)])
+        )
+    return sums
 
 
 def interpolate_coefficients(
@@ -270,7 +285,7 @@ def interpolate_coefficients(
     """
     space = check_shared_space(model, dist, e)
     space.check_feature(a)
-    return _coefficients(model, dist, e, [a])[0]
+    return _coefficient_sums(_interpolation_gaps(model, dist, e, [a])[1])[0]
 
 
 def all_coefficients(
@@ -278,7 +293,7 @@ def all_coefficients(
 ) -> list[tuple[Fraction, ...]]:
     """``interpolate_coefficients`` of every feature, from one batch per node."""
     space = check_shared_space(model, dist, e)
-    return _coefficients(model, dist, e, range(space.n))
+    return _coefficient_sums(_interpolation_gaps(model, dist, e, range(space.n))[1])
 
 
 def _interpolated_indices(
@@ -287,14 +302,14 @@ def _interpolated_indices(
     e: Instance,
     features: Sequence[int],
     q: Sequence[Fraction],
-) -> tuple[list[Fraction], list[int]]:
+) -> tuple[list[Fraction], list[int], list[list[Fraction]]]:
     # sum_k q_k c_k = sum_z u_z * gap(z), with u the dual weights of q
     # scaled by the (1+z)^(n-1) of the generating polynomial
     nodes, gaps, calls = _interpolation_gaps(model, dist, e, features)
     n = len(nodes)
     u = [(1 + z) ** (n - 1) * w for z, w in zip(nodes, vandermonde_dual(nodes, q))]
     values = [sum((w * g for w, g in zip(u, gap)), Fraction(0)) for gap in gaps]
-    return values, calls
+    return values, calls, gaps
 
 
 def _bernoulli_indices(
@@ -305,6 +320,10 @@ def _bernoulli_indices(
     theta: Sequence[Fraction],
 ) -> tuple[list[Fraction], list[int]]:
     space = dist.space
+    for a in features:
+        space.check_feature(a)
+    if len(theta) != space.n:
+        raise WeightError(f"theta has {len(theta)} entries for n={space.n}")
     mixed = bernoulli_mixture(dist, e, theta)
     sums, calls = batched_node_sums(
         model, space, [mixed.probs], [_gap(space, dist, e, a) for a in features]
@@ -329,6 +348,23 @@ def marginal_index(
     return model.evaluate(e) - averaged
 
 
+def _simple_indices(
+    model: Model,
+    dist: ProductDistribution,
+    e: Instance,
+    features: Sequence[int],
+    weights: SimpleWeights,
+) -> list[Fraction]:
+    space = check_shared_space(model, dist, e)
+    if weights.n != space.n:
+        raise WeightError(f"weights are for n={weights.n}, space has n={space.n}")
+    if weights.preset == "marginal":
+        return [marginal_index(model, dist, e, a) for a in features]
+    for a in features:
+        space.check_feature(a)
+    return _interpolated_indices(model, dist, e, features, weights.q)[0]
+
+
 def compute_simple_index(
     model: Model,
     dist: ProductDistribution,
@@ -341,13 +377,19 @@ def compute_simple_index(
     General path: interpolation (2n engine calls).  The marginal preset
     short-circuits to its closed form.
     """
-    space = check_shared_space(model, dist, e)
-    if weights.n != space.n:
-        raise WeightError(f"weights are for n={weights.n}, space has n={space.n}")
-    if weights.preset == "marginal":
-        return marginal_index(model, dist, e, a)
-    space.check_feature(a)
-    return _interpolated_indices(model, dist, e, [a], weights.q)[0][0]
+    return _simple_indices(model, dist, e, [a], weights)[0]
+
+
+def simple_indices(
+    model: Model, dist: ProductDistribution, e: Instance, weights: SimpleWeights
+) -> list[Fraction]:
+    """``compute_simple_index`` of every feature, from one batch per node.
+
+    The same paths as ``compute_simple_index``: the marginal preset takes
+    its closed form and every other vector interpolates (unlike
+    ``attribute_all``, which sends banzhaf and binomial to the direct path).
+    """
+    return _simple_indices(model, dist, e, range(dist.space.n), weights)
 
 
 def compute_bernoulli_index(
@@ -361,11 +403,16 @@ def compute_bernoulli_index(
 
     The input theta_a is ignored: the two expectations pin it to 1 and 0.
     """
-    space = check_shared_space(model, dist, e)
-    space.check_feature(a)
-    if len(weights.theta) != space.n:
-        raise WeightError(f"theta has {len(weights.theta)} entries for n={space.n}")
+    check_shared_space(model, dist, e)
     return _bernoulli_indices(model, dist, e, [a], weights.theta)[0][0]
+
+
+def bernoulli_indices(
+    model: Model, dist: ProductDistribution, e: Instance, weights: BernoulliWeights
+) -> list[Fraction]:
+    """``compute_bernoulli_index`` of every feature, from one batch."""
+    space = check_shared_space(model, dist, e)
+    return _bernoulli_indices(model, dist, e, range(space.n), weights.theta)[0]
 
 
 def _bernoulli_equivalent(weights: SimpleWeights) -> Optional[BernoulliWeights]:
@@ -381,20 +428,22 @@ def attribute_all(
     dist: ProductDistribution,
     e: Instance,
     scheme: IndexScheme,
+    coefficient_sums: bool = False,
 ) -> AttributionReport:
     """All n per-feature indices, routed through the cheapest valid path.
 
     Presets with a two-expectation equivalent (banzhaf, binomial) take
     the bernoulli-direct path; the marginal preset takes its closed
     form; everything else interpolates.  The expectations of all
-    features at one node go to the model as one batch.
+    features at one node go to the model as one batch.  With
+    ``coefficient_sums`` the interpolation path also reports every
+    feature's ``interpolate_coefficients``, solved from the same values.
     """
     space = check_shared_space(model, dist, e)
     n = space.n
     features = range(n)
+    sums = None
     if isinstance(scheme, BernoulliWeights):
-        if len(scheme.theta) != n:
-            raise WeightError(f"theta has {len(scheme.theta)} entries for n={n}")
         path = PATH_BERNOULLI
         values, calls = _bernoulli_indices(model, dist, e, features, scheme.theta)
     elif isinstance(scheme, SimpleWeights):
@@ -410,9 +459,15 @@ def attribute_all(
             values, calls = _bernoulli_indices(model, dist, e, features, direct.theta)
         else:
             path = PATH_INTERPOLATION
-            values, calls = _interpolated_indices(model, dist, e, features, scheme.q)
+            values, calls, gaps = _interpolated_indices(model, dist, e, features, scheme.q)
+            if coefficient_sums:
+                sums = tuple(_coefficient_sums(gaps))
     else:
         raise TypeError(f"unsupported scheme {scheme!r}")
     return AttributionReport(
-        values=tuple(values), scheme=scheme, path=path, engine_calls=tuple(calls)
+        values=tuple(values),
+        scheme=scheme,
+        path=path,
+        engine_calls=tuple(calls),
+        coefficient_sums=sums,
     )

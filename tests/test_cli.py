@@ -4,8 +4,29 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from powerdex import SimpleWeights, attribute_all, format_rational
-from powerdex.cli import load_model_file, main, parse_instance, parse_distribution
+import pytest
+
+import powerdex.cli as cli
+from powerdex import (
+    BernoulliWeights,
+    CountingModel,
+    ProductDistribution,
+    SimpleWeights,
+    attribute_all,
+    compute_bernoulli_index,
+    compute_simple_index,
+    format_rational,
+)
+from powerdex.cli import (
+    SchemaError,
+    load_model_file,
+    main,
+    parse_distribution,
+    parse_instance,
+    parse_model,
+    parse_space,
+)
+from powerdex.models import TREE_DEPTH_LIMIT
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -546,3 +567,118 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["values"] == ["3/8", "3/8"]
+
+
+# ---------------------------------------------------------------------------
+# deep trees
+
+
+def _write_chain(path, depth):
+    # written as text: the json encoder recurses once per nesting level
+    names = [f"c{i}" for i in range(depth)]
+    space = {"features": [{"name": name, "values": ["0", "1"]} for name in names]}
+    opens = "".join(
+        f'{{"feature": "{name}", "children": {{"0": {{"leaf": "0"}}, "1": ' for name in names
+    )
+    root = opens + '{"leaf": "1"}' + "}}" * depth
+    path.write_text(
+        '{"space": ' + json.dumps(space) + ', "model": {"type": "tree", "root": ' + root + "}}\n"
+    )
+
+
+def test_too_deep_tree_file_is_schema_error(tmp_path, capsys):
+    chain = tmp_path / "chain.json"
+    _write_chain(chain, 1200)
+    code, captured = run_cli(
+        "expected", "--model", str(chain), "--dist", str(FIXTURES / "uniform_any.json"),
+        capsys=capsys,
+    )
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+def test_deep_tree_file_still_computes(tmp_path):
+    # a fresh process: how deep json can nest depends on the caller's stack
+    chain = tmp_path / "chain.json"
+    _write_chain(chain, 480)
+    result = subprocess.run(
+        [sys.executable, "-m", "powerdex", "expected",
+         "--model", str(chain), "--dist", str(FIXTURES / "uniform_any.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["value"] == f"1/{2**480}"
+
+
+def test_tree_past_the_depth_limit_is_schema_error():
+    depth = TREE_DEPTH_LIMIT + 1
+    names = [f"c{i}" for i in range(depth)]
+    named = parse_space({"features": [{"name": name, "values": ["0", "1"]} for name in names]})
+    node = {"leaf": "1"}
+    for name in reversed(names):
+        node = {"feature": name, "children": {"0": {"leaf": "0"}, "1": node}}
+    with pytest.raises(SchemaError, match="deeper than the limit"):
+        parse_model({"type": "tree", "root": node}, named)
+
+
+def test_inline_json_nested_too_deeply_is_schema_error(capsys):
+    code, captured = run_cli(
+        *attribute_args('{"preset":"shapley"}', instance="{" + '"a": [' * 5000 + "]" * 5000 + "}"),
+        capsys=capsys,
+    )
+    assert code == 2
+    assert len(captured.err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# one batched pass per command
+
+
+def test_attribute_diag_requests_2n_squared_expectations(monkeypatch, capsys):
+    counted = []
+
+    def load_counted(path):
+        named, model = load_model_file(path)
+        counted.append(CountingModel(model))
+        return named, counted[-1]
+
+    monkeypatch.setattr(cli, "load_model_file", load_counted)
+    code, captured = run_cli(*attribute_args('{"preset":"shapley"}'), "--diag", capsys=capsys)
+    assert code == 0
+    assert "coefficient_sums" in json.loads(captured.out)
+    assert counted[0].expected_value_calls == 2 * 2**2  # attribute_all's pass only
+
+
+def test_oracle_check_engine_values_equal_the_per_feature_functions(tmp_path, capsys):
+    named, model = load_model_file(str(FIXTURES / "ensemble_model.json"))
+    dist = ProductDistribution(named.space, [[Fraction(1, 3), Fraction(2, 3)]] * 2)
+    dist_path = tmp_path / "dist.json"
+    dist_path.write_text(json.dumps({"marginals": [
+        {"feature": name, "probs": ["1/3", "2/3"]} for name in named.names
+    ]}))
+    e = parse_instance(json.load(open(AND_INSTANCE)), named)
+    for scheme_doc, scheme in (
+        ('{"preset":"banzhaf"}', SimpleWeights.banzhaf(2)),
+        ('{"preset":"binomial","theta":"1/3"}', SimpleWeights.binomial(2, Fraction(1, 3))),
+        ('{"preset":"marginal"}', SimpleWeights.marginal(2)),
+        ('{"q":["1/3","2/3"]}', SimpleWeights.from_values(["1/3", "2/3"])),
+        ('{"bernoulli":{"theta":["1/4","1/2"]}}', BernoulliWeights(["1/4", "1/2"])),
+    ):
+        code, captured = run_cli(
+            "oracle-check",
+            "--model", str(FIXTURES / "ensemble_model.json"),
+            "--dist", str(dist_path),
+            "--instance", AND_INSTANCE,
+            "--scheme", scheme_doc,
+            capsys=capsys,
+        )
+        assert code == 0, scheme_doc
+        engine = [c["engine"] for c in json.loads(captured.out)["checks"][1:]]
+        if isinstance(scheme, SimpleWeights):
+            want = [compute_simple_index(model, dist, e, a, scheme) for a in range(2)]
+        else:
+            want = [compute_bernoulli_index(model, dist, e, a, scheme) for a in range(2)]
+        assert engine == [format_rational(v) for v in want], scheme_doc

@@ -17,6 +17,7 @@ from powerdex import (
     WeightError,
     all_coefficients,
     attribute_all,
+    bernoulli_indices,
     brute_simple_index,
     compute_bernoulli_index,
     compute_simple_index,
@@ -25,6 +26,7 @@ from powerdex import (
     interpolate_coefficients,
     marginal_contribution,
     marginal_index,
+    simple_indices,
 )
 
 from powerdex.models import Leaf, Split
@@ -358,3 +360,63 @@ def test_path_agreement_banzhaf_binomial():
         assert compute_simple_index(
             model, dist, e, a, SimpleWeights.binomial(5, theta)
         ) == compute_bernoulli_index(model, dist, e, a, BernoulliWeights.constant(5, theta))
+
+
+class SpyWalkTree(SpyTree):
+    """A tree that counts its traversals and its swap walks."""
+
+    walks = 0
+
+    def _swap_walk(self, dist, wanted):
+        self.walks += 1
+        return super()._swap_walk(dist, wanted)
+
+
+def test_tree_answers_each_node_with_one_walk():
+    rng = random.Random(5)
+    space = random_space(rng, 4)
+    leaves = lambda k: tuple(Leaf(Fraction(rng.randint(-9, 9), 7)) for _ in range(k))
+    root = Split(0, tuple(Split(1, leaves(len(space.domains[1]))) for _ in space.domains[0]))
+    spy = SpyWalkTree(space, root)
+    dist = random_distribution(rng, space)
+    e = random_instance(rng, space)
+    counted = CountingModel(spy)
+    value = compute_simple_index(counted, dist, e, 1, SimpleWeights.shapley(4))
+    assert value == brute_simple_index(spy, dist, e, 1, SimpleWeights.shapley(4))
+    assert counted.expected_value_calls == 8  # the 2n contract counts distributions
+    assert (spy.walks, spy.traversals) == (4, 0)  # one walk per node
+
+
+def test_all_feature_indices_match_the_per_feature_functions():
+    rng = random.Random(77)
+    space = random_space(rng, 5)
+    model = EnsembleModel([(Fraction(2, 3), random_tree_model(rng, space)) for _ in range(3)])
+    dist = random_distribution(rng, space)
+    e = random_instance(rng, space)
+    for w in (
+        SimpleWeights.shapley(5),
+        SimpleWeights.banzhaf(5),
+        SimpleWeights.binomial(5, Fraction(2, 7)),
+        SimpleWeights.marginal(5),
+        random_simple_weights(rng, 5),
+    ):
+        want = [compute_simple_index(model, dist, e, a, w) for a in range(5)]
+        assert simple_indices(model, dist, e, w) == want, w.preset
+    theta = BernoulliWeights([Fraction(k, 4) for k in range(5)])
+    want = [compute_bernoulli_index(model, dist, e, a, theta) for a in range(5)]
+    assert bernoulli_indices(model, dist, e, theta) == want
+
+
+def test_attribute_all_reports_coefficient_sums_from_the_same_pass():
+    rng = random.Random(31)
+    space = random_space(rng, 5)
+    model = random_tree_model(rng, space)
+    dist = random_distribution(rng, space)
+    e = random_instance(rng, space)
+    counted = CountingModel(model)
+    report = attribute_all(counted, dist, e, SimpleWeights.shapley(5), coefficient_sums=True)
+    assert list(report.coefficient_sums) == all_coefficients(model, dist, e)
+    assert counted.expected_value_calls == 2 * 5 * 5  # no second pass
+    assert attribute_all(model, dist, e, SimpleWeights.shapley(5)).coefficient_sums is None
+    direct = attribute_all(model, dist, e, SimpleWeights.banzhaf(5), coefficient_sums=True)
+    assert direct.coefficient_sums is None

@@ -17,7 +17,7 @@ from powerdex import (
     TreeModel,
     conditional_expectation,
 )
-from powerdex.models import Leaf, Split
+from powerdex.models import TREE_DEPTH_LIMIT, Leaf, Split
 
 from corpus import (
     and_space,
@@ -242,3 +242,88 @@ def test_expected_values_checks_every_space(and2):
     for m in (model, tree, EnsembleModel([(Fraction(1), tree)])):
         with pytest.raises(SpaceMismatchError):
             m.expected_values([dist, other])
+
+
+# ---------------------------------------------------------------------------
+# the swap contract: expected_values_swapped equals the swapped batch
+
+
+def _sparse_distribution(rng, space):
+    # many zero-probability values and some point-mass rows
+    rows = []
+    for domain in space.domains:
+        weights = [rng.randint(0, 3) if rng.random() < 0.6 else 0 for _ in domain]
+        if not any(weights):
+            weights[rng.randrange(len(domain))] = 1
+        rows.append([Fraction(w, sum(weights)) for w in weights])
+    return ProductDistribution(space, rows)
+
+
+@given(
+    st.sampled_from(["table", "additive", "tree", "ensemble"]),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_expected_values_swapped_equals_the_swapped_batch(kind, seed):
+    rng = random.Random(seed)
+    space = random_space(rng, rng.randint(1, 5))
+    model = _model_of_kind(kind, rng, space)
+    dist = _sparse_distribution(rng, space)
+    swaps = []
+    for _ in range(rng.randint(0, 8)):
+        i = rng.randrange(space.n)  # the same feature may be swapped again
+        size = len(space.domains[i])
+        pick = rng.random()
+        if pick < 0.5:  # often onto a value the distribution gives probability 0
+            hit = rng.randrange(size)
+            row = tuple(Fraction(int(k == hit)) for k in range(size))
+        elif pick < 0.7:
+            row = dist.probs[i]
+        else:
+            row = random_distribution(rng, space).probs[i]
+        swaps.append((i, row))
+    want = model.expected_values([dist.with_rows({i: row}) for i, row in swaps])
+    assert model.expected_values_swapped(dist, swaps) == want
+
+
+def test_swapping_a_feature_the_tree_never_reads_returns_its_expectation():
+    space = and_space(3)
+    tree = TreeModel(space, Split(0, (Leaf(Fraction(2)), Leaf(Fraction(5)))))
+    dist = ProductDistribution.uniform(space)
+    pin = (Fraction(1), Fraction(0))
+    assert tree.expected_values_swapped(dist, [(1, pin), (2, pin)]) == [Fraction(7, 2)] * 2
+    assert tree.expected_values_swapped(dist, [(0, pin), (1, pin)]) == [2, Fraction(7, 2)]
+
+
+def test_expected_values_swapped_checks_the_swaps(and2):
+    space, model, dist = and2
+    for m in (model, and_tree_model(space), AdditiveModel(space, Fraction(0), [[0, 1]] * 2)):
+        with pytest.raises(ValueError):
+            m.expected_values_swapped(dist, [(2, (Fraction(1), Fraction(0)))])
+        with pytest.raises(ValueError):
+            m.expected_values_swapped(dist, [(0, (Fraction(1),))])
+        with pytest.raises(SpaceMismatchError):
+            m.expected_values_swapped(ProductDistribution.uniform(and_space(3)), [])
+
+
+# ---------------------------------------------------------------------------
+# the depth limit
+
+
+def _chain(space, depth):
+    node = Leaf(Fraction(1))
+    for feature in reversed(range(depth)):
+        node = Split(feature, (Leaf(Fraction(0)), node))
+    return node
+
+
+def test_tree_depth_limit():
+    depth = TREE_DEPTH_LIMIT
+    space = and_space(depth + 1)
+    tree = TreeModel(space, _chain(space, depth))  # at the limit: every walk works
+    dist = ProductDistribution.uniform(space)
+    assert tree.expected_value(dist) == Fraction(1, 2**depth)
+    pin = (Fraction(0), Fraction(1))
+    assert tree.expected_values_swapped(dist, [(depth - 1, pin)]) == [Fraction(1, 2 ** (depth - 1))]
+    assert tree.evaluate(ones_instance(space)) == 1
+    with pytest.raises(ValueError, match="deeper than the limit"):
+        TreeModel(space, _chain(space, depth + 1))
