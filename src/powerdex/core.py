@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import decimal
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
@@ -29,31 +30,58 @@ class WeightError(PowerdexError):
     """A weight scheme violates its normalization or range constraints."""
 
 
+# Most digits one run of a rational literal may hold (an integer part, a
+# decimal part, a numerator or a denominator), checked before any
+# conversion.  It equals CPython's default ``int_max_str_digits``, so every
+# literal the default interpreter converts is accepted, and the bound still
+# holds where that limit is raised or switched off.
+MAX_LITERAL_DIGITS = 4300
+
+_DIGIT_RUN = re.compile(r"[\d_]+")
+
+
+def _quote(text: str) -> str:
+    # at most 40 characters of a literal go into an error message
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the rational literal grammar: "p/q" (q > 0), integer, or decimal string.
 
     Decimal strings convert exactly ("0.25" -> 1/4).  The grammar has no
     exponents: "1e999999999" would otherwise build a billion-digit integer.
+    A run of more than ``MAX_LITERAL_DIGITS`` digits is rejected.
     """
     if not isinstance(text, str):
         raise ValueError(f"rational literal must be a string, got {type(text).__name__}")
     s = text.strip()
     if "e" in s or "E" in s:
-        raise ValueError(f"invalid rational literal {text!r}: exponents are not allowed")
+        raise ValueError(f"invalid rational literal {_quote(text)}: exponents are not allowed")
+    if len(s) > MAX_LITERAL_DIGITS and any(
+        len(run) - run.count("_") > MAX_LITERAL_DIGITS for run in _DIGIT_RUN.findall(s)
+    ):
+        raise ValueError(
+            f"invalid rational literal {_quote(text)}: "
+            f"more than {MAX_LITERAL_DIGITS} digits in a row"
+        )
     if "/" in s:
         num_s, _, den_s = s.partition("/")
         try:
             num = int(num_s)
             den = int(den_s)
         except ValueError:
-            raise ValueError(f"invalid rational literal {text!r}") from None
+            raise ValueError(f"invalid rational literal {_quote(text)}") from None
         if den <= 0:
-            raise ValueError(f"invalid rational literal {text!r}: denominator must be positive")
+            raise ValueError(
+                f"invalid rational literal {_quote(text)}: denominator must be positive"
+            )
         return Fraction(num, den)
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"invalid rational literal {text!r}") from None
+        raise ValueError(f"invalid rational literal {_quote(text)}") from None
 
 
 def format_rational(x: Fraction) -> str:

@@ -58,17 +58,10 @@ ConditionalTable = dict[int, Fraction]
 def brute_expectation(
     model: Model, dist: ProductDistribution, budget: OracleBudget = DEFAULT_BUDGET
 ) -> Fraction:
-    """E[F] by summing F(omega) * P(Y = omega) over every outcome."""
+    """E[F]: F(omega) * P(Y = omega) summed over the outcomes, feature by feature."""
     budget.check(model)
-    space = check_shared_space(model, dist)
-    total = Fraction(0)
-    for omega in space.outcomes():
-        weight = Fraction(1)
-        for i, v in enumerate(omega):
-            weight *= dist.prob(i, v)
-        if weight:
-            total += weight * model.evaluate(Instance(space, omega))
-    return total
+    check_shared_space(model, dist)
+    return _contract(model, dist, None)[0]
 
 
 def conditional_table(
@@ -79,28 +72,55 @@ def conditional_table(
 ) -> ConditionalTable:
     """All 2^n conditional expectations E[F|S], keyed by coalition mask.
 
-    One pass over the outcomes: omega contributes F(omega) times the
-    probability of its off-coalition features to every S contained in
-    the set of features where omega agrees with e.
+    E[F|S] sums F(omega) times the probability of omega's features outside
+    S over the outcomes that agree with e on S.  Each outcome is evaluated
+    once and the sums are taken feature by feature (see ``_contract``).
     """
     budget.check(model)
-    space = check_shared_space(model, dist, e)
+    check_shared_space(model, dist, e)
+    return dict(enumerate(_contract(model, dist, e)))
+
+
+def _contract(model: Model, dist: ProductDistribution, e: Optional[Instance]) -> list[Fraction]:
+    """Sum F over the outcome grid one feature at a time, depth first.
+
+    ``walk(i)`` fixes features 0..i-1 and returns a vector over the
+    coalitions of features i..n-1, bit 0 standing for feature i.  Its even
+    entries (i not in S) are the marginal-weighted sums of the sub-vectors
+    of i's values; its odd entries (i in S) are the sub-vector at e_i.
+    With ``e`` None only the marginal sum is taken and the vector is
+    [E[F]].  A value of probability 0 is visited only when it is e_i.
+    """
+    space = model.space
     n = space.n
-    table: ConditionalTable = {mask: Fraction(0) for mask in range(1 << n)}
+    omega: list = [None] * n
 
-    def spread(feature: int, mask: int, weight: Fraction, omega, value: Fraction):
-        if feature == n:
-            table[mask] += value * weight
-            return
-        p = dist.probs[feature][space.position(feature, omega[feature])]
-        if p:
-            spread(feature + 1, mask, weight * p, omega, value)
-        if omega[feature] == e[feature]:
-            spread(feature + 1, mask | 1 << feature, weight, omega, value)
+    def walk(i: int) -> list[Fraction]:
+        if i == n:
+            return [model.evaluate(Instance(space, omega))]
+        free: Optional[list[Fraction]] = None
+        pinned: list[Fraction] = []
+        for v, p in zip(space.domains[i], dist.probs[i]):
+            pin = e is not None and v == e[i]
+            if not p and not pin:
+                continue
+            omega[i] = v
+            sub = walk(i + 1)
+            if pin:
+                pinned = sub
+            if p:
+                if free is None:
+                    free = [p * x for x in sub]
+                else:
+                    free = [f + p * x for f, x in zip(free, sub)]
+        if e is None:
+            return free
+        both = free + pinned
+        both[0::2] = free
+        both[1::2] = pinned
+        return both
 
-    for omega in space.outcomes():
-        spread(0, 0, Fraction(1), omega, model.evaluate(Instance(space, omega)))
-    return table
+    return walk(0)
 
 
 def _table_or_compute(

@@ -10,6 +10,7 @@ from math import comb
 from powerdex import (
     AdditiveModel,
     BernoulliWeights,
+    EnsembleModel,
     FeatureSpace,
     Instance,
     ProductDistribution,
@@ -114,6 +115,22 @@ def random_additive_model(rng: random.Random, space: FeatureSpace) -> AdditiveMo
         for domain in space.domains
     ]
     return AdditiveModel(space, bias, terms)
+
+
+MODEL_KINDS = ("table", "additive", "tree", "ensemble")
+
+
+def random_model_of_kind(kind: str, rng: random.Random, space: FeatureSpace):
+    if kind == "table":
+        return TableModel.tabulate(random_tree_model(rng, space))
+    if kind == "additive":
+        return random_additive_model(rng, space)
+    if kind == "tree":
+        return random_tree_model(rng, space)
+    return EnsembleModel(
+        [(Fraction(rng.randint(-3, 3), rng.randint(1, 4)), random_tree_model(rng, space))
+         for _ in range(3)]
+    )
 
 
 def random_instance(rng: random.Random, space: FeatureSpace) -> Instance:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -177,6 +178,32 @@ def test_exponent_literal_is_schema_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert "exponent" in captured.err
+
+
+def test_overlong_literal_is_schema_error_without_the_interpreter_limit(tmp_path):
+    # PYTHONINTMAXSTRDIGITS=0 lifts CPython's own int() limit, so only the
+    # literal digit bound rejects this 5000-digit way of writing 1/2
+    half = "0.5" + "0" * 4999
+    dist = tmp_path / "long.json"
+    dist.write_text(json.dumps({"marginals": [
+        {"feature": "x1", "probs": [half, half]},
+        {"feature": "x2", "probs": ["1/2", "1/2"]},
+    ]}))
+    # run in tmp_path so that the error's context, the file name, is short
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "powerdex", "expected", "--model", AND_MODEL, "--dist", dist.name],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": "0"},
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert len(lines[0]) < 200
+    assert "digits" in lines[0]
 
 
 def test_non_normalized_weights_exit_3(capsys):

@@ -19,6 +19,7 @@ from powerdex import (
     parse_rational,
     subsets,
 )
+from powerdex.core import MAX_LITERAL_DIGITS
 
 from corpus import and_space, ones_instance
 
@@ -49,6 +50,20 @@ def test_parse_fraction_forms():
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def test_parse_accepts_digit_runs_up_to_the_bound():
+    run = "7" * MAX_LITERAL_DIGITS
+    assert parse_rational(run) == int(run)
+    assert parse_rational("0." + run) == Fraction(int(run), 10**MAX_LITERAL_DIGITS)
+    assert parse_rational(f"-{run}/{run}") == -1
+
+
+def test_parse_rejects_a_longer_digit_run_in_a_short_message():
+    text = "0.5" + "0" * MAX_LITERAL_DIGITS
+    with pytest.raises(ValueError, match=f"more than {MAX_LITERAL_DIGITS} digits") as info:
+        parse_rational(text)
+    assert len(str(info.value)) < 200
 
 
 @given(st.fractions())

@@ -20,6 +20,7 @@ from powerdex import (
 from powerdex.models import TREE_DEPTH_LIMIT, Leaf, Split
 
 from corpus import (
+    MODEL_KINDS,
     and_space,
     and_table_model,
     and_tree_model,
@@ -27,6 +28,7 @@ from corpus import (
     random_additive_model,
     random_distribution,
     random_instance,
+    random_model_of_kind,
     random_space,
     random_tree_model,
 )
@@ -198,27 +200,14 @@ def test_ensemble_equals_weighted_component_sum():
 # the batch contract: expected_values equals a loop over expected_value
 
 
-def _model_of_kind(kind, rng, space):
-    if kind == "table":
-        return TableModel.tabulate(random_tree_model(rng, space))
-    if kind == "additive":
-        return random_additive_model(rng, space)
-    if kind == "tree":
-        return random_tree_model(rng, space)
-    return EnsembleModel(
-        [(Fraction(rng.randint(-3, 3), rng.randint(1, 4)), random_tree_model(rng, space))
-         for _ in range(3)]
-    )
-
-
 @given(
-    st.sampled_from(["table", "additive", "tree", "ensemble"]),
+    st.sampled_from(MODEL_KINDS),
     st.integers(min_value=0, max_value=2**32),
 )
 def test_expected_values_equals_the_loop(kind, seed):
     rng = random.Random(seed)
     space = random_space(rng, rng.randint(1, 5))
-    model = _model_of_kind(kind, rng, space)
+    model = random_model_of_kind(kind, rng, space)
     pool = [random_distribution(rng, space).probs for _ in range(3)]
     batch = []
     for _ in range(rng.randint(0, 8)):
@@ -260,13 +249,13 @@ def _sparse_distribution(rng, space):
 
 
 @given(
-    st.sampled_from(["table", "additive", "tree", "ensemble"]),
+    st.sampled_from(MODEL_KINDS),
     st.integers(min_value=0, max_value=2**32),
 )
 def test_expected_values_swapped_equals_the_swapped_batch(kind, seed):
     rng = random.Random(seed)
     space = random_space(rng, rng.randint(1, 5))
-    model = _model_of_kind(kind, rng, space)
+    model = random_model_of_kind(kind, rng, space)
     dist = _sparse_distribution(rng, space)
     swaps = []
     for _ in range(rng.randint(0, 8)):

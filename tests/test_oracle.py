@@ -1,14 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from powerdex import (
     BernoulliInteractionWeights,
     BernoulliWeights,
     BudgetExceededError,
     Coalition,
+    CountingModel,
     FeatureSpace,
     Instance,
     InteractionWeights,
@@ -26,6 +30,7 @@ from powerdex import (
 )
 
 from corpus import (
+    MODEL_KINDS,
     and_space,
     and_table_model,
     constant_model,
@@ -33,6 +38,7 @@ from corpus import (
     or_table_model,
     random_distribution,
     random_instance,
+    random_model_of_kind,
     random_space,
     random_tree_model,
 )
@@ -55,15 +61,89 @@ def test_brute_expectation_point_mass(and2):
     assert brute_expectation(model, ProductDistribution.point_mass(e)) == model.evaluate(e)
 
 
-def test_conditional_table_matches_direct_conditioning():
-    rng = random.Random(2)
-    space = random_space(rng, 4)
-    model = random_tree_model(rng, space)
+def _definitional_table(model, dist, e):
+    # E[F|S] by definition: F(omega) times the product of the marginals
+    # of omega's features outside S, summed over the outcomes that agree
+    # with e on S
+    space = model.space
+    table = {}
+    for mask in range(1 << space.n):
+        grid = [(e[i],) if mask >> i & 1 else d for i, d in enumerate(space.domains)]
+        total = Fraction(0)
+        for omega in itertools.product(*grid):
+            weight = Fraction(1)
+            for i, v in enumerate(omega):
+                if not mask >> i & 1:
+                    weight *= dist.prob(i, v)
+            total += weight * model.evaluate(Instance(space, omega))
+        table[mask] = total
+    return table
+
+
+def _sparse_around(rng, dist, e):
+    # per feature: zero probability on e's value, zero probability off it,
+    # a point mass on a random value, or the row as drawn
+    space = dist.space
+    rows = []
+    for i, row in enumerate(dist.probs):
+        size = len(row)
+        hit = space.position(i, e[i])
+        pick = rng.randrange(4)
+        if pick == 0 and size > 1:
+            weights = [0 if k == hit else rng.randint(1, 3) for k in range(size)]
+        elif pick == 1:
+            weights = [int(k == hit) for k in range(size)]
+        elif pick == 2:
+            mass = rng.randrange(size)
+            weights = [int(k == mass) for k in range(size)]
+        else:
+            rows.append(row)
+            continue
+        rows.append([Fraction(w, sum(weights)) for w in weights])
+    return ProductDistribution(space, rows)
+
+
+def _oracle_case(kind, n, sparse, seed):
+    rng = random.Random(seed)
+    space = random_space(rng, n)
+    model = random_model_of_kind(kind, rng, space)
     dist = random_distribution(rng, space)
     e = random_instance(rng, space)
+    if sparse:
+        dist = _sparse_around(rng, dist, e)
+    return model, dist, e
+
+
+@given(
+    st.sampled_from(MODEL_KINDS),
+    st.integers(min_value=1, max_value=6),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32),
+)
+@example("tree", 4, False, 2)
+@settings(deadline=None)
+def test_conditional_table_matches_direct_conditioning(kind, n, sparse, seed):
+    model, dist, e = _oracle_case(kind, n, sparse, seed)
     table = conditional_table(model, dist, e)
-    for mask in range(1 << 4):
+    assert list(table) == list(range(1 << n))
+    want = _definitional_table(model, dist, e)
+    for mask in range(1 << n):
+        assert table[mask] == want[mask]
         assert table[mask] == conditional_expectation(model, dist, e, Coalition(mask))
+    assert brute_expectation(model, dist) == want[0] == model.expected_value(dist)
+
+
+@pytest.mark.parametrize("kind", ["tree", "ensemble"])
+def test_oracle_calls_only_evaluate_once_per_outcome(kind):
+    model, dist, e = _oracle_case(kind, 5, True, 17)
+    for run in (
+        lambda counted: conditional_table(counted, dist, e),
+        lambda counted: brute_expectation(counted, dist),
+    ):
+        counted = CountingModel(model)
+        run(counted)
+        assert counted.expected_value_calls == 0
+        assert 0 < counted.evaluate_calls <= model.space.outcome_count()
 
 
 def test_brute_simple_index_and(and2):
