@@ -262,6 +262,8 @@ def load_model_file(path: str) -> tuple[NamedSpace, Model]:
 
 
 def parse_distribution(doc, named: NamedSpace, context: str) -> ProductDistribution:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{context} must be a JSON object")
     space = named.space
     if doc.get("uniform") is True:
         return ProductDistribution.uniform(space)
@@ -276,7 +278,7 @@ def parse_distribution(doc, named: NamedSpace, context: str) -> ProductDistribut
         if rows[feature] is not None:
             raise SchemaError(f"{context}.marginals: duplicate entry for feature {name!r}")
         domain = space.domains[feature]
-        if "values" in entry and list(entry["values"]) != list(domain):
+        if "values" in entry and entry["values"] != list(domain):
             raise SchemaError(
                 f"{context}.marginals[{idx}].values does not match the declared "
                 f"domain of {name!r}"

@@ -177,6 +177,15 @@ class Instance:
         for i, v in enumerate(self.values):
             space.position(i, v)  # raises on unknown value
 
+    @classmethod
+    def _from_trusted_values(cls, space: FeatureSpace, values: tuple[Value, ...]) -> "Instance":
+        # skips validation; callers must supply one domain value per feature
+        # (values taken from ``space.domains`` qualify)
+        instance = object.__new__(cls)
+        object.__setattr__(instance, "space", space)
+        object.__setattr__(instance, "values", values)
+        return instance
+
     def __getitem__(self, feature: int) -> Value:
         return self.values[feature]
 

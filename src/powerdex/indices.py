@@ -43,6 +43,29 @@ PATH_BERNOULLI = "bernoulli-direct"
 PATH_CLOSED_FORM = "closed-form"
 
 
+def _check_cardinality_row(q: Sequence[Fraction], pool: int, entry, row: str) -> None:
+    """q_k >= 0 and sum_k C(pool, k) q_k = 1 exactly, or a WeightError.
+
+    ``entry(k)`` names q_k and ``row`` the vector in the messages.
+    """
+    total = Fraction(0)
+    for k, qk in enumerate(q):
+        if qk < 0:
+            raise WeightError(f"{entry(k)} = {qk} is negative")
+        total += comb(pool, k) * qk
+    if total != 1:
+        raise WeightError(f"{row} {total} under binomial counts, not 1")
+
+
+def _inclusion_probabilities(theta: Sequence) -> tuple[Fraction, ...]:
+    """theta as rationals, each in [0, 1], or a WeightError."""
+    values = tuple(as_rational(t) for t in theta)
+    for i, t in enumerate(values):
+        if t < 0 or t > 1:
+            raise WeightError(f"theta_{i} = {t} outside [0, 1]")
+    return values
+
+
 @dataclass(frozen=True)
 class SimpleWeights:
     """A cardinality-based coalition weight vector q_0..q_{n-1}.
@@ -63,13 +86,7 @@ class SimpleWeights:
             raise WeightError("weights need n >= 1")
         if len(self.q) != self.n:
             raise WeightError(f"{len(self.q)} weights for n={self.n}")
-        total = Fraction(0)
-        for k, qk in enumerate(self.q):
-            if qk < 0:
-                raise WeightError(f"q_{k} = {qk} is negative")
-            total += comb(self.n - 1, k) * qk
-        if total != 1:
-            raise WeightError(f"weights sum to {total} under binomial counts, not 1")
+        _check_cardinality_row(self.q, self.n - 1, lambda k: f"q_{k}", "weights sum to")
 
     @classmethod
     def from_values(cls, values: Sequence) -> "SimpleWeights":
@@ -124,11 +141,7 @@ class BernoulliWeights:
     theta: tuple[Fraction, ...]
 
     def __init__(self, theta: Sequence):
-        values = tuple(as_rational(t) for t in theta)
-        for i, t in enumerate(values):
-            if t < 0 or t > 1:
-                raise WeightError(f"theta_{i} = {t} outside [0, 1]")
-        object.__setattr__(self, "theta", values)
+        object.__setattr__(self, "theta", _inclusion_probabilities(theta))
 
     @classmethod
     def constant(cls, n: int, theta) -> "BernoulliWeights":

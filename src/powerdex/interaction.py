@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Mapping, Optional, Sequence
 
 from .core import (
@@ -26,7 +25,12 @@ from .core import (
     point_mass_row,
     subsets,
 )
-from .indices import batched_node_sums, mixed_rows
+from .indices import (
+    _check_cardinality_row,
+    _inclusion_probabilities,
+    batched_node_sums,
+    mixed_rows,
+)
 from .interpolation import vandermonde_dual
 from .models import Model, conditional_expectation
 
@@ -63,15 +67,9 @@ class InteractionWeights:
                 raise WeightError(
                     f"row for |A|={m} has {len(row)} weights, expected {n - m + 1}"
                 )
-            total = Fraction(0)
-            for k, qk in enumerate(row):
-                if qk < 0:
-                    raise WeightError(f"q({k},{m}) = {qk} is negative")
-                total += comb(n - m, k) * qk
-            if total != 1:
-                raise WeightError(
-                    f"row for |A|={m} sums to {total} under binomial counts, not 1"
-                )
+            _check_cardinality_row(
+                row, n - m, lambda k: f"q({k},{m})", f"row for |A|={m} sums to"
+            )
             table[m] = row
         self._rows = table
 
@@ -109,11 +107,7 @@ class BernoulliInteractionWeights:
     theta: tuple[Fraction, ...]
 
     def __init__(self, theta: Sequence):
-        values = tuple(as_rational(t) for t in theta)
-        for i, t in enumerate(values):
-            if t < 0 or t > 1:
-                raise WeightError(f"theta_{i} = {t} outside [0, 1]")
-        object.__setattr__(self, "theta", values)
+        object.__setattr__(self, "theta", _inclusion_probabilities(theta))
 
     @classmethod
     def constant(cls, n: int, theta) -> "BernoulliInteractionWeights":

@@ -16,7 +16,8 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from math import gcd
+from typing import Iterable, Mapping, Sequence, Union
 
 from .core import (
     Coalition,
@@ -39,6 +40,54 @@ _ZERO = Fraction(0)
 
 # A marginal swap: feature i's row replaced by another row over its domain.
 Swap = tuple[int, Sequence[Fraction]]
+
+# A rational as (numerator, denominator) ints in lowest terms, the
+# denominator positive: the form the tree kernel computes in.
+Pair = tuple[int, int]
+
+
+class _PairRows:
+    """Probability rows as pairs, each distinct row object converted once.
+
+    Lives for one engine call, during which every row it has seen stays
+    alive (the caller holds the distributions and swaps), so the rows'
+    identities are stable keys.  Nothing is stored on a distribution.
+    """
+
+    def __init__(self):
+        self._rows: dict[int, tuple[Pair, ...]] = {}
+        self._tables: dict[int, list[tuple[Pair, ...]]] = {}
+
+    def row(self, row: Sequence[Fraction]) -> tuple[Pair, ...]:
+        pairs = self._rows.get(id(row))
+        if pairs is None:
+            pairs = self._rows[id(row)] = tuple([(p.numerator, p.denominator) for p in row])
+        return pairs
+
+    def rows(self, probs: Sequence[Sequence[Fraction]]) -> list[tuple[Pair, ...]]:
+        table = self._tables.get(id(probs))
+        if table is None:
+            table = self._tables[id(probs)] = [self.row(row) for row in probs]
+        return table
+
+
+def _fractions(values: Sequence[Pair]) -> list[Fraction]:
+    # one Fraction per distinct pair object
+    made: dict[int, Fraction] = {}
+    out = []
+    for value in values:
+        f = made.get(id(value))
+        if f is None:
+            f = made[id(value)] = Fraction(*value)
+        out.append(f)
+    return out
+
+
+def _swapped_mask(swaps: Sequence[Swap]) -> int:
+    mask = 0
+    for i, _ in swaps:
+        mask |= 1 << i
+    return mask
 
 
 class Model(abc.ABC):
@@ -74,6 +123,23 @@ class Model(abc.ABC):
             rows[i] = row
             dists.append(ProductDistribution._from_trusted_rows(space, tuple(rows)))
         return self.expected_values(dists)
+
+    # The same answers as pairs, for an ensemble that sums its components
+    # without building a Fraction per term.  ``pairs`` converts rows once
+    # per call for all components.  These defaults go through the public
+    # methods; trees and ensembles compute in pairs.
+
+    def _pair_values(
+        self, dists: Sequence[ProductDistribution], pairs: _PairRows
+    ) -> list[Pair]:
+        return [(v.numerator, v.denominator) for v in self.expected_values(dists)]
+
+    def _pair_values_swapped(
+        self, dist: ProductDistribution, swaps: Sequence[Swap], pairs: _PairRows
+    ) -> list[Pair]:
+        return [
+            (v.numerator, v.denominator) for v in self.expected_values_swapped(dist, swaps)
+        ]
 
 
 def _check_swaps(model: Model, dist: ProductDistribution, swaps: Sequence[Swap]) -> FeatureSpace:
@@ -223,6 +289,37 @@ class Split:
 
 TreeNode = Union[Leaf, Split]
 
+# The compiled form a TreeModel stores: a split is (feature, children, mask),
+# mask being the bitmask of the features split on in its subtree, and a
+# leaf is its Fraction.
+Compiled = Union[tuple, Fraction]
+
+
+def _expect(node: tuple, rows: Sequence[Sequence[Pair]]) -> Pair:
+    # E of a compiled split: the children's p * v over the product of
+    # their denominators, reduced once
+    num, den = 0, 1
+    for (a, b), child in zip(rows[node[0]], node[1]):
+        if a:
+            if child.__class__ is tuple:
+                cn, cd = _expect(child, rows)
+            else:
+                cn, cd = child.numerator, child.denominator
+            d = b * cd
+            num = num * d + a * cn * den
+            den *= d
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _rebuild(node: Compiled) -> TreeNode:
+    if node.__class__ is not tuple:
+        return Leaf(node)
+    children = []
+    for child in node[1]:  # a loop, not a comprehension: one frame per level
+        children.append(_rebuild(child))
+    return Split(node[0], tuple(children))
+
 
 class TreeModel(Model):
     """Decision tree branching on exact domain values.
@@ -230,26 +327,30 @@ class TreeModel(Model):
     Each split maps every value of its feature's domain to a child, and
     no feature repeats along a root-to-leaf path, so the expectation is
     a single traversal multiplying branch probabilities.  Paths hold at
-    most ``TREE_DEPTH_LIMIT`` splits.
+    most ``TREE_DEPTH_LIMIT`` splits.  The tree is compiled once and only
+    the compiled form is kept; ``root`` rebuilds the ``Leaf``/``Split``
+    nodes on each access.
     """
 
     def __init__(self, space: FeatureSpace, root: TreeNode):
         self.space = space
-        self.root = root
-        # per split (by id), the bitmask of the features split on in its subtree
-        self._below: dict[int, int] = {}
-        read = self._validate(root, seen_nodes=set(), path_features=frozenset())
+        self._tree = self._compile(root, seen_nodes=set(), path_features=frozenset())
+        self._mask = self._tree[2] if self._tree.__class__ is tuple else 0
         # the features some split branches on
-        self._read = tuple(i for i in range(space.n) if read >> i & 1)
+        self._read = tuple(i for i in range(space.n) if self._mask >> i & 1)
 
-    def _validate(self, node: TreeNode, seen_nodes: set, path_features: frozenset) -> int:
+    @property
+    def root(self) -> TreeNode:
+        return _rebuild(self._tree)
+
+    def _compile(self, node: TreeNode, seen_nodes: set, path_features: frozenset) -> Compiled:
         if id(node) in seen_nodes:
             raise ValueError("tree nodes may not be shared; the structure must be a tree")
         seen_nodes.add(id(node))
         if isinstance(node, Leaf):
             if not isinstance(node.value, Fraction):
                 raise ValueError("leaf values must be Fractions")
-            return 0
+            return node.value
         if not isinstance(node, Split):
             raise ValueError(f"unexpected tree node {node!r}")
         if len(path_features) == TREE_DEPTH_LIMIT:
@@ -264,25 +365,42 @@ class TreeModel(Model):
                 f"for {len(domain)} domain values"
             )
         on_path = path_features | {node.feature}
-        below = 1 << node.feature
+        mask = 1 << node.feature
+        children = []
         for child in node.children:
-            below |= self._validate(child, seen_nodes, on_path)
-        self._below[id(node)] = below
-        return below
+            compiled = self._compile(child, seen_nodes, on_path)
+            if compiled.__class__ is tuple:
+                mask |= compiled[2]
+            children.append(compiled)
+        return (node.feature, tuple(children), mask)
 
     def evaluate(self, instance: Instance) -> Fraction:
         check_shared_space(self, instance)
-        node = self.root
+        node = self._tree
         space = self.space
-        while isinstance(node, Split):
-            node = node.children[space.position(node.feature, instance[node.feature])]
-        return node.value
+        while node.__class__ is tuple:
+            feature, children, _ = node
+            node = children[space.position(feature, instance[feature])]
+        return node
 
     def expected_value(self, dist: ProductDistribution) -> Fraction:
         check_shared_space(self, dist)
-        return self._expected(self.root, dist)
+        tree = self._tree
+        if tree.__class__ is not tuple:
+            return tree  # a single leaf
+        return Fraction(*_expect(tree, _PairRows().rows(dist.probs)))
+
+    def _value(self, rows: Sequence[Sequence[Pair]]) -> Pair:
+        tree = self._tree
+        if tree.__class__ is tuple:
+            return _expect(tree, rows)
+        return tree.numerator, tree.denominator
 
     def expected_values(self, dists: Sequence[ProductDistribution]) -> list[Fraction]:
+        check_shared_space(self, *dists)
+        return _fractions(self._pair_values(dists, _PairRows()))
+
+    def _pair_values(self, dists: Sequence[ProductDistribution], pairs: _PairRows) -> list[Pair]:
         """One traversal per distinct tuple of the rows the tree reads.
 
         Distributions that share their row objects on every feature the
@@ -290,16 +408,15 @@ class TreeModel(Model):
         the batch is alive for the whole call, so the rows' identities
         are stable keys.
         """
-        check_shared_space(self, *dists)
         read = self._read
-        seen: dict[tuple[int, ...], Fraction] = {}
+        seen: dict[tuple[int, ...], Pair] = {}
         values = []
         for dist in dists:
             probs = dist.probs
             key = tuple([id(probs[i]) for i in read])
             value = seen.get(key)
             if value is None:
-                value = seen[key] = self.expected_value(dist)
+                value = seen[key] = self._value(pairs.rows(probs))
             values.append(value)
         return values
 
@@ -315,80 +432,96 @@ class TreeModel(Model):
         does not depend on row i.
         """
         _check_swaps(self, dist, swaps)
-        wanted = 0
-        for i, _ in swaps:
-            wanted |= 1 << i
-        if not wanted & self._below.get(id(self.root), 0):
-            value = self.expected_value(dist)
-            return [value] * len(swaps)
-        value, grads = self._swap_walk(dist, wanted)
+        if not _swapped_mask(swaps) & self._mask:
+            return [self.expected_value(dist)] * len(swaps)
+        return _fractions(self._pair_values_swapped(dist, swaps, _PairRows()))
+
+    def _pair_values_swapped(
+        self, dist: ProductDistribution, swaps: Sequence[Swap], pairs: _PairRows
+    ) -> list[Pair]:
+        rows = pairs.rows(dist.probs)
+        wanted = _swapped_mask(swaps)
+        if not wanted & self._mask:
+            return [self._value(rows)] * len(swaps)
+        value, grads = self._swap_walk(rows, wanted)
         values = []
         for i, row in swaps:
-            total = value
             grad = grads.get(i)
-            if grad is not None:
-                for r, d in zip(row, grad):
-                    if r == 1:  # a point mass
-                        total += d
-                    elif r:
-                        total += r * d
-            values.append(total)
+            if grad is None:
+                values.append(value)
+                continue
+            num, den = value
+            for (a, b), (gn, gd) in zip(pairs.row(row), grad):
+                if a and gn:
+                    d = b * gd
+                    num = num * d + a * gn * den
+                    den *= d
+            g = gcd(num, den)
+            values.append((num // g, den // g))
         return values
 
     def _swap_walk(
-        self, dist: ProductDistribution, wanted: int
-    ) -> tuple[Fraction, dict[int, list[Fraction]]]:
-        """E under dist, and D_i (see ``expected_values_swapped``) per wanted i.
+        self, rows: Sequence[Sequence[Pair]], wanted: int
+    ) -> tuple[Pair, dict[int, list[Pair]]]:
+        """E under the pair rows, and D_i (see ``expected_values_swapped``) per wanted i.
 
         ``wanted`` is a bitmask of features.  Subtrees without a split on a
         wanted feature, and subtrees reached with probability 0, only need
         their value.
         """
-        probs = dist.probs
-        below = self._below
-        grads = {i: [_ZERO] * len(probs[i]) for i in self._read if wanted >> i & 1}
+        grads = {i: [(0, 1)] * len(rows[i]) for i in self._read if wanted >> i & 1}
 
-        def walk(node: Split, reach: Fraction) -> Fraction:
-            # the subtree's value; reach is the nonzero product of the
+        def walk(node: tuple, rn: int, rd: int) -> Pair:
+            # the subtree's value; rn/rd is the nonzero product of the
             # branch probabilities above node
-            row = probs[node.feature]
-            grad = grads.get(node.feature)
-            total = _ZERO
+            feature, children, _ = node
+            grad = grads.get(feature)
+            num, den = 0, 1
             values = []
-            for p, child in zip(row, node.children):
-                if isinstance(child, Leaf):
-                    value = child.value
-                elif p and below[id(child)] & wanted:
-                    value = walk(child, reach * p)
-                elif p or grad is not None:
-                    value = self._expected(child, dist)
+            for (a, b), child in zip(rows[feature], children):
+                if child.__class__ is not tuple:
+                    cn, cd = child.numerator, child.denominator
+                elif a and child[2] & wanted:
+                    n, d = rn * a, rd * b
+                    g = gcd(n, d)
+                    cn, cd = walk(child, n // g, d // g)
+                elif a or grad is not None:
+                    cn, cd = _expect(child, rows)
                 else:
                     continue  # probability 0 under a split no swap reads
-                if p:
-                    total += p * value
-                values.append(value)
+                if a:
+                    d = b * cd
+                    num = num * d + a * cn * den
+                    den *= d
+                values.append((cn, cd))
+            g = gcd(num, den)
+            num //= g
+            den //= g
             if grad is not None:
-                for k, value in enumerate(values):
-                    grad[k] += reach * (value - total)
-            return total
+                for k, (cn, cd) in enumerate(values):
+                    # grad[k] += reach * (child - value)
+                    tn = rn * (cn * den - num * cd)
+                    if tn:
+                        td = rd * cd * den
+                        gn, gd = grad[k]
+                        gn = gn * td + tn * gd
+                        gd *= td
+                        g = gcd(gn, gd)
+                        grad[k] = (gn // g, gd // g)
+            return num, den
 
-        return walk(self.root, Fraction(1)), grads
-
-    def _expected(self, node: TreeNode, dist: ProductDistribution) -> Fraction:
-        if isinstance(node, Leaf):
-            return node.value
-        total = Fraction(0)
-        for p, child in zip(dist.probs[node.feature], node.children):
-            if p:
-                total += p * self._expected(child, dist)
-        return total
+        return walk(self._tree, 1, 1), grads
 
     def features_used(self) -> frozenset[int]:
         return frozenset(self._read)
 
 
 class EnsembleModel(Model):
-    """Weighted sum of component models sharing one space."""
+    """Weighted sum of component models sharing one space.
+
+    Components answer in reduced pairs (``Model._pair_values`` and
+    ``Model._pair_values_swapped``), sharing one conversion of the rows.
+    """
 
     def __init__(self, components: Sequence[tuple[Fraction, Model]]):
         if not components:
@@ -403,33 +536,49 @@ class EnsembleModel(Model):
         return sum((w * m.evaluate(instance) for w, m in self.components), Fraction(0))
 
     def expected_value(self, dist: ProductDistribution) -> Fraction:
-        check_shared_space(self, dist)
-        return sum(
-            (w * m.expected_value(dist) for w, m in self.components), Fraction(0)
-        )
+        return self.expected_values([dist])[0]
 
     def expected_values(self, dists: Sequence[ProductDistribution]) -> list[Fraction]:
         check_shared_space(self, *dists)
-        totals = [Fraction(0)] * len(dists)
-        for w, m in self.components:
-            for k, value in enumerate(m.expected_values(dists)):
-                totals[k] += w * value
-        return totals
+        return _fractions(self._pair_values(dists, _PairRows()))
 
     def expected_values_swapped(
         self, dist: ProductDistribution, swaps: Sequence[Swap]
     ) -> list[Fraction]:
-        check_shared_space(self, dist)
-        totals = [_ZERO] * len(swaps)
-        for w, m in self.components:
-            # a component repeats one value object for the swaps it does
-            # not read, so weight each distinct object once
-            weighted: dict[int, Fraction] = {}
-            for k, value in enumerate(m.expected_values_swapped(dist, swaps)):
+        _check_swaps(self, dist, swaps)
+        return _fractions(self._pair_values_swapped(dist, swaps, _PairRows()))
+
+    def _pair_values(self, dists: Sequence[ProductDistribution], pairs: _PairRows) -> list[Pair]:
+        return self._weighted_sums(
+            len(dists), (m._pair_values(dists, pairs) for _, m in self.components)
+        )
+
+    def _pair_values_swapped(
+        self, dist: ProductDistribution, swaps: Sequence[Swap], pairs: _PairRows
+    ) -> list[Pair]:
+        return self._weighted_sums(
+            len(swaps), (m._pair_values_swapped(dist, swaps, pairs) for _, m in self.components)
+        )
+
+    def _weighted_sums(self, count: int, answers: Iterable[list[Pair]]) -> list[Pair]:
+        # sum_j w_j * answer_j, entry by entry, one gcd per product and sum
+        totals: list[Pair] = [(0, 1)] * count
+        for (w, _), values in zip(self.components, answers):
+            wn, wd = w.numerator, w.denominator
+            # a component repeats one value object for the distributions
+            # it cannot tell apart, so weight each distinct object once
+            weighted: dict[int, Pair] = {}
+            for k, value in enumerate(values):
                 term = weighted.get(id(value))
                 if term is None:
-                    term = weighted[id(value)] = w * value
-                totals[k] += term
+                    n, d = wn * value[0], wd * value[1]
+                    g = gcd(n, d)
+                    term = weighted[id(value)] = (n // g, d // g)
+                num, den = totals[k]
+                num = num * term[1] + term[0] * den
+                den *= term[1]
+                g = gcd(num, den)
+                totals[k] = (num // g, den // g)
         return totals
 
 

@@ -97,7 +97,7 @@ def _contract(model: Model, dist: ProductDistribution, e: Optional[Instance]) ->
 
     def walk(i: int) -> list[Fraction]:
         if i == n:
-            return [model.evaluate(Instance(space, omega))]
+            return [model.evaluate(Instance._from_trusted_values(space, tuple(omega)))]
         free: Optional[list[Fraction]] = None
         pinned: list[Fraction] = []
         for v, p in zip(space.domains[i], dist.probs[i]):

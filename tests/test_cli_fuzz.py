@@ -1,0 +1,146 @@
+"""Malformed inputs to the CLI loaders exit with a documented code and one line.
+
+Each example starts from valid model, distribution, instance and scheme
+documents, replaces or deletes up to three parts of one of them with
+arbitrary JSON, and runs a subcommand on them in-process.  The run must return 0, 2
+(schema), 3 (scheme or space) or 4 (budget), never raise, and a failure
+must print exactly one line to stderr.
+"""
+
+import copy
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from powerdex.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _fixture(name):
+    return json.loads((FIXTURES / name).read_text())
+
+
+MODELS = [
+    _fixture(name)
+    for name in ("and_model.json", "and_tree_model.json", "ensemble_model.json", "additive_model.json")
+]
+DISTS = [_fixture("uniform2.json"), {"uniform": True}]
+INSTANCES = [_fixture("and_instance.json"), {"x1": "0", "x2": "1"}]
+SCHEMES = [
+    {"preset": "shapley"},
+    {"preset": "binomial", "theta": "1/3"},
+    {"q": ["1/2", "1/2"]},
+    {"bernoulli": {"theta": ["1/2", "1/4"]}},
+]
+INTERACTION_SCHEMES = [
+    {"q": {"m": 2, "values": ["1"]}},
+    {"bernoulli": {"theta": ["1/2", "1/2"]}},
+]
+
+# keys and strings the documents use, so replacements often look almost right
+WORDS = (
+    "space", "features", "name", "values", "model", "type", "table", "tree",
+    "additive", "ensemble", "root", "feature", "children", "leaf", "terms",
+    "bias", "components", "weight", "marginals", "probs", "uniform", "preset",
+    "shapley", "binomial", "theta", "q", "m", "bernoulli",
+    "x1", "x2", "0", "1", "2", "1/2", "-1", "1/0", "0.5", "1e3", "", "x",
+)
+
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=3)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(WORDS)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(WORDS), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _slots(doc, path=()):
+    """Every (container path, key) in the document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield path, key
+        yield from _slots(value, path + (key,))
+
+
+@st.composite
+def mutated(draw, docs, mutate=True):
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    for _ in range(draw(st.integers(min_value=1, max_value=3)) if mutate else 0):
+        slots = list(_slots(doc))
+        if not slots:
+            return draw(JSON)
+        path, key = draw(st.sampled_from(slots))
+        container = doc
+        for step in path:
+            container = container[step]
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(JSON)
+    return doc
+
+
+COMMANDS = st.sampled_from(("attribute", "interact", "expected", "oracle-check", "converse"))
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    COMMANDS,
+    st.sampled_from(("model", "dist", "instance", "scheme", None)),
+    st.data(),
+    st.booleans(),
+)
+def test_malformed_inputs_exit_cleanly(command, broken, data, inline):
+    interaction = command == "interact"
+    model = data.draw(mutated(MODELS, broken == "model"))
+    dist = data.draw(mutated(DISTS, broken == "dist"))
+    instance = data.draw(mutated(INSTANCES, broken == "instance"))
+    schemes = INTERACTION_SCHEMES if interaction else SCHEMES
+    scheme = data.draw(mutated(schemes, broken == "scheme"))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = {}
+        for name, doc in (("model", model), ("dist", dist), ("instance", instance), ("scheme", scheme)):
+            paths[name] = tmp / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        argv = [command, "--model", str(paths["model"]), "--dist", str(paths["dist"])]
+        if command != "expected":
+            for name, doc in (("instance", instance), ("scheme", scheme)):
+                # inline JSON is read only when it is an object
+                use_inline = inline and isinstance(doc, dict)
+                argv += [f"--{name}", json.dumps(doc) if use_inline else str(paths[name])]
+        if interaction:
+            argv += ["--set", "x1,x2"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    message = err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), (code, argv, message)
+    if code:
+        assert message.count("\n") == 1 and message.endswith("\n"), message
+        assert message.startswith("error: ")
+        assert "Traceback" not in message
+    else:
+        assert message == ""
+        json.loads(out.getvalue())

@@ -64,6 +64,27 @@ def test_interaction_weight_rows_validated():
         InteractionWeights.single(3, 2, [Fraction(1), Fraction(0)]).row(1)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SimpleWeights.from_values([-1, 2]), "q_0 = -1 is negative"),
+        (lambda: SimpleWeights.from_values([1, 1]), "weights sum to 2 under binomial counts, not 1"),
+        (lambda: InteractionWeights.single(3, 2, [2, "-1/2"]), "q(1,2) = -1/2 is negative"),
+        (
+            lambda: InteractionWeights.single(3, 2, [1, 1]),
+            "row for |A|=2 sums to 2 under binomial counts, not 1",
+        ),
+        (lambda: BernoulliWeights(["1/2", "9/8"]), "theta_1 = 9/8 outside [0, 1]"),
+        (lambda: BernoulliInteractionWeights([-1]), "theta_0 = -1 outside [0, 1]"),
+    ],
+)
+def test_weight_validation_messages(build, message):
+    # the single-feature and interaction classes share one check each
+    with pytest.raises(WeightError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 def test_grid_validation():
     BivariateGrid([0, 1, 2], [0, 1])
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -295,6 +296,110 @@ def test_expected_values_swapped_checks_the_swaps(and2):
 
 
 # ---------------------------------------------------------------------------
+# the tree kernel on reduced integer pairs equals the Fraction recursion
+
+
+def _fraction_expectation(node, probs):
+    # the tree's expectation as one Fraction recursion over Leaf/Split nodes
+    if isinstance(node, Leaf):
+        return node.value
+    total = Fraction(0)
+    for p, child in zip(probs[node.feature], node.children):
+        if p:
+            total += p * _fraction_expectation(child, probs)
+    return total
+
+
+def _reference(components, probs):
+    return sum(
+        (w * _fraction_expectation(root, probs) for w, root in components), Fraction(0)
+    )
+
+
+def _big_rational(rng, bound):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def _big_row(rng, size, bound):
+    # zero entries, point masses, and weights up to the bound
+    pick = rng.random()
+    if pick < 0.25:
+        hit = rng.randrange(size)
+        return tuple(Fraction(int(k == hit)) for k in range(size))
+    weights = [rng.randint(0, bound) if rng.random() < 0.7 else 0 for _ in range(size)]
+    if not any(weights):
+        weights[rng.randrange(size)] = rng.randint(1, bound)
+    total = sum(weights)
+    return tuple(Fraction(w, total) for w in weights)
+
+
+def _big_tree(rng, space, bound):
+    def build(available, depth):
+        if not available or depth >= 4 or rng.random() < 0.3:
+            return Leaf(_big_rational(rng, bound))
+        feature = rng.choice(sorted(available))
+        return Split(
+            feature,
+            tuple(build(available - {feature}, depth + 1) for _ in space.domains[feature]),
+        )
+
+    return build(frozenset(range(space.n)), 0)  # sometimes a single leaf
+
+
+@given(
+    st.sampled_from(("tree", "ensemble")),
+    st.sampled_from((9, 2**64)),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_pair_kernel_equals_the_fraction_recursion(kind, bound, seed):
+    rng = random.Random(seed)
+    space = random_space(rng, rng.randint(1, 5))
+    if kind == "tree":
+        components = [(Fraction(1), _big_tree(rng, space, bound))]
+        model = TreeModel(space, components[0][1])
+    else:
+        components = [
+            (_big_rational(rng, bound), _big_tree(rng, space, bound))
+            for _ in range(rng.randint(1, 4))
+        ]
+        model = EnsembleModel([(w, TreeModel(space, root)) for w, root in components])
+    dists = [
+        ProductDistribution(space, [_big_row(rng, len(d), bound) for d in space.domains])
+        for _ in range(rng.randint(1, 3))
+    ]
+    for dist in dists:
+        assert model.expected_value(dist) == _reference(components, dist.probs)
+    assert model.expected_values(dists) == [_reference(components, d.probs) for d in dists]
+    dist = dists[0]
+    swaps = []
+    for _ in range(rng.randint(0, 8)):
+        i = rng.randrange(space.n)
+        pick = rng.random()
+        if pick < 0.2:
+            row = dist.probs[i]
+        else:  # often mass on values the distribution gives probability 0
+            row = _big_row(rng, len(space.domains[i]), bound)
+        swaps.append((i, row))
+    want = []
+    for i, row in swaps:
+        rows = list(dist.probs)  # the swap, by rebuilding the distribution
+        rows[i] = row
+        want.append(_reference(components, rows))
+    assert model.expected_values_swapped(dist, swaps) == want
+
+
+def test_tree_root_is_rebuilt_equal():
+    rng = random.Random(8)
+    space = random_space(rng, 5)
+    root = _big_tree(rng, space, 2**64)
+    tree = TreeModel(space, root)
+    assert tree.root == root
+    assert tree.root is not root  # only the compiled form is stored
+    with pytest.raises(AttributeError):
+        tree.root = root
+
+
+# ---------------------------------------------------------------------------
 # the depth limit
 
 
@@ -314,5 +419,13 @@ def test_tree_depth_limit():
     pin = (Fraction(0), Fraction(1))
     assert tree.expected_values_swapped(dist, [(depth - 1, pin)]) == [Fraction(1, 2 ** (depth - 1))]
     assert tree.evaluate(ones_instance(space)) == 1
+    root = tree.root  # rebuilt one frame per level, within the default limit
+    limit = sys.getrecursionlimit()
+    # dataclass equality recurses about four frames per level
+    sys.setrecursionlimit(limit + 4 * depth)
+    try:
+        assert root == _chain(space, depth)
+    finally:
+        sys.setrecursionlimit(limit)
     with pytest.raises(ValueError, match="deeper than the limit"):
         TreeModel(space, _chain(space, depth + 1))
