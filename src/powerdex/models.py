@@ -8,7 +8,9 @@ may override to share work between the distributions of one batch.
 Batches in which every distribution is one base distribution with a
 single marginal swapped go through ``expected_values_swapped``: E[F] is
 multilinear in the marginal rows, so models answer all such swaps from
-one pass over the base distribution.
+one pass over the base distribution.  Trees and ensembles compute on
+reduced (numerator, denominator) integer pairs and build a Fraction only
+for each value they return.
 """
 
 from __future__ import annotations

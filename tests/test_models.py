@@ -322,8 +322,7 @@ def _big_rational(rng, bound):
 
 def _big_row(rng, size, bound):
     # zero entries, point masses, and weights up to the bound
-    pick = rng.random()
-    if pick < 0.25:
+    if rng.random() < 0.25:
         hit = rng.randrange(size)
         return tuple(Fraction(int(k == hit)) for k in range(size))
     weights = [rng.randint(0, bound) if rng.random() < 0.7 else 0 for _ in range(size)]
@@ -374,8 +373,7 @@ def test_pair_kernel_equals_the_fraction_recursion(kind, bound, seed):
     swaps = []
     for _ in range(rng.randint(0, 8)):
         i = rng.randrange(space.n)
-        pick = rng.random()
-        if pick < 0.2:
+        if rng.random() < 0.2:
             row = dist.probs[i]
         else:  # often mass on values the distribution gives probability 0
             row = _big_row(rng, len(space.domains[i]), bound)
