@@ -46,7 +46,6 @@ from .indices import (
     simple_indices,
 )
 from .interaction import (
-    BernoulliInteractionWeights,
     BivariateGrid,
     InteractionWeights,
     PATH_BIVARIATE,
@@ -323,9 +322,18 @@ def parse_instance(doc, named: NamedSpace, context: str = "instance") -> Instanc
 
 
 Scheme = Union[SimpleWeights, BernoulliWeights]
-InteractionScheme = Union[InteractionWeights, BernoulliInteractionWeights]
+InteractionScheme = Union[InteractionWeights, BernoulliWeights]
 
 _PRESETS = ("shapley", "banzhaf", "binomial", "dictatorial", "marginal")
+
+
+def _parse_bernoulli(doc, context: str) -> BernoulliWeights:
+    """The theta vector of a bernoulli scheme, for a feature or a set alike."""
+    theta_doc = _require(doc, "theta", context)
+    if not isinstance(theta_doc, list):
+        raise SchemaError(f"{context}.theta must be a list of rationals")
+    theta = [_rational(t, f"{context}.theta[{k}]") for k, t in enumerate(theta_doc)]
+    return BernoulliWeights(theta)
 
 
 def parse_scheme(doc, n: int, context: str = "scheme") -> Scheme:
@@ -348,14 +356,7 @@ def parse_scheme(doc, n: int, context: str = "scheme") -> Scheme:
         q = [_rational(v, f"{context}.q[{k}]") for k, v in enumerate(values)]
         return SimpleWeights.from_values(q)
     if "bernoulli" in doc:
-        theta_doc = _require(doc["bernoulli"], "theta", f"{context}.bernoulli")
-        if not isinstance(theta_doc, list):
-            raise SchemaError(f"{context}.bernoulli.theta must be a list of rationals")
-        theta = [
-            _rational(t, f"{context}.bernoulli.theta[{k}]")
-            for k, t in enumerate(theta_doc)
-        ]
-        return BernoulliWeights(theta)
+        return _parse_bernoulli(doc["bernoulli"], f"{context}.bernoulli")
     raise SchemaError(f"{context} must contain one of: preset, q, bernoulli")
 
 
@@ -370,21 +371,14 @@ def parse_interaction_scheme(doc, n: int, context: str = "scheme") -> Interactio
             )
         m = _require(table, "m", f"{context}.q")
         values = _require(table, "values", f"{context}.q")
-        if not isinstance(m, int):
+        if not isinstance(m, int) or isinstance(m, bool):
             raise SchemaError(f"{context}.q.m must be an integer")
         if not isinstance(values, list):
             raise SchemaError(f"{context}.q.values must be a list of rationals")
         row = [_rational(v, f"{context}.q.values[{k}]") for k, v in enumerate(values)]
         return InteractionWeights.single(n, m, row)
     if "bernoulli" in doc:
-        theta_doc = _require(doc["bernoulli"], "theta", f"{context}.bernoulli")
-        if not isinstance(theta_doc, list):
-            raise SchemaError(f"{context}.bernoulli.theta must be a list of rationals")
-        theta = [
-            _rational(t, f"{context}.bernoulli.theta[{k}]")
-            for k, t in enumerate(theta_doc)
-        ]
-        return BernoulliInteractionWeights(theta)
+        return _parse_bernoulli(doc["bernoulli"], f"{context}.bernoulli")
     raise SchemaError(f"{context} must contain one of: q, bernoulli")
 
 
@@ -401,8 +395,6 @@ def scheme_descriptor(scheme) -> dict:
     if isinstance(scheme, InteractionWeights):
         (m, row), = scheme.rows().items()
         return {"q": {"m": m, "values": [format_rational(v) for v in row]}}
-    if isinstance(scheme, BernoulliInteractionWeights):
-        return {"bernoulli": {"theta": [format_rational(t) for t in scheme.theta]}}
     raise TypeError(f"unsupported scheme {scheme!r}")
 
 
@@ -485,14 +477,17 @@ def _load_inline_or_file(raw: str, what: str):
     return _load_json(raw)
 
 
-def _load_common(args) -> tuple[NamedSpace, Model, ProductDistribution, Instance]:
-    named, model = load_model_file(args.model)
-    if (args.dist is None) == (getattr(args, "from_csv", None) is None):
+def _load_distribution(args, named: NamedSpace) -> ProductDistribution:
+    if (args.dist is None) == (args.from_csv is None):
         raise SchemaError("exactly one of --dist and --from-csv is required")
     if args.dist is not None:
-        dist = parse_distribution(_load_json(args.dist), named, args.dist)
-    else:
-        dist, _ = ingest_csv(args.from_csv, named)
+        return parse_distribution(_load_json(args.dist), named, args.dist)
+    return ingest_csv(args.from_csv, named)[0]
+
+
+def _load_common(args) -> tuple[NamedSpace, Model, ProductDistribution, Instance]:
+    named, model = load_model_file(args.model)
+    dist = _load_distribution(args, named)
     e = parse_instance(_load_inline_or_file(args.instance, "instance"), named)
     return named, model, dist, e
 
@@ -566,13 +561,7 @@ def cmd_interact(args) -> int:
 
 def cmd_expected(args) -> int:
     named, model = load_model_file(args.model)
-    if (args.dist is None) == (args.from_csv is None):
-        raise SchemaError("exactly one of --dist and --from-csv is required")
-    if args.dist is not None:
-        dist = parse_distribution(_load_json(args.dist), named, args.dist)
-    else:
-        dist, _ = ingest_csv(args.from_csv, named)
-    value = model.expected_value(dist)
+    value = model.expected_value(_load_distribution(args, named))
     _emit(
         {
             "command": "expected",
@@ -716,14 +705,15 @@ def build_parser() -> argparse.ArgumentParser:
                 "--scheme", required=True, help="scheme JSON (inline or a file path)"
             )
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--diag", action="store_true", help="include extra diagnostics")
 
     p = sub.add_parser("attribute", help="per-feature indices for one instance")
     add_common(p)
+    p.add_argument("--diag", action="store_true", help="include extra diagnostics")
     p.set_defaults(func=cmd_attribute)
 
     p = sub.add_parser("interact", help="interaction index for a feature set")
     add_common(p)
+    p.add_argument("--diag", action="store_true", help="include extra diagnostics")
     p.add_argument("--set", required=True, help="comma-separated feature names")
     p.set_defaults(func=cmd_interact)
 

@@ -1,4 +1,4 @@
-"""Single-feature power indices.
+"""Single-feature power indices, and the reductions interactions share.
 
 Three computation paths, all exact:
 
@@ -11,9 +11,10 @@ Three computation paths, all exact:
 * closed-form -- the marginal preset, which needs no expectations at all.
 
 Every path that needs expectations goes through ``batched_node_sums``:
-the distributions of all requested features at one node form one
-request.  Here each of them is the node's distribution with one marginal
-swapped, so ``Model.expected_values_swapped`` answers them from one pass.
+the distributions of all requested targets at one node form one request.
+A target is the derivative along a feature or a set (``_derivative``); a
+feature's distributions each swap one marginal of the node's, so
+``Model.expected_values_swapped`` answers them from one pass.
 """
 
 from __future__ import annotations
@@ -55,15 +56,6 @@ def _check_cardinality_row(q: Sequence[Fraction], pool: int, entry, row: str) ->
         total += comb(pool, k) * qk
     if total != 1:
         raise WeightError(f"{row} {total} under binomial counts, not 1")
-
-
-def _inclusion_probabilities(theta: Sequence) -> tuple[Fraction, ...]:
-    """theta as rationals, each in [0, 1], or a WeightError."""
-    values = tuple(as_rational(t) for t in theta)
-    for i, t in enumerate(values):
-        if t < 0 or t > 1:
-            raise WeightError(f"theta_{i} = {t} outside [0, 1]")
-    return values
 
 
 @dataclass(frozen=True)
@@ -141,7 +133,11 @@ class BernoulliWeights:
     theta: tuple[Fraction, ...]
 
     def __init__(self, theta: Sequence):
-        object.__setattr__(self, "theta", _inclusion_probabilities(theta))
+        values = tuple(as_rational(t) for t in theta)
+        for i, t in enumerate(values):
+            if t < 0 or t > 1:
+                raise WeightError(f"theta_{i} = {t} outside [0, 1]")
+        object.__setattr__(self, "theta", values)
 
     @classmethod
     def constant(cls, n: int, theta) -> "BernoulliWeights":
@@ -235,25 +231,48 @@ def batched_node_sums(
     return sums, calls
 
 
-def mixed_rows(
-    dist: ProductDistribution, hits: Sequence[int], z: Fraction
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Every marginal blended toward e by the z-mixture (hits: positions of e)."""
-    if not z:
-        # the input rows themselves: nothing to build, and a tree's batch
-        # key (row identity) sees them as the input rows
-        return dist.probs
-    return tuple(mixture_row(row, hit, z) for row, hit in zip(dist.probs, hits))
+_SIGNS = (Fraction(1), Fraction(-1))
 
 
-def _gap(
-    space: FeatureSpace, dist: ProductDistribution, e: Instance, a: int
-) -> tuple[Variant, ...]:
-    """Feature a pinned to e_a minus feature a left on its own marginal."""
-    return (
-        (Fraction(1), {a: point_mass_row(space, a, e[a])}),
-        (Fraction(-1), {a: dist.probs[a]}),
-    )
+def _derivative(
+    space: FeatureSpace, dist: ProductDistribution, e: Instance, members: Sequence[int]
+) -> list[Variant]:
+    """The discrete derivative along the members, one variant per subset B.
+
+    B is pinned to e, the other members stay on their input marginals,
+    and the sign is (-1)^(m-|B|).  A single feature's derivative is its
+    pinned-minus-free gap.
+    """
+    m = len(members)
+    pins = [point_mass_row(space, i, e[i]) for i in members]
+    variants = []
+    for mask in range((1 << m) - 1, -1, -1):
+        rows = {i: pins[j] if mask >> j & 1 else dist.probs[i] for j, i in enumerate(members)}
+        variants.append((_SIGNS[(m - mask.bit_count()) % 2], rows))
+    return variants
+
+
+def _z_node_sums(
+    model: Model, dist: ProductDistribution, e: Instance, nodes: Sequence[Fraction], targets
+) -> tuple[list[list[Fraction]], list[int]]:
+    """``batched_node_sums`` with every marginal blended toward e by each node's z-mixture."""
+    space = dist.space
+    hits = [space.position(i, e[i]) for i in range(space.n)]
+
+    def rows(z):
+        if not z:
+            # the input rows themselves: nothing to build, and a tree's batch
+            # key (row identity) sees them as the input rows
+            return dist.probs
+        return tuple(mixture_row(row, hit, z) for row, hit in zip(dist.probs, hits))
+
+    return batched_node_sums(model, space, (rows(z) for z in nodes), targets)
+
+
+def _dual_dots(nodes: Sequence[Fraction], q, power: int, node_sums) -> list[Fraction]:
+    """Per target, sum_z u_z (1+z)^power s(z), with u the dual weights of q at the nodes."""
+    u = [(1 + z) ** power * w for z, w in zip(nodes, vandermonde_dual(nodes, q))]
+    return [sum((w * s for w, s in zip(u, sums)), Fraction(0)) for sums in node_sums]
 
 
 def _interpolation_gaps(
@@ -261,14 +280,9 @@ def _interpolation_gaps(
 ) -> tuple[list[Fraction], list[list[Fraction]], list[int]]:
     """The nodes 0..n-1 and, per feature, its gap under each node's z-mixture."""
     space = dist.space
-    n = space.n
-    nodes = [Fraction(z) for z in range(n)]
-    hits = [space.position(i, e[i]) for i in range(n)]
-    gaps, calls = batched_node_sums(
-        model,
-        space,
-        (mixed_rows(dist, hits, z) for z in nodes),
-        [_gap(space, dist, e, a) for a in features],
+    nodes = [Fraction(z) for z in range(space.n)]
+    gaps, calls = _z_node_sums(
+        model, dist, e, nodes, [_derivative(space, dist, e, (a,)) for a in features]
     )
     return nodes, gaps, calls
 
@@ -319,28 +333,27 @@ def _interpolated_indices(
     # sum_k q_k c_k = sum_z u_z * gap(z), with u the dual weights of q
     # scaled by the (1+z)^(n-1) of the generating polynomial
     nodes, gaps, calls = _interpolation_gaps(model, dist, e, features)
-    n = len(nodes)
-    u = [(1 + z) ** (n - 1) * w for z, w in zip(nodes, vandermonde_dual(nodes, q))]
-    values = [sum((w * g for w, g in zip(u, gap)), Fraction(0)) for gap in gaps]
-    return values, calls, gaps
+    return _dual_dots(nodes, q, len(nodes) - 1, gaps), calls, gaps
 
 
 def _bernoulli_indices(
     model: Model,
     dist: ProductDistribution,
     e: Instance,
-    features: Sequence[int],
+    member_sets: Sequence[Sequence[int]],
     theta: Sequence[Fraction],
 ) -> tuple[list[Fraction], list[int]]:
+    # per member tuple (a feature, or an interaction set), its derivative
+    # under the theta-mixture; the members' own theta entries go unused
     space = dist.space
-    for a in features:
-        space.check_feature(a)
+    for members in member_sets:
+        for i in members:
+            space.check_feature(i)
     if len(theta) != space.n:
         raise WeightError(f"theta has {len(theta)} entries for n={space.n}")
     mixed = bernoulli_mixture(dist, e, theta)
-    sums, calls = batched_node_sums(
-        model, space, [mixed.probs], [_gap(space, dist, e, a) for a in features]
-    )
+    targets = [_derivative(space, dist, e, members) for members in member_sets]
+    sums, calls = batched_node_sums(model, space, [mixed.probs], targets)
     return [s[0] for s in sums], calls
 
 
@@ -417,15 +430,15 @@ def compute_bernoulli_index(
     The input theta_a is ignored: the two expectations pin it to 1 and 0.
     """
     check_shared_space(model, dist, e)
-    return _bernoulli_indices(model, dist, e, [a], weights.theta)[0][0]
+    return _bernoulli_indices(model, dist, e, [(a,)], weights.theta)[0][0]
 
 
 def bernoulli_indices(
     model: Model, dist: ProductDistribution, e: Instance, weights: BernoulliWeights
 ) -> list[Fraction]:
     """``compute_bernoulli_index`` of every feature, from one batch."""
-    space = check_shared_space(model, dist, e)
-    return _bernoulli_indices(model, dist, e, range(space.n), weights.theta)[0]
+    singles = [(a,) for a in range(check_shared_space(model, dist, e).n)]
+    return _bernoulli_indices(model, dist, e, singles, weights.theta)[0]
 
 
 def _bernoulli_equivalent(weights: SimpleWeights) -> Optional[BernoulliWeights]:
@@ -456,27 +469,27 @@ def attribute_all(
     n = space.n
     features = range(n)
     sums = None
-    if isinstance(scheme, BernoulliWeights):
-        path = PATH_BERNOULLI
-        values, calls = _bernoulli_indices(model, dist, e, features, scheme.theta)
-    elif isinstance(scheme, SimpleWeights):
+    if isinstance(scheme, SimpleWeights):
         if scheme.n != n:
             raise WeightError(f"weights are for n={scheme.n}, space has n={n}")
         direct = _bernoulli_equivalent(scheme)
-        if scheme.preset == "marginal":
-            path = PATH_CLOSED_FORM
-            values = [marginal_index(model, dist, e, a) for a in features]
-            calls = [0] * n  # the closed form builds no distributions
-        elif direct is not None:
-            path = PATH_BERNOULLI
-            values, calls = _bernoulli_indices(model, dist, e, features, direct.theta)
-        else:
-            path = PATH_INTERPOLATION
-            values, calls, gaps = _interpolated_indices(model, dist, e, features, scheme.q)
-            if coefficient_sums:
-                sums = tuple(_coefficient_sums(gaps))
+    elif isinstance(scheme, BernoulliWeights):
+        direct = scheme
     else:
         raise TypeError(f"unsupported scheme {scheme!r}")
+    if direct is not None:
+        path = PATH_BERNOULLI
+        singles = [(a,) for a in features]
+        values, calls = _bernoulli_indices(model, dist, e, singles, direct.theta)
+    elif scheme.preset == "marginal":
+        path = PATH_CLOSED_FORM
+        values = [marginal_index(model, dist, e, a) for a in features]
+        calls = [0] * n  # the closed form builds no distributions
+    else:
+        path = PATH_INTERPOLATION
+        values, calls, gaps = _interpolated_indices(model, dist, e, features, scheme.q)
+        if coefficient_sums:
+            sums = tuple(_coefficient_sums(gaps))
     return AttributionReport(
         values=tuple(values),
         scheme=scheme,

@@ -4,7 +4,9 @@ The marginal contribution of a set A is the alternating sum of
 conditional expectations over its subsets (a discrete mixed derivative).
 Cardinality-based interaction weights are handled by bivariate
 interpolation on a (n-m+1) x (m+1) grid of scaled expected values;
-Bernoulli interaction weights need only 2^|A| expected values.
+Bernoulli interaction weights need only 2^|A| expected values.  Both
+run on the reductions of ``indices``, where a single feature is the
+|A| = 1 case.
 """
 
 from __future__ import annotations
@@ -20,16 +22,15 @@ from .core import (
     WeightError,
     as_rational,
     check_shared_space,
-    bernoulli_row,
     mixture_row,
-    point_mass_row,
     subsets,
 )
 from .indices import (
+    BernoulliWeights,
+    _bernoulli_indices,
     _check_cardinality_row,
-    _inclusion_probabilities,
-    batched_node_sums,
-    mixed_rows,
+    _dual_dots,
+    _z_node_sums,
 )
 from .interpolation import vandermonde_dual
 from .models import Model, conditional_expectation
@@ -97,21 +98,9 @@ class InteractionWeights:
         return cls(weights.n, {1: weights.q})
 
 
-@dataclass(frozen=True)
-class BernoulliInteractionWeights:
-    """Per-feature inclusion probabilities for interaction coalitions.
-
-    Only the entries for features outside the target set are used.
-    """
-
-    theta: tuple[Fraction, ...]
-
-    def __init__(self, theta: Sequence):
-        object.__setattr__(self, "theta", _inclusion_probabilities(theta))
-
-    @classmethod
-    def constant(cls, n: int, theta) -> "BernoulliInteractionWeights":
-        return cls([as_rational(theta)] * n)
+# Interaction coalitions take the same per-feature inclusion probabilities;
+# the entries of the target set go unused.
+BernoulliInteractionWeights = BernoulliWeights
 
 
 @dataclass(frozen=True)
@@ -201,27 +190,20 @@ def compute_interaction_simple(
 
     # the nested solves (in z per y-node, then in y per z-degree) reduce
     # to the outer product of the dual weights of the row and of the signs
-    hits = [space.position(i, e[i]) for i in range(n)]
     if prefactor == PREFACTOR_FACTORED:
         z_power, y_power = n - m, m
     else:
         z_power, y_power = n, 0
-    z_weights = vandermonde_dual(grid.z_nodes, row)
     y_weights = vandermonde_dual(grid.y_nodes, [(-1) ** (m - j) for j in range(m + 1)])
     variants = [
         (
             w * (1 + y) ** y_power,
-            {i: mixture_row(dist.probs[i], hits[i], y) for i in a_set},
+            {i: mixture_row(dist.probs[i], space.position(i, e[i]), y) for i in a_set},
         )
         for y, w in zip(grid.y_nodes, y_weights)
     ]
-    (sums,), _ = batched_node_sums(
-        model, space, (mixed_rows(dist, hits, z) for z in grid.z_nodes), [variants]
-    )
-    return sum(
-        (w * (1 + z) ** z_power * s for z, w, s in zip(grid.z_nodes, z_weights, sums)),
-        Fraction(0),
-    )
+    sums, _ = _z_node_sums(model, dist, e, grid.z_nodes, [variants])
+    return _dual_dots(grid.z_nodes, row, z_power, sums)[0]
 
 
 def compute_interaction_bernoulli(
@@ -229,14 +211,15 @@ def compute_interaction_bernoulli(
     dist: ProductDistribution,
     e: Instance,
     a_set: Coalition,
-    weights: BernoulliInteractionWeights,
+    weights: BernoulliWeights,
 ) -> Fraction:
     """Bernoulli interaction index from 2^|A| expected values.
 
     Each subset B of the target set contributes one expectation, with B
     pinned to e, the rest of the target set left on its original
     marginals, and the complement on its theta-mixtures.  theta entries
-    inside the target set are ignored.
+    inside the target set are ignored.  This is the reduction of
+    ``compute_bernoulli_index``, whose feature is the |A| = 1 case.
     """
     space = check_shared_space(model, dist, e)
     a_set.check_within(space)
@@ -248,18 +231,4 @@ def compute_interaction_bernoulli(
             f"interaction set of size {m} would need 2^{m} expectations "
             f"(limit {INTERACTION_SET_LIMIT})"
         )
-    theta = weights.theta
-    if len(theta) != space.n:
-        raise WeightError(f"theta has {len(theta)} entries for n={space.n}")
-
-    base_rows = tuple(
-        row if i in a_set else bernoulli_row(row, space.position(i, e[i]), theta[i])
-        for i, row in enumerate(dist.probs)
-    )
-    pins = {i: point_mass_row(space, i, e[i]) for i in a_set}
-    variants = [
-        (Fraction(-1 if (m - len(b)) % 2 else 1), {i: pins[i] for i in b})
-        for b in subsets(a_set)
-    ]
-    (sums,), _ = batched_node_sums(model, space, [base_rows], [variants])
-    return sums[0]
+    return _bernoulli_indices(model, dist, e, [a_set.members()], weights.theta)[0][0]

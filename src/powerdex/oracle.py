@@ -22,7 +22,7 @@ from .core import (
     subsets,
 )
 from .indices import BernoulliWeights, SimpleWeights
-from .interaction import BernoulliInteractionWeights, InteractionWeights
+from .interaction import InteractionWeights
 from .models import Model
 
 
@@ -187,7 +187,7 @@ def brute_interaction_index(
     dist: ProductDistribution,
     e: Instance,
     a_set: Coalition,
-    weights: Union[InteractionWeights, BernoulliInteractionWeights],
+    weights: Union[InteractionWeights, BernoulliWeights],
     budget: OracleBudget = DEFAULT_BUDGET,
     table: Optional[ConditionalTable] = None,
 ) -> Fraction:

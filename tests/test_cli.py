@@ -328,6 +328,38 @@ def test_interact_bernoulli_scheme(capsys):
     assert doc["path"] == "bernoulli-direct"
 
 
+def test_interact_diag_echoes_the_grid(capsys):
+    code, captured = run_cli(
+        "interact",
+        "--model", AND_MODEL,
+        "--dist", UNIFORM2,
+        "--instance", AND_INSTANCE,
+        "--set", "x1,x2",
+        "--scheme", '{"q":{"m":2,"values":["1"]}}',
+        "--diag",
+        capsys=capsys,
+    )
+    assert code == 0
+    assert json.loads(captured.out)["grid"] == {"z": ["0"], "y": ["0", "1", "2"]}
+
+
+def test_interact_boolean_m_is_schema_error(capsys):
+    # JSON true is a Python bool, which is also an int
+    for values in ('["1/2","1/2"]', '["1"]'):
+        code, captured = run_cli(
+            "interact",
+            "--model", AND_MODEL,
+            "--dist", UNIFORM2,
+            "--instance", AND_INSTANCE,
+            "--set", "x1",
+            "--scheme", '{"q":{"m":true,"values":%s}}' % values,
+            capsys=capsys,
+        )
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: scheme.q.m must be an integer\n"
+
+
 def test_interact_unknown_set_member(capsys):
     code, captured = run_cli(
         "interact",
@@ -502,6 +534,19 @@ def test_expected_on_ensemble(capsys):
     doc = json.loads(captured.out)
     assert doc["value"] == "5/4"
     assert doc["decimal"] == "1.25"
+
+
+def test_diag_is_rejected_where_it_would_be_ignored(capsys):
+    common = attribute_args('{"preset":"shapley"}')[1:]
+    for argv in (
+        ["expected", "--model", AND_MODEL, "--dist", UNIFORM2],
+        ["converse", *common],
+        ["oracle-check", *common],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--diag"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --diag" in capsys.readouterr().err
 
 
 def test_ingest_counts(capsys):

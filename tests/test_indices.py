@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from powerdex import (
+    BernoulliInteractionWeights,
     BernoulliWeights,
     Coalition,
     CountingModel,
@@ -20,6 +21,7 @@ from powerdex import (
     bernoulli_indices,
     brute_simple_index,
     compute_bernoulli_index,
+    compute_interaction_bernoulli,
     compute_simple_index,
     conditional_expectation,
     conditional_table,
@@ -385,6 +387,31 @@ def test_tree_answers_each_node_with_one_walk():
     assert value == brute_simple_index(spy, dist, e, 1, SimpleWeights.shapley(4))
     assert counted.expected_value_calls == 8  # the 2n contract counts distributions
     assert (spy.walks, spy.traversals) == (4, 0)  # one walk per node
+
+
+def test_bernoulli_singleton_interaction_is_the_feature_reduction():
+    rng = random.Random(5)
+    space = random_space(rng, 4)
+    leaves = lambda k: tuple(Leaf(Fraction(rng.randint(-9, 9), 7)) for _ in range(k))
+    root = Split(0, tuple(Split(1, leaves(len(space.domains[1]))) for _ in space.domains[0]))
+    spy = SpyWalkTree(space, root)
+    dist = random_distribution(rng, space)
+    e = random_instance(rng, space)
+    theta = BernoulliWeights([Fraction(k, 5) for k in range(4)])
+    counted = CountingModel(spy)
+    value = compute_interaction_bernoulli(counted, dist, e, Coalition.singleton(1), theta)
+    assert counted.expected_value_calls == 2
+    assert (spy.walks, spy.traversals) == (1, 0)  # both swaps from one walk
+    assert value == compute_bernoulli_index(spy, dist, e, 1, theta)
+
+
+def test_interaction_theta_is_the_feature_theta(and2):
+    space, model, dist, e = and2
+    assert BernoulliInteractionWeights is BernoulliWeights
+    weights = BernoulliInteractionWeights.constant(2, Fraction(1, 2))
+    report = attribute_all(model, dist, e, weights)
+    assert report.path == "bernoulli-direct"
+    assert report.values == attribute_all(model, dist, e, SimpleWeights.banzhaf(2)).values
 
 
 def test_all_feature_indices_match_the_per_feature_functions():
