@@ -336,10 +336,19 @@ def _parse_bernoulli(doc, context: str) -> BernoulliWeights:
     return BernoulliWeights(theta)
 
 
-def parse_scheme(doc, n: int, context: str = "scheme") -> Scheme:
+def _scheme_kind(doc, kinds: Sequence[str], context: str) -> str:
+    """The one field of ``kinds`` that the scheme object names, or a SchemaError."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{context} must be a JSON object")
-    if "preset" in doc:
+    named = [kind for kind in kinds if kind in doc]
+    if len(named) != 1:
+        raise SchemaError(f"{context} must contain exactly one of: {', '.join(kinds)}")
+    return named[0]
+
+
+def parse_scheme(doc, n: int, context: str = "scheme") -> Scheme:
+    kind = _scheme_kind(doc, ("preset", "q", "bernoulli"), context)
+    if kind == "preset":
         preset = doc["preset"]
         if preset not in _PRESETS:
             raise SchemaError(f"{context}.preset must be one of {', '.join(_PRESETS)}")
@@ -349,21 +358,17 @@ def parse_scheme(doc, n: int, context: str = "scheme") -> Scheme:
         if "theta" in doc:
             raise SchemaError(f"{context}.theta is only valid with the binomial preset")
         return getattr(SimpleWeights, preset)(n)
-    if "q" in doc:
+    if kind == "q":
         values = doc["q"]
         if not isinstance(values, list):
             raise SchemaError(f"{context}.q must be a list of rationals")
         q = [_rational(v, f"{context}.q[{k}]") for k, v in enumerate(values)]
         return SimpleWeights.from_values(q)
-    if "bernoulli" in doc:
-        return _parse_bernoulli(doc["bernoulli"], f"{context}.bernoulli")
-    raise SchemaError(f"{context} must contain one of: preset, q, bernoulli")
+    return _parse_bernoulli(doc["bernoulli"], f"{context}.bernoulli")
 
 
 def parse_interaction_scheme(doc, n: int, context: str = "scheme") -> InteractionScheme:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{context} must be a JSON object")
-    if "q" in doc:
+    if _scheme_kind(doc, ("q", "bernoulli"), context) == "q":
         table = doc["q"]
         if not isinstance(table, dict):
             raise SchemaError(
@@ -377,9 +382,7 @@ def parse_interaction_scheme(doc, n: int, context: str = "scheme") -> Interactio
             raise SchemaError(f"{context}.q.values must be a list of rationals")
         row = [_rational(v, f"{context}.q.values[{k}]") for k, v in enumerate(values)]
         return InteractionWeights.single(n, m, row)
-    if "bernoulli" in doc:
-        return _parse_bernoulli(doc["bernoulli"], f"{context}.bernoulli")
-    raise SchemaError(f"{context} must contain one of: q, bernoulli")
+    return _parse_bernoulli(doc["bernoulli"], f"{context}.bernoulli")
 
 
 def scheme_descriptor(scheme) -> dict:

@@ -5,7 +5,9 @@ Three computation paths, all exact:
 * interpolation -- works for any cardinality-based weight vector; 2n
   expected values per feature at the integer nodes z = 0..n-1, combined
   with the dual Vandermonde weights of the vector (equivalently: solve
-  the Vandermonde system for the per-size marginal sums).
+  the Vandermonde system for the per-size marginal sums).  A model with
+  its own walk (``Model._gap_polynomials``: trees, and ensembles of them)
+  gives the generating polynomial those nodes sample directly.
 * bernoulli-direct -- two expected values, for indices whose coalition
   distribution factors into independent per-feature inclusion trials.
 * closed-form -- the marginal preset, which needs no expectations at all.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (
@@ -37,7 +39,7 @@ from .core import (
     point_mass_row,
 )
 from .interpolation import vandermonde_dual, vandermonde_solve
-from .models import Model, conditional_expectation
+from .models import Model, _z_factors, conditional_expectation
 
 PATH_INTERPOLATION = "interpolation"
 PATH_BERNOULLI = "bernoulli-direct"
@@ -299,6 +301,71 @@ def _coefficient_sums(gaps: Iterable[Sequence[Fraction]]) -> list[tuple[Fraction
     return sums
 
 
+# Per feature, its gap polynomials by path length, and their denominator.
+Walked = tuple[list[dict[int, list[int]]], int]
+
+
+def _walked_gaps(
+    model: Model, dist: ProductDistribution, e: Instance, features: Sequence[int]
+) -> Optional[Walked]:
+    """The features' gap polynomials from the model's own walk, or None without one."""
+    space = dist.space
+    hits = [space.position(i, e[i]) for i in range(space.n)]
+    wanted = 0
+    for a in features:
+        wanted |= 1 << a
+    found = model._gap_polynomials(_z_factors(dist.probs, hits), wanted)
+    if found is None:
+        return None
+    polys, den = found
+    return [polys.get(a, {}) for a in features], den
+
+
+def _walked_indices(walked: Walked, q: Sequence[Fraction]) -> list[Fraction]:
+    # sum_k q_k [z^k] sum_L Q_L(z) (1+z)^(n-L) = sum_L sum_i Q_{L,i} W_{L,i}
+    # with W_{L,i} = sum_j q_{i+j} C(n-L, j): W_n = q, and Pascal's rule
+    # gives W_{L,i} = W_{L+1,i} + W_{L+1,i+1}
+    by_feature, den = walked
+    common = lcm(*(x.denominator for x in q))
+    w = [x.numerator * (common // x.denominator) for x in q]
+    weights = {len(w): w}
+    shortest = min((length for polys in by_feature for length in polys), default=len(w))
+    while len(w) > shortest:
+        w = [a + b for a, b in zip(w, w[1:])]
+        weights[len(w)] = w
+    den *= common
+    values = []
+    for polys in by_feature:
+        total = 0
+        for length, coeffs in polys.items():
+            total += sum(c * x for c, x in zip(coeffs, weights[length]))
+        values.append(Fraction(total, den))
+    return values
+
+
+def _walked_coefficients(walked: Walked, n: int) -> list[tuple[Fraction, ...]]:
+    # sum_L Q_L(z) (1+z)^(n-L) by Horner's rule in (1+z), shortest L first
+    by_feature, den = walked
+    sums = []
+    for polys in by_feature:
+        c = [0] * n
+        for length in range(min(polys, default=n), n + 1):
+            c = c[:1] + [a + b for a, b in zip(c[1:], c)]  # times (1+z)
+            for k, x in enumerate(polys.get(length, ())):
+                c[k] += x
+        sums.append(tuple(Fraction(x, den) for x in c))
+    return sums
+
+
+def _coefficients(
+    model: Model, dist: ProductDistribution, e: Instance, features: Sequence[int]
+) -> list[tuple[Fraction, ...]]:
+    walked = _walked_gaps(model, dist, e, features)
+    if walked is not None:
+        return _walked_coefficients(walked, dist.space.n)
+    return _coefficient_sums(_interpolation_gaps(model, dist, e, features)[1])
+
+
 def interpolate_coefficients(
     model: Model, dist: ProductDistribution, e: Instance, a: int
 ) -> tuple[Fraction, ...]:
@@ -308,11 +375,12 @@ def interpolate_coefficients(
     a.  Obtained from 2n expected values: at each node z in 0..n-1 the
     difference between pinning feature a to e_a and leaving it free,
     under the z-mixture of the remaining features, scaled by (1+z)^(n-1),
-    is the value of the generating polynomial at z.
+    is the value of the generating polynomial at z.  A model with its own
+    walk gives that polynomial directly.
     """
     space = check_shared_space(model, dist, e)
     space.check_feature(a)
-    return _coefficient_sums(_interpolation_gaps(model, dist, e, [a])[1])[0]
+    return _coefficients(model, dist, e, [a])[0]
 
 
 def all_coefficients(
@@ -320,7 +388,7 @@ def all_coefficients(
 ) -> list[tuple[Fraction, ...]]:
     """``interpolate_coefficients`` of every feature, from one batch per node."""
     space = check_shared_space(model, dist, e)
-    return _coefficient_sums(_interpolation_gaps(model, dist, e, range(space.n))[1])
+    return _coefficients(model, dist, e, range(space.n))
 
 
 def _interpolated_indices(
@@ -329,11 +397,24 @@ def _interpolated_indices(
     e: Instance,
     features: Sequence[int],
     q: Sequence[Fraction],
-) -> tuple[list[Fraction], list[int], list[list[Fraction]]]:
+    coefficient_sums: bool = False,
+) -> tuple[list[Fraction], list[int], Optional[list[tuple[Fraction, ...]]]]:
+    """The features' indices, engine calls and, on request, coefficient sums.
+
+    A model with its own walk gives the gap polynomials directly; any
+    other model interpolates the gaps at the nodes 0..n-1.  Either way the
+    reduction requests 2n expectations per feature.
+    """
+    walked = _walked_gaps(model, dist, e, features)
+    if walked is not None:
+        n = dist.space.n
+        sums = _walked_coefficients(walked, n) if coefficient_sums else None
+        return _walked_indices(walked, q), [2 * n] * len(features), sums
     # sum_k q_k c_k = sum_z u_z * gap(z), with u the dual weights of q
     # scaled by the (1+z)^(n-1) of the generating polynomial
     nodes, gaps, calls = _interpolation_gaps(model, dist, e, features)
-    return _dual_dots(nodes, q, len(nodes) - 1, gaps), calls, gaps
+    sums = _coefficient_sums(gaps) if coefficient_sums else None
+    return _dual_dots(nodes, q, len(nodes) - 1, gaps), calls, sums
 
 
 def _bernoulli_indices(
@@ -487,9 +568,11 @@ def attribute_all(
         calls = [0] * n  # the closed form builds no distributions
     else:
         path = PATH_INTERPOLATION
-        values, calls, gaps = _interpolated_indices(model, dist, e, features, scheme.q)
-        if coefficient_sums:
-            sums = tuple(_coefficient_sums(gaps))
+        values, calls, sums = _interpolated_indices(
+            model, dist, e, features, scheme.q, coefficient_sums
+        )
+        if sums is not None:
+            sums = tuple(sums)
     return AttributionReport(
         values=tuple(values),
         scheme=scheme,

@@ -19,7 +19,7 @@ import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (
     Coalition,
@@ -71,6 +71,53 @@ class _PairRows:
         if table is None:
             table = self._tables[id(probs)] = [self.row(row) for row in probs]
         return table
+
+
+# A feature's z-mixture row over one denominator, (den, nums, hit): under a
+# split on the feature, child c has the linear factor
+# (nums[c] + z * den * [c == hit]) / den, hit being e's position.
+ZFactor = tuple[int, tuple[int, ...], int]
+
+# Gap polynomials (see ``Model._gap_polynomials``): per feature and path
+# length L, the integer coefficients of Q_L times the shared denominator.
+GapPolynomials = tuple[dict[int, dict[int, list[int]]], int]
+
+
+def _z_factors(probs: Sequence[Sequence[Fraction]], hits: Sequence[int]) -> list[ZFactor]:
+    factors = []
+    for row, hit in zip(probs, hits):
+        den = 1
+        for p in row:
+            den *= p.denominator // gcd(den, p.denominator)
+        factors.append((den, tuple([p.numerator * (den // p.denominator) for p in row]), hit))
+    return factors
+
+
+def _times(poly: list[int], num: int, den: int, hit: bool) -> list[int]:
+    # poly * (num + z*den) on e's child, poly * num on any other
+    if not hit:
+        return [num * c for c in poly]
+    if not num:
+        return [0] + [den * c for c in poly]
+    return [num * a + den * b for a, b in zip(poly + [0], [0] + poly)]
+
+
+def _accumulate(by_length: dict[int, list[int]], length: int, s: int, coeffs: list[int]) -> None:
+    # by_length[length] += s * coeffs
+    acc = by_length.get(length)
+    if acc is None:
+        by_length[length] = [s * c for c in coeffs]
+        return
+    if len(acc) < len(coeffs):
+        acc.extend([0] * (len(coeffs) - len(acc)))
+    for k, c in enumerate(coeffs):
+        acc[k] += s * c
+
+
+def _rescale(polys: dict[int, dict[int, list[int]]], grow: int) -> None:
+    for by_length in polys.values():
+        for coeffs in by_length.values():
+            coeffs[:] = [grow * c for c in coeffs]
 
 
 def _fractions(values: Sequence[Pair]) -> list[Fraction]:
@@ -142,6 +189,23 @@ class Model(abc.ABC):
         return [
             (v.numerator, v.denominator) for v in self.expected_values_swapped(dist, swaps)
         ]
+
+    def _gap_polynomials(
+        self, factors: Sequence[ZFactor], wanted: int
+    ) -> Optional[GapPolynomials]:
+        """Each wanted feature's gap polynomials, or None for a model without a walk.
+
+        Under the z-mixture (z*delta_j + p_j)/(1+z) of every other feature
+        j, feature a's gap (pinned to e_a minus free) times (1+z)^(n-1) is
+        the generating polynomial G_a(z) = sum_L Q_{a,L}(z) (1+z)^(n-L),
+        each Q_{a,L} of degree below L.  A model with a walk returns
+        ``(polys, den)``: ``polys[a][L]`` holds den times the coefficients
+        of Q_{a,L}, lowest first, for the features of the bitmask
+        ``wanted`` (a missing feature or length is 0).  ``factors`` holds
+        every feature's z-mixture row.  The default has no walk; the
+        reductions then request the n-node expectations.
+        """
+        return None
 
 
 def _check_swaps(model: Model, dist: ProductDistribution, swaps: Sequence[Swap]) -> FeatureSpace:
@@ -514,6 +578,71 @@ class TreeModel(Model):
 
         return walk(self._tree, 1, 1), grads
 
+    def _gap_polynomials(
+        self, factors: Sequence[ZFactor], wanted: int
+    ) -> Optional[GapPolynomials]:
+        """One walk: a leaf of value v on a path P of length L adds to Q_{a,L}, a in P,
+
+        v * (delta_a - p_a)(c_a) * prod_{j in P, j != a} (z*delta_j + p_j)(c_j),
+
+        c_j being the path's child at feature j.  The walk carries the
+        product F of the path's factors and, per wanted feature a on the
+        path, E_a = g_a * prod_{j != a} f_j, all over the product of the
+        path's denominators.  Children of probability 0 off e add nothing;
+        subtrees without a wanted feature are skipped when no E_a is carried.
+        """
+        polys: dict[int, dict[int, list[int]]] = {}
+        tree = self._tree
+        if tree.__class__ is not tuple or not wanted & self._mask:
+            return polys, 1
+        top = 1  # the product of the denominators of every feature the tree reads
+        for i in self._read:
+            top *= factors[i][0]
+        scale = 1  # the lcm of the leaf denominators met so far
+
+        def add(gaps: list, length: int, leaf: Fraction, rest: int) -> None:
+            # Q_{a,length} += leaf * E_a, over top * scale
+            nonlocal scale
+            vd = leaf.denominator
+            if scale % vd:
+                grow = vd // gcd(scale, vd)
+                _rescale(polys, grow)
+                scale *= grow
+            s = rest * leaf.numerator * (scale // vd)
+            for a, gap in gaps:
+                _accumulate(polys.setdefault(a, {}), length, s, gap)
+
+        def walk(node: tuple, length: int, product, carried: list, rest: int) -> None:
+            # rest: top over the product of the denominators on the path to node
+            feature, children, _ = node
+            den, nums, hit = factors[feature]
+            own = wanted >> feature & 1
+            rest //= den
+            length += 1
+            for c, (num, child) in enumerate(zip(nums, children)):
+                on_e = c == hit
+                if not num and not on_e:
+                    continue
+                split = child.__class__ is tuple
+                if not split and not child:
+                    continue  # a zero leaf
+                below = split and child[2] & wanted
+                gaps = [(a, _times(gap, num, den, on_e)) for a, gap in carried]
+                if own:
+                    g = den - num if on_e else -num
+                    if g:
+                        gaps.append((feature, [g * x for x in product]))
+                if not split:
+                    if gaps:
+                        add(gaps, length, child, rest)
+                elif gaps or below:
+                    # below a split the walk needs F only to start new gaps
+                    then = _times(product, num, den, on_e) if below else None
+                    walk(child, length, then, gaps, rest)
+
+        walk(tree, 0, [1], [], top)
+        return polys, top * scale
+
     def features_used(self) -> frozenset[int]:
         return frozenset(self._read)
 
@@ -561,6 +690,32 @@ class EnsembleModel(Model):
         return self._weighted_sums(
             len(swaps), (m._pair_values_swapped(dist, swaps, pairs) for _, m in self.components)
         )
+
+    def _gap_polynomials(
+        self, factors: Sequence[ZFactor], wanted: int
+    ) -> Optional[GapPolynomials]:
+        # sum_j w_j * polys_j over one common denominator; no walk unless
+        # every component has one
+        total: dict[int, dict[int, list[int]]] = {}
+        den = 1
+        for w, model in self.components:
+            found = model._gap_polynomials(factors, wanted)
+            if found is None:
+                return None
+            polys, d = found
+            if not w or not polys:
+                continue
+            d *= w.denominator
+            common = den * d // gcd(den, d)
+            if common != den:
+                _rescale(total, common // den)
+                den = common
+            s = w.numerator * (den // d)
+            for a, by_length in polys.items():
+                into = total.setdefault(a, {})
+                for length, coeffs in by_length.items():
+                    _accumulate(into, length, s, coeffs)
+        return total, den
 
     def _weighted_sums(self, count: int, answers: Iterable[list[Pair]]) -> list[Pair]:
         # sum_j w_j * answer_j, entry by entry, one gcd per product and sum

@@ -180,6 +180,46 @@ def test_exponent_literal_is_schema_error(capsys):
     assert "exponent" in captured.err
 
 
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        '{"preset": "shapley", "q": ["garbage"]}',
+        '{"preset": "banzhaf", "bernoulli": {"theta": ["1/2", "1/2"]}}',
+        '{"q": ["1/2", "1/2"], "bernoulli": "nonsense"}',
+        '{"preset": "shapley", "q": ["1/2", "1/2"], "bernoulli": {"theta": ["0", "0"]}}',
+        "{}",
+    ],
+)
+def test_scheme_must_name_exactly_one_kind(scheme, capsys):
+    code, captured = run_cli(*attribute_args(scheme), capsys=capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: scheme must contain exactly one of: preset, q, bernoulli\n"
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        '{"q": {"m": 1, "values": ["1/2", "1/2"]}, "bernoulli": "nonsense"}',
+        '{"q": "nonsense", "bernoulli": {"theta": ["1/2", "1/2"]}}',
+        '{"preset": "shapley"}',
+    ],
+)
+def test_interaction_scheme_must_name_exactly_one_kind(scheme, capsys):
+    code, captured = run_cli(
+        "interact",
+        "--model", AND_MODEL,
+        "--dist", UNIFORM2,
+        "--instance", AND_INSTANCE,
+        "--set", "x1",
+        "--scheme", scheme,
+        capsys=capsys,
+    )
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: scheme must contain exactly one of: q, bernoulli\n"
+
+
 def test_overlong_literal_is_schema_error_without_the_interpreter_limit(tmp_path):
     # PYTHONINTMAXSTRDIGITS=0 lifts CPython's own int() limit, so only the
     # literal digit bound rejects this 5000-digit way of writing 1/2

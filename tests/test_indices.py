@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from powerdex import (
     BernoulliInteractionWeights,
@@ -19,6 +21,7 @@ from powerdex import (
     all_coefficients,
     attribute_all,
     bernoulli_indices,
+    brute_coefficient_sums,
     brute_simple_index,
     compute_bernoulli_index,
     compute_interaction_bernoulli,
@@ -31,6 +34,7 @@ from powerdex import (
     simple_indices,
 )
 
+from powerdex.indices import _walked_gaps
 from powerdex.models import Leaf, Split
 
 from corpus import (
@@ -38,6 +42,7 @@ from corpus import (
     and_table_model,
     constant_model,
     ones_instance,
+    random_additive_model,
     random_distribution,
     random_instance,
     random_simple_weights,
@@ -447,3 +452,125 @@ def test_attribute_all_reports_coefficient_sums_from_the_same_pass():
     assert attribute_all(model, dist, e, SimpleWeights.shapley(5)).coefficient_sums is None
     direct = attribute_all(model, dist, e, SimpleWeights.banzhaf(5), coefficient_sums=True)
     assert direct.coefficient_sums is None
+
+
+# ---------------------------------------------------------------------------
+# the per-tree polynomial walk against the n-node reduction
+
+def test_an_unwrapped_tree_makes_no_swap_walk_and_no_traversal():
+    rng = random.Random(5)
+    space = random_space(rng, 4)
+    leaves = lambda k: tuple(Leaf(Fraction(rng.randint(-9, 9), 7)) for _ in range(k))
+    root = Split(0, tuple(Split(1, leaves(len(space.domains[1]))) for _ in space.domains[0]))
+    spy = SpyWalkTree(space, root)
+    dist = random_distribution(rng, space)
+    e = random_instance(rng, space)
+    shapley = SimpleWeights.shapley(4)
+    report = attribute_all(spy, dist, e, shapley, coefficient_sums=True)
+    values = simple_indices(spy, dist, e, shapley)
+    sums = all_coefficients(spy, dist, e)
+    assert (spy.walks, spy.traversals) == (0, 0)  # the n-node path makes 4 walks per call
+    assert report.engine_calls == (8,) * 4  # the 2n contract still counts distributions
+    assert list(report.values) == values
+    assert list(report.coefficient_sums) == sums
+    assert report == attribute_all(CountingModel(spy), dist, e, shapley, coefficient_sums=True)
+
+
+ROW_KINDS = ("random", "zero entry", "zero at e", "point mass at e", "point mass off e")
+PRESETS = ("shapley", "banzhaf", "dictatorial", "marginal", "binomial", "random")
+SHAPES = ("tree", "leaf", "ensemble", "nested", "with table", "with additive")
+
+
+def _row(rng, size, hit, kind):
+    if kind == "point mass at e" or (size == 1 and kind != "random"):
+        return [Fraction(int(k == hit)) for k in range(size)]
+    if kind == "point mass off e":
+        off = rng.choice([k for k in range(size) if k != hit])
+        return [Fraction(int(k == off)) for k in range(size)]
+    weights = [rng.randint(1, 6) for _ in range(size)]
+    if kind == "zero at e":
+        weights[hit] = 0
+    elif kind == "zero entry":
+        weights[rng.randrange(size)] = 0
+    if not any(weights):
+        weights[(hit + 1) % size] = 1
+    return [Fraction(w, sum(weights)) for w in weights]
+
+
+def _walk_model(rng, space, shape, depth):
+    def tree():
+        if rng.random() < 0.15:
+            return constant_model(space, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        return random_tree_model(rng, space, max_depth=depth)
+
+    def weight():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+    if shape == "tree":
+        return tree()
+    if shape == "leaf":
+        return constant_model(space, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+    components = [(weight(), tree()) for _ in range(rng.randint(1, 3))]
+    if shape == "nested":
+        inner = EnsembleModel([(weight(), tree()) for _ in range(rng.randint(1, 3))])
+        components.append((weight(), inner))
+    elif shape == "with table":
+        components.append((weight(), TableModel.tabulate(tree())))
+    elif shape == "with additive":
+        components.append((weight(), random_additive_model(rng, space)))
+    rng.shuffle(components)
+    return EnsembleModel(components)
+
+
+def _weights(rng, n, preset):
+    if preset == "random":
+        return random_simple_weights(rng, n)
+    if preset == "binomial":
+        tagged = SimpleWeights.binomial(n, Fraction(rng.randint(1, 6), 7))
+    else:
+        tagged = getattr(SimpleWeights, preset)(n)
+    # untagged, so that every preset's vector interpolates
+    return SimpleWeights.from_values(tagged.q)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    n=st.integers(min_value=1, max_value=7),
+    shape=st.sampled_from(SHAPES),
+    depth=st.integers(min_value=1, max_value=7),
+    kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=7, max_size=7),
+    preset=st.sampled_from(PRESETS),
+)
+def test_the_walk_equals_the_node_reduction_and_the_oracle(seed, n, shape, depth, kinds, preset):
+    rng = random.Random(seed)
+    space = random_space(rng, n)
+    e = random_instance(rng, space)
+    rows = [
+        _row(rng, len(domain), space.position(i, e[i]), kind)
+        for i, (domain, kind) in enumerate(zip(space.domains, kinds))
+    ]
+    dist = ProductDistribution(space, rows)
+    model = _walk_model(rng, space, shape, depth)
+    w = _weights(rng, n, preset)
+    features = range(n)
+    walks = _walked_gaps(model, dist, e, features) is not None
+    assert walks == (shape not in ("with table", "with additive"))
+    counted = CountingModel(model)
+    assert _walked_gaps(counted, dist, e, features) is None
+
+    values = simple_indices(model, dist, e, w)
+    sums = all_coefficients(model, dist, e)
+    assert values == simple_indices(counted, dist, e, w)
+    assert sums == all_coefficients(counted, dist, e)
+    report = attribute_all(model, dist, e, w, coefficient_sums=True)
+    assert report == attribute_all(counted, dist, e, w, coefficient_sums=True)
+    assert (list(report.values), list(report.coefficient_sums)) == (values, sums)
+    a = rng.randrange(n)  # one wanted feature
+    assert compute_simple_index(model, dist, e, a, w) == values[a]
+    assert interpolate_coefficients(model, dist, e, a) == sums[a]
+    if n <= 6:
+        table = conditional_table(model, dist, e)
+        for a in features:
+            assert values[a] == brute_simple_index(model, dist, e, a, w, table=table)
+            assert sums[a] == brute_coefficient_sums(model, dist, e, a, table=table)

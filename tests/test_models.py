@@ -13,9 +13,11 @@ from powerdex import (
     FeatureSpace,
     Instance,
     ProductDistribution,
+    SimpleWeights,
     SpaceMismatchError,
     TableModel,
     TreeModel,
+    attribute_all,
     conditional_expectation,
 )
 from powerdex.models import TREE_DEPTH_LIMIT, Leaf, Split
@@ -417,6 +419,12 @@ def test_tree_depth_limit():
     pin = (Fraction(0), Fraction(1))
     assert tree.expected_values_swapped(dist, [(depth - 1, pin)]) == [Fraction(1, 2 ** (depth - 1))]
     assert tree.evaluate(ones_instance(space)) == 1
+    # the gap-polynomial walk recurses once per level too; at the point
+    # mass at e every gap is 0, so it stays cheap
+    e = ones_instance(space)
+    report = attribute_all(tree, ProductDistribution.point_mass(e), e, SimpleWeights.shapley(depth + 1))
+    assert report.values == (0,) * (depth + 1)
+    assert report.engine_calls == (2 * (depth + 1),) * (depth + 1)
     root = tree.root  # rebuilt one frame per level, within the default limit
     limit = sys.getrecursionlimit()
     # dataclass equality recurses about four frames per level
