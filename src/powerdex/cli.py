@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -67,7 +68,6 @@ from .oracle import (
     BudgetExceededError,
     brute_bernoulli_index,
     brute_coalition_sums,
-    brute_expectation,
     brute_interaction_index,
     brute_simple_index,
     conditional_table,
@@ -115,17 +115,37 @@ def _rational(text, context) -> Fraction:
         raise SchemaError(f"{context}: {exc}") from None
 
 
-def _load_json(path: str):
+def _rationals(values, context: str) -> list[Fraction]:
+    if not isinstance(values, list):
+        raise SchemaError(f"{context} must be a list of rationals")
+    return [_rational(v, f"{context}[{k}]") for k, v in enumerate(values)]
+
+
+@contextmanager
+def _opened(path: str, mode: str, **kwargs):
+    """``open(path, mode)``, with any OSError as a SchemaError naming the path."""
     try:
-        with open(path, "rb") as handle:
-            return json.load(handle)
+        with open(path, mode, **kwargs) as handle:
+            yield handle
     except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from None
+        verb = "write" if "w" in mode else "read"
+        raise SchemaError(f"cannot {verb} {path}: {exc}") from None
+
+
+def _parse_json(data, what: str):
+    try:
+        return json.loads(data)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path} is not valid JSON: {exc}") from None
+        raise SchemaError(f"{what} is not valid JSON: {exc}") from None
     except RecursionError:
         # the json parser recurses once per nesting level
-        raise SchemaError(f"{path} nests too deeply to parse") from None
+        raise SchemaError(f"{what} nests too deeply to parse") from None
+
+
+def _load_json(path: str):
+    with _opened(path, "rb") as handle:
+        data = handle.read()
+    return _parse_json(data, path)
 
 
 def parse_space(doc) -> NamedSpace:
@@ -184,6 +204,38 @@ def _parse_tree_node(doc, named: NamedSpace, context: str, depth: int = 0):
     return Split(feature, tuple(children))
 
 
+def _feature_rows(
+    entries, named: NamedSpace, field: str, key: str, noun: str, echo_values: bool = False
+) -> list[list[Fraction]]:
+    """One row per feature from ``[{"feature": name, key: [one noun per value]}, ...]``.
+
+    With ``echo_values`` an entry may also list its feature's domain as ``values``.
+    """
+    if not isinstance(entries, list):
+        raise SchemaError(f"{field} must be a list")
+    rows: list[Optional[list[Fraction]]] = [None] * named.space.n
+    for idx, entry in enumerate(entries):
+        where = f"{field}[{idx}]"
+        name = _require(entry, "feature", where)
+        items = _require(entry, key, where)
+        feature = named.index(name)
+        if rows[feature] is not None:
+            raise SchemaError(f"{field}: duplicate entry for feature {name!r}")
+        domain = named.space.domains[feature]
+        if echo_values and "values" in entry and entry["values"] != list(domain):
+            raise SchemaError(f"{where}.values does not match the declared domain of {name!r}")
+        if not isinstance(items, list) or len(items) != len(domain):
+            raise SchemaError(
+                f"{where}.{key} must list one {noun} per domain value of {name!r} "
+                f"({len(domain)})"
+            )
+        rows[feature] = _rationals(items, f"{where}.{key}")
+    for feature, row in enumerate(rows):
+        if row is None:
+            raise SchemaError(f"{field}: missing entry for feature {named.names[feature]!r}")
+    return rows
+
+
 def parse_model(doc, named: NamedSpace, context: str = "model") -> Model:
     kind = _require(doc, "type", context)
     space = named.space
@@ -196,36 +248,11 @@ def parse_model(doc, named: NamedSpace, context: str = "model") -> Model:
             raise SchemaError(
                 f"{context}.values has {len(values)} entries; the full domain has {expected}"
             )
-        return TableModel(
-            space, [_rational(v, f"{context}.values[{i}]") for i, v in enumerate(values)]
-        )
+        return TableModel(space, _rationals(values, f"{context}.values"))
     if kind == "additive":
         bias = _rational(doc.get("bias", "0"), f"{context}.bias")
-        terms_doc = _require(doc, "terms", context)
-        if not isinstance(terms_doc, list):
-            raise SchemaError(f"{context}.terms must be a list")
-        rows: list[Optional[list[Fraction]]] = [None] * space.n
-        for idx, term in enumerate(terms_doc):
-            name = _require(term, "feature", f"{context}.terms[{idx}]")
-            values = _require(term, "values", f"{context}.terms[{idx}]")
-            feature = named.index(name)
-            if rows[feature] is not None:
-                raise SchemaError(f"{context}.terms: duplicate entry for feature {name!r}")
-            domain = space.domains[feature]
-            if not isinstance(values, list) or len(values) != len(domain):
-                raise SchemaError(
-                    f"{context}.terms[{idx}].values must list one value per domain "
-                    f"value of {name!r} ({len(domain)})"
-                )
-            rows[feature] = [
-                _rational(v, f"{context}.terms[{idx}].values[{k}]")
-                for k, v in enumerate(values)
-            ]
-        for feature, row in enumerate(rows):
-            if row is None:
-                raise SchemaError(
-                    f"{context}.terms: missing entry for feature {named.names[feature]!r}"
-                )
+        terms = _require(doc, "terms", context)
+        rows = _feature_rows(terms, named, f"{context}.terms", "values", "value")
         return AdditiveModel(space, bias, rows)
     if kind == "tree":
         root = _parse_tree_node(_require(doc, "root", context), named, f"{context}.root")
@@ -266,36 +293,10 @@ def parse_distribution(doc, named: NamedSpace, context: str) -> ProductDistribut
     space = named.space
     if doc.get("uniform") is True:
         return ProductDistribution.uniform(space)
-    marginals_doc = _require(doc, "marginals", context)
-    if not isinstance(marginals_doc, list):
-        raise SchemaError(f"{context}.marginals must be a list")
-    rows: list[Optional[list[Fraction]]] = [None] * space.n
-    for idx, entry in enumerate(marginals_doc):
-        name = _require(entry, "feature", f"{context}.marginals[{idx}]")
-        probs = _require(entry, "probs", f"{context}.marginals[{idx}]")
-        feature = named.index(name)
-        if rows[feature] is not None:
-            raise SchemaError(f"{context}.marginals: duplicate entry for feature {name!r}")
-        domain = space.domains[feature]
-        if "values" in entry and entry["values"] != list(domain):
-            raise SchemaError(
-                f"{context}.marginals[{idx}].values does not match the declared "
-                f"domain of {name!r}"
-            )
-        if not isinstance(probs, list) or len(probs) != len(domain):
-            raise SchemaError(
-                f"{context}.marginals[{idx}].probs must list one probability per "
-                f"domain value of {name!r} ({len(domain)})"
-            )
-        rows[feature] = [
-            _rational(p, f"{context}.marginals[{idx}].probs[{k}]")
-            for k, p in enumerate(probs)
-        ]
-    for feature, row in enumerate(rows):
-        if row is None:
-            raise SchemaError(
-                f"{context}.marginals: missing entry for feature {named.names[feature]!r}"
-            )
+    marginals = _require(doc, "marginals", context)
+    rows = _feature_rows(
+        marginals, named, f"{context}.marginals", "probs", "probability", echo_values=True
+    )
     try:
         return ProductDistribution(space, rows)
     except ValueError as exc:
@@ -329,11 +330,7 @@ _PRESETS = ("shapley", "banzhaf", "binomial", "dictatorial", "marginal")
 
 def _parse_bernoulli(doc, context: str) -> BernoulliWeights:
     """The theta vector of a bernoulli scheme, for a feature or a set alike."""
-    theta_doc = _require(doc, "theta", context)
-    if not isinstance(theta_doc, list):
-        raise SchemaError(f"{context}.theta must be a list of rationals")
-    theta = [_rational(t, f"{context}.theta[{k}]") for k, t in enumerate(theta_doc)]
-    return BernoulliWeights(theta)
+    return BernoulliWeights(_rationals(_require(doc, "theta", context), f"{context}.theta"))
 
 
 def _scheme_kind(doc, kinds: Sequence[str], context: str) -> str:
@@ -359,11 +356,7 @@ def parse_scheme(doc, n: int, context: str = "scheme") -> Scheme:
             raise SchemaError(f"{context}.theta is only valid with the binomial preset")
         return getattr(SimpleWeights, preset)(n)
     if kind == "q":
-        values = doc["q"]
-        if not isinstance(values, list):
-            raise SchemaError(f"{context}.q must be a list of rationals")
-        q = [_rational(v, f"{context}.q[{k}]") for k, v in enumerate(values)]
-        return SimpleWeights.from_values(q)
+        return SimpleWeights.from_values(_rationals(doc["q"], f"{context}.q"))
     return _parse_bernoulli(doc["bernoulli"], f"{context}.bernoulli")
 
 
@@ -378,10 +371,7 @@ def parse_interaction_scheme(doc, n: int, context: str = "scheme") -> Interactio
         values = _require(table, "values", f"{context}.q")
         if not isinstance(m, int) or isinstance(m, bool):
             raise SchemaError(f"{context}.q.m must be an integer")
-        if not isinstance(values, list):
-            raise SchemaError(f"{context}.q.values must be a list of rationals")
-        row = [_rational(v, f"{context}.q.values[{k}]") for k, v in enumerate(values)]
-        return InteractionWeights.single(n, m, row)
+        return InteractionWeights.single(n, m, _rationals(values, f"{context}.q.values"))
     return _parse_bernoulli(doc["bernoulli"], f"{context}.bernoulli")
 
 
@@ -404,16 +394,11 @@ def scheme_descriptor(scheme) -> dict:
 def ingest_csv(path: str, named: NamedSpace) -> tuple[ProductDistribution, int]:
     """Empirical per-feature marginals from a CSV of observed rows."""
     space = named.space
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from None
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: file is empty") from None
+    with _opened(path, "r", newline="", encoding="utf-8") as handle:
+        records = _csv_records(handle, path)
+        header = next(records, None)
+        if header is None:
+            raise SchemaError(f"{path}: file is empty")
         header = [h.strip() for h in header]
         if sorted(header) != sorted(named.names):
             raise SchemaError(
@@ -423,7 +408,7 @@ def ingest_csv(path: str, named: NamedSpace) -> tuple[ProductDistribution, int]:
         columns = [named.index(h) for h in header]
         counts = [[0] * len(domain) for domain in space.domains]
         rows = 0
-        for line, record in enumerate(reader, start=2):
+        for line, record in enumerate(records, start=2):
             if len(record) != len(header):
                 raise SchemaError(f"{path}: row {line} has {len(record)} cells, expected {len(header)}")
             for cell, feature in zip(record, columns):
@@ -441,6 +426,28 @@ def ingest_csv(path: str, named: NamedSpace) -> tuple[ProductDistribution, int]:
         raise SchemaError(f"{path}: no data rows")
     probs = [[Fraction(c, rows) for c in row] for row in counts]
     return ProductDistribution(space, probs), rows
+
+
+def _csv_records(handle, path: str):
+    """The records of an open CSV file; an overlong cell or a bad byte is a SchemaError."""
+    reader = csv.reader(handle)
+    try:
+        yield from reader
+    except csv.Error as exc:  # a cell over the csv module's field limit
+        raise SchemaError(f"{path}: row {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path}: row {_undecodable_row(path)} is not valid UTF-8") from None
+
+
+def _undecodable_row(path: str) -> int:
+    """The line, counted from 1, of the first bytes of a file that are not UTF-8."""
+    with _opened(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[: exc.start]
+    return data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n") + 1
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +469,7 @@ def _instance_echo(named: NamedSpace, e: Instance) -> dict:
 def _emit(report: dict, out: Optional[str]) -> None:
     text = json.dumps(report, indent=2) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
+        with _opened(out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -471,12 +478,7 @@ def _emit(report: dict, out: Optional[str]) -> None:
 def _load_inline_or_file(raw: str, what: str):
     text = raw.strip()
     if text.startswith("{"):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"inline {what} is not valid JSON: {exc}") from None
-        except RecursionError:
-            raise SchemaError(f"inline {what} nests too deeply to parse") from None
+        return _parse_json(text, f"inline {what}")
     return _load_json(raw)
 
 
@@ -528,6 +530,13 @@ def cmd_attribute(args) -> int:
     return EXIT_OK
 
 
+def _interaction(model, dist, e, a_set, scheme) -> tuple[Fraction, str]:
+    """The interaction index of ``a_set`` and the path that computed it."""
+    if isinstance(scheme, InteractionWeights):
+        return compute_interaction_simple(model, dist, e, a_set, scheme), PATH_BIVARIATE
+    return compute_interaction_bernoulli(model, dist, e, a_set, scheme), PATH_BERNOULLI
+
+
 def cmd_interact(args) -> int:
     named, model, dist, e = _load_common(args)
     a_set = _parse_set(args.set, named)
@@ -535,12 +544,7 @@ def cmd_interact(args) -> int:
         _load_inline_or_file(args.scheme, "scheme"), named.space.n
     )
     counted = CountingModel(model)
-    if isinstance(scheme, InteractionWeights):
-        value = compute_interaction_simple(counted, dist, e, a_set, scheme)
-        path = PATH_BIVARIATE
-    else:
-        value = compute_interaction_bernoulli(counted, dist, e, a_set, scheme)
-        path = PATH_BERNOULLI
+    value, path = _interaction(counted, dist, e, a_set, scheme)
     doc = {
         "command": "interact",
         "features": list(named.names),
@@ -578,13 +582,10 @@ def cmd_expected(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     named, model, dist, e = _load_common(args)
-    n = named.space.n
     # the scheme is fully validated before any comparison runs
     a_set = _parse_set(args.set, named) if args.set is not None else None
-    if a_set is not None:
-        scheme = parse_interaction_scheme(_load_inline_or_file(args.scheme, "scheme"), n)
-    else:
-        scheme = parse_scheme(_load_inline_or_file(args.scheme, "scheme"), n)
+    parse = parse_scheme if a_set is None else parse_interaction_scheme
+    scheme = parse(_load_inline_or_file(args.scheme, "scheme"), named.space.n)
 
     checks = []
 
@@ -598,29 +599,23 @@ def cmd_oracle_check(args) -> int:
             }
         )
 
-    record("expected-value", model.expected_value(dist), brute_expectation(model, dist))
-    table = conditional_table(model, dist, e)
+    table = conditional_table(model, dist, e)  # checks the budget before any engine work
+    record("expected-value", model.expected_value(dist), table[0])  # table[0] = E[F]
     doc = {"command": "oracle-check"}
     if a_set is not None:
         label = ",".join(named.names[i] for i in a_set)
-        if isinstance(scheme, InteractionWeights):
-            fast = compute_interaction_simple(model, dist, e, a_set, scheme)
-        else:
-            fast = compute_interaction_bernoulli(model, dist, e, a_set, scheme)
         record(
             f"interaction-index[{label}]",
-            fast,
+            _interaction(model, dist, e, a_set, scheme)[0],
             brute_interaction_index(model, dist, e, a_set, scheme, table=table),
         )
         doc["set"] = [named.names[i] for i in a_set]
-    elif isinstance(scheme, SimpleWeights):
-        for a, fast in enumerate(simple_indices(model, dist, e, scheme)):
-            brute = brute_simple_index(model, dist, e, a, scheme, table=table)
-            record(f"index[{named.names[a]}]", fast, brute)
     else:
-        for a, fast in enumerate(bernoulli_indices(model, dist, e, scheme)):
-            brute = brute_bernoulli_index(model, dist, e, a, scheme, table=table)
-            record(f"index[{named.names[a]}]", fast, brute)
+        simple = isinstance(scheme, SimpleWeights)
+        fast_all = (simple_indices if simple else bernoulli_indices)(model, dist, e, scheme)
+        brute = brute_simple_index if simple else brute_bernoulli_index
+        for a, fast in enumerate(fast_all):
+            record(f"index[{named.names[a]}]", fast, brute(model, dist, e, a, scheme, table=table))
     doc["scheme"] = scheme_descriptor(scheme)
     doc["checks"] = checks
     doc["all_equal"] = all(c["equal"] for c in checks)
@@ -630,8 +625,7 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_converse(args) -> int:
     named, model, dist, e = _load_common(args)
-    n = named.space.n
-    scheme = parse_scheme(_load_inline_or_file(args.scheme, "scheme"), n)
+    scheme = parse_scheme(_load_inline_or_file(args.scheme, "scheme"), named.space.n)
     if not isinstance(scheme, SimpleWeights):
         raise WeightError("the converse reduction needs a cardinality-based scheme")
     system = ConverseSystem(scheme)
@@ -742,23 +736,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each error a subcommand may raise, first match wins
+_EXIT_CODES = {
+    SchemaError: EXIT_SCHEMA,
+    WeightError: EXIT_SCHEME,
+    SpaceMismatchError: EXIT_SCHEME,
+    ConverseInapplicableError: EXIT_SCHEME,
+    BudgetExceededError: EXIT_BUDGET,
+    ValueError: EXIT_SCHEMA,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (WeightError, SpaceMismatchError, ConverseInapplicableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEME
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def run() -> None:

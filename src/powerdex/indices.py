@@ -149,6 +149,15 @@ class BernoulliWeights:
 IndexScheme = Union[SimpleWeights, BernoulliWeights]
 
 
+def _check_scheme_size(weights, n: int) -> None:
+    """A WeightError unless the scheme is for n features (Bernoulli weights: one theta each)."""
+    if isinstance(weights, BernoulliWeights):
+        if len(weights.theta) != n:
+            raise WeightError(f"theta has {len(weights.theta)} entries for n={n}")
+    elif weights.n != n:
+        raise WeightError(f"weights are for n={weights.n}, space has n={n}")
+
+
 @dataclass(frozen=True)
 class AttributionReport:
     """Per-feature index values plus the provenance of the computation."""
@@ -422,7 +431,7 @@ def _bernoulli_indices(
     dist: ProductDistribution,
     e: Instance,
     member_sets: Sequence[Sequence[int]],
-    theta: Sequence[Fraction],
+    weights: BernoulliWeights,
 ) -> tuple[list[Fraction], list[int]]:
     # per member tuple (a feature, or an interaction set), its derivative
     # under the theta-mixture; the members' own theta entries go unused
@@ -430,9 +439,8 @@ def _bernoulli_indices(
     for members in member_sets:
         for i in members:
             space.check_feature(i)
-    if len(theta) != space.n:
-        raise WeightError(f"theta has {len(theta)} entries for n={space.n}")
-    mixed = bernoulli_mixture(dist, e, theta)
+    _check_scheme_size(weights, space.n)
+    mixed = bernoulli_mixture(dist, e, weights.theta)
     targets = [_derivative(space, dist, e, members) for members in member_sets]
     sums, calls = batched_node_sums(model, space, [mixed.probs], targets)
     return [s[0] for s in sums], calls
@@ -463,8 +471,7 @@ def _simple_indices(
     weights: SimpleWeights,
 ) -> list[Fraction]:
     space = check_shared_space(model, dist, e)
-    if weights.n != space.n:
-        raise WeightError(f"weights are for n={weights.n}, space has n={space.n}")
+    _check_scheme_size(weights, space.n)
     if weights.preset == "marginal":
         return [marginal_index(model, dist, e, a) for a in features]
     for a in features:
@@ -511,7 +518,7 @@ def compute_bernoulli_index(
     The input theta_a is ignored: the two expectations pin it to 1 and 0.
     """
     check_shared_space(model, dist, e)
-    return _bernoulli_indices(model, dist, e, [(a,)], weights.theta)[0][0]
+    return _bernoulli_indices(model, dist, e, [(a,)], weights)[0][0]
 
 
 def bernoulli_indices(
@@ -519,7 +526,7 @@ def bernoulli_indices(
 ) -> list[Fraction]:
     """``compute_bernoulli_index`` of every feature, from one batch."""
     singles = [(a,) for a in range(check_shared_space(model, dist, e).n)]
-    return _bernoulli_indices(model, dist, e, singles, weights.theta)[0]
+    return _bernoulli_indices(model, dist, e, singles, weights)[0]
 
 
 def _bernoulli_equivalent(weights: SimpleWeights) -> Optional[BernoulliWeights]:
@@ -551,8 +558,7 @@ def attribute_all(
     features = range(n)
     sums = None
     if isinstance(scheme, SimpleWeights):
-        if scheme.n != n:
-            raise WeightError(f"weights are for n={scheme.n}, space has n={n}")
+        _check_scheme_size(scheme, n)
         direct = _bernoulli_equivalent(scheme)
     elif isinstance(scheme, BernoulliWeights):
         direct = scheme
@@ -561,7 +567,7 @@ def attribute_all(
     if direct is not None:
         path = PATH_BERNOULLI
         singles = [(a,) for a in features]
-        values, calls = _bernoulli_indices(model, dist, e, singles, direct.theta)
+        values, calls = _bernoulli_indices(model, dist, e, singles, direct)
     elif scheme.preset == "marginal":
         path = PATH_CLOSED_FORM
         values = [marginal_index(model, dist, e, a) for a in features]

@@ -29,6 +29,7 @@ from .indices import (
     BernoulliWeights,
     _bernoulli_indices,
     _check_cardinality_row,
+    _check_scheme_size,
     _dual_dots,
     _z_node_sums,
 )
@@ -78,8 +79,8 @@ class InteractionWeights:
         return dict(self._rows)
 
     def row(self, m: int, n: Optional[int] = None) -> tuple[Fraction, ...]:
-        if n is not None and n != self.n:
-            raise WeightError(f"weights are for n={self.n}, space has n={n}")
+        if n is not None:
+            _check_scheme_size(self, n)
         try:
             return self._rows[m]
         except KeyError:
@@ -231,4 +232,4 @@ def compute_interaction_bernoulli(
             f"interaction set of size {m} would need 2^{m} expectations "
             f"(limit {INTERACTION_SET_LIMIT})"
         )
-    return _bernoulli_indices(model, dist, e, [a_set.members()], weights.theta)[0][0]
+    return _bernoulli_indices(model, dist, e, [a_set.members()], weights)[0][0]

@@ -21,7 +21,7 @@ from .core import (
     check_shared_space,
     subsets,
 )
-from .indices import BernoulliWeights, SimpleWeights
+from .indices import BernoulliWeights, SimpleWeights, _check_scheme_size
 from .interaction import InteractionWeights
 from .models import Model
 
@@ -143,8 +143,7 @@ def brute_simple_index(
     """The definitional sum over all 2^(n-1) coalitions avoiding feature a."""
     space = check_shared_space(model, dist, e)
     space.check_feature(a)
-    if weights.n != space.n:
-        raise ValueError(f"weights are for n={weights.n}, space has n={space.n}")
+    _check_scheme_size(weights, space.n)
     table = _table_or_compute(model, dist, e, budget, table)
     bit = 1 << a
     total = Fraction(0)
@@ -167,8 +166,7 @@ def brute_bernoulli_index(
     """The definitional sum with coalition probabilities from Bernoulli trials."""
     space = check_shared_space(model, dist, e)
     space.check_feature(a)
-    if len(weights.theta) != space.n:
-        raise ValueError(f"theta has {len(weights.theta)} entries for n={space.n}")
+    _check_scheme_size(weights, space.n)
     table = _table_or_compute(model, dist, e, budget, table)
     rest = Coalition.singleton(a).complement(space.n)
     bit = 1 << a
@@ -196,21 +194,20 @@ def brute_interaction_index(
     a_set.check_within(space)
     if not a_set:
         raise ValueError("the interaction set must be nonempty")
+    _check_scheme_size(weights, space.n)
     table = _table_or_compute(model, dist, e, budget, table)
     n = space.n
     m = len(a_set)
     complement = a_set.complement(n)
 
     if isinstance(weights, InteractionWeights):
-        row = weights.row(m, n)
+        row = weights.row(m)
 
         def coalition_prob(s: Coalition) -> Fraction:
             return row[len(s)]
 
     else:
         theta = weights.theta
-        if len(theta) != n:
-            raise ValueError(f"theta has {len(theta)} entries for n={n}")
 
         def coalition_prob(s: Coalition) -> Fraction:
             q = Fraction(1)

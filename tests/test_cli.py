@@ -494,11 +494,43 @@ def test_oracle_check_budget_exceeded(tmp_path, capsys):
     assert code == 4
 
 
+def test_oracle_check_over_budget_makes_no_engine_call(tmp_path, monkeypatch, capsys):
+    counted = []
+
+    def load_counted(path):
+        named, model = load_model_file(path)
+        counted.append(CountingModel(model))
+        return named, counted[-1]
+
+    doc = {
+        "space": {"features": [{"name": f"x{i}", "values": ["0", "1"]} for i in range(13)]},
+        "model": {"type": "tree", "root": {"feature": "x0", "children": {
+            "0": {"leaf": "0"}, "1": {"leaf": "1"},
+        }}},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "load_model_file", load_counted)
+    code, captured = run_cli(
+        "oracle-check",
+        "--model", str(path),
+        "--dist", str(FIXTURES / "uniform_any.json"),
+        "--instance", json.dumps({f"x{i}": "0" for i in range(13)}),
+        "--scheme", '{"preset":"shapley"}',
+        capsys=capsys,
+    )
+    assert code == 4
+    assert captured.err == "error: 13 features exceed the oracle budget of 12\n"
+    assert counted[0].expected_value_calls == 0
+
+
 def test_oracle_check_mismatch_exit_1(monkeypatch, capsys):
     import powerdex.cli as cli_module
 
+    # the oracle's E[F] is the empty-coalition entry of the conditional table
+    real_table = cli_module.conditional_table
     monkeypatch.setattr(
-        cli_module, "brute_expectation", lambda model, dist: Fraction(999)
+        cli_module, "conditional_table", lambda *args: {**real_table(*args), 0: Fraction(999)}
     )
     code, captured = run_cli(
         "oracle-check",
@@ -660,6 +692,155 @@ def test_ingest_header_must_cover_space(tmp_path, capsys):
         "ingest", "--model", AND_MODEL, "--from-csv", str(csv_path), capsys=capsys
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["ingest", "expected"])
+@pytest.mark.parametrize(
+    "content, error",
+    [
+        (b"x1,x2\n0,1\n1," + b"0" * 200_000 + b"\n", "row 3: field larger than field limit (131072)"),
+        (b"x1,x2\n0,1\n1,\xff\n", "row 3 is not valid UTF-8"),
+        (b"x1,x2\r\n" + b"0,1\r\n" * 5000 + b"1,\xe2\x82\r\n", "row 5002 is not valid UTF-8"),
+        (b"x1,\xc3\n", "row 1 is not valid UTF-8"),
+    ],
+    ids=["field-limit", "bad-byte", "bad-byte-past-the-first-chunk", "bad-byte-in-header"],
+)
+def test_csv_field_limit_and_bad_bytes_name_file_and_row(tmp_path, capsys, command, content, error):
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    code, captured = run_cli(command, "--model", AND_MODEL, "--from-csv", str(path), capsys=capsys)
+    assert code == 2
+    assert captured.err == f"error: {path}: {error}\n"
+
+
+# ---------------------------------------------------------------------------
+# --out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        attribute_args('{"preset":"shapley"}'),
+        ["expected", "--model", AND_MODEL, "--dist", UNIFORM2],
+        ["ingest", "--model", AND_MODEL, "--from-csv", str(FIXTURES / "observations.csv")],
+    ],
+    ids=["attribute", "expected", "ingest"],
+)
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, argv, target):
+    out = tmp_path / "absent" / "report.json" if target == "missing-directory" else tmp_path
+    code, captured = run_cli(*argv, "--out", str(out), capsys=capsys)
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# feature rows and rational lists: each malformed entry keeps its error line
+
+TERMS = [{"feature": "x1", "values": ["0", "1"]}, {"feature": "x2", "values": ["0", "2"]}]
+MARGINALS = [{"feature": "x1", "probs": ["1/2", "1/2"]}, {"feature": "x2", "probs": ["1/4", "3/4"]}]
+
+
+@pytest.mark.parametrize(
+    "field, entries, message",
+    [
+        ("terms", TERMS + TERMS[:1], "model.terms: duplicate entry for feature 'x1'"),
+        ("terms", [{"feature": "x3", "values": ["0"]}] + TERMS, "unknown feature name 'x3'"),
+        ("terms", TERMS[1:], "model.terms: missing entry for feature 'x1'"),
+        (
+            "terms",
+            [{"feature": "x1", "values": ["0"]}, TERMS[1]],
+            "model.terms[0].values must list one value per domain value of 'x1' (2)",
+        ),
+        (
+            "terms",
+            [{"feature": "x1", "values": "01"}, TERMS[1]],
+            "model.terms[0].values must list one value per domain value of 'x1' (2)",
+        ),
+        ("terms", {"x1": ["0", "1"]}, "model.terms must be a list"),
+        (
+            "terms",
+            [TERMS[0], {"feature": "x2", "values": ["0", "1e3"]}],
+            "model.terms[1].values[1]: invalid rational literal '1e3': exponents are not allowed",
+        ),
+        ("terms", [{"values": ["0", "1"]}], "model.terms[0]: missing required field 'feature'"),
+        ("terms", [{"feature": "x1"}], "model.terms[0]: missing required field 'values'"),
+        ("marginals", MARGINALS + MARGINALS[1:], "{dist}.marginals: duplicate entry for feature 'x2'"),
+        ("marginals", MARGINALS + [{"feature": "y", "probs": []}], "unknown feature name 'y'"),
+        ("marginals", MARGINALS[:1], "{dist}.marginals: missing entry for feature 'x2'"),
+        (
+            "marginals",
+            [MARGINALS[0], {"feature": "x2", "probs": ["1"]}],
+            "{dist}.marginals[1].probs must list one probability per domain value of 'x2' (2)",
+        ),
+        (
+            "marginals",
+            [MARGINALS[0], {"feature": "x2", "probs": {"0": "1"}}],
+            "{dist}.marginals[1].probs must list one probability per domain value of 'x2' (2)",
+        ),
+        ("marginals", "x1", "{dist}.marginals must be a list"),
+        (
+            "marginals",
+            [MARGINALS[0], {"feature": "x2", "probs": ["1/4", 0.75]}],
+            "{dist}.marginals[1].probs[1]: rational literal must be a string, got float",
+        ),
+        (
+            # the values echo is checked after duplicates and before the length
+            "marginals",
+            [{"feature": "x1", "probs": ["1"], "values": ["1", "0"]}, MARGINALS[1]],
+            "{dist}.marginals[0].values does not match the declared domain of 'x1'",
+        ),
+        (
+            "marginals",
+            [MARGINALS[0], {"feature": "x1", "probs": ["1"], "values": ["1", "0"]}],
+            "{dist}.marginals: duplicate entry for feature 'x1'",
+        ),
+        ("marginals", [{"feature": "x1"}], "{dist}.marginals[0]: missing required field 'probs'"),
+    ],
+)
+def test_feature_row_errors_keep_their_line(tmp_path, capsys, field, entries, message):
+    model, dist = AND_MODEL, tmp_path / "dist.json"
+    if field == "terms":
+        model = str(tmp_path / "model.json")
+        doc = json.loads(Path(AND_MODEL).read_text())
+        doc["model"] = {"type": "additive", "terms": entries}
+        Path(model).write_text(json.dumps(doc))
+        dist.write_text(json.dumps({"uniform": True}))
+    else:
+        dist.write_text(json.dumps({"marginals": entries}))
+    code, captured = run_cli("expected", "--model", model, "--dist", str(dist), capsys=capsys)
+    assert (code, captured.err) == (2, f"error: {message.format(dist=dist)}\n")
+
+
+@pytest.mark.parametrize(
+    "command, scheme, message",
+    [
+        ("attribute", {"q": "1/2"}, "scheme.q must be a list of rationals"),
+        ("attribute", {"q": ["1/2", "x"]}, "scheme.q[1]: invalid rational literal 'x'"),
+        ("attribute", {"bernoulli": {"theta": "1/2"}}, "scheme.bernoulli.theta must be a list of rationals"),
+        (
+            "attribute",
+            {"bernoulli": {"theta": ["1/2", 1]}},
+            "scheme.bernoulli.theta[1]: rational literal must be a string, got int",
+        ),
+        ("interact", {"q": {"m": 2, "values": "1"}}, "scheme.q.values must be a list of rationals"),
+        (
+            "interact",
+            {"q": {"m": 2, "values": [1]}},
+            "scheme.q.values[0]: rational literal must be a string, got int",
+        ),
+        ("interact", {"bernoulli": {"theta": {"x1": "1/2"}}}, "scheme.bernoulli.theta must be a list of rationals"),
+    ],
+)
+def test_rational_list_errors_keep_their_line(capsys, command, scheme, message):
+    argv = attribute_args(json.dumps(scheme))
+    argv[0] = command
+    if command == "interact":
+        argv += ["--set", "x1,x2"]
+    code, captured = run_cli(*argv, capsys=capsys)
+    assert (code, captured.err) == (2, f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Malformed inputs to the CLI loaders exit with a documented code and one line.
 
-Each example starts from valid model, distribution, instance and scheme
+Each JSON example starts from valid model, distribution, instance and scheme
 documents, replaces or deletes up to three parts of one of them with
 arbitrary JSON, and runs a subcommand on them in-process.  The run must return 0, 2
 (schema), 3 (scheme or space) or 4 (budget), never raise, and a failure
-must print exactly one line to stderr.
+must print exactly one line to stderr.  Each CSV example feeds ``ingest`` or
+``expected --from-csv`` a file of near-valid rows, possibly with bytes that
+are not UTF-8, and must return 0 or 2 on the same terms.
 """
 
 import copy
@@ -14,7 +16,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from powerdex.cli import main
@@ -97,12 +99,13 @@ def mutated(draw, docs, mutate=True):
 
 
 COMMANDS = st.sampled_from(("attribute", "interact", "expected", "oracle-check", "converse"))
+SLOW = [HealthCheck.too_slow, HealthCheck.data_too_large]
 
 
 @settings(
     max_examples=300,
     deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    suppress_health_check=SLOW,
 )
 @given(
     COMMANDS,
@@ -144,3 +147,51 @@ def test_malformed_inputs_exit_cleanly(command, broken, data, inline):
     else:
         assert message == ""
         json.loads(out.getvalue())
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# cells of the fixtures' two binary features x1, x2, and near misses
+VALUE = st.sampled_from(("0", "1", " 1 ", '"0"'))
+CELL = VALUE | st.sampled_from(("x1", "x2", "x3", "2", "", '"', "0,1")) | st.text(max_size=3)
+
+
+CSV_ERRORS = ("header", "cells, expected", "domain value", "UTF-8", "field limit", "no data rows", "empty")
+
+
+@st.composite
+def csv_files(draw):
+    """Header and rows, often the right ones, joined by one kind of line ending."""
+    header = draw(st.sampled_from((["x1", "x2"], [" x2", "x1 "])) | st.lists(CELL, max_size=3))
+    row = st.lists(VALUE, min_size=2, max_size=2) | st.lists(CELL, max_size=3)
+    rows = draw(st.lists(row, max_size=6))
+    newline = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    data = newline.join(",".join(cells) for cells in [header] + rows).encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+    return data
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=SLOW)
+@given(csv_files() | st.binary(max_size=30), st.sampled_from(("ingest", "expected")))
+@example(b"x1,x2\n0," + b"1" * 200_000 + b"\n", "ingest")
+def test_ingest_exits_cleanly(content, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(content)
+        model = str(FIXTURES / "and_model.json")
+        code, out, message = _run([command, "--model", model, "--from-csv", str(path)])
+    event(f"exit {code}")
+    assert code in (0, 2), (code, content[:80], message)
+    if code:
+        event(next((kind for kind in CSV_ERRORS if kind in message), "other"))
+        assert message.count("\n") == 1 and message.startswith(f"error: {path}: "), message
+    else:
+        assert message == ""
+        json.loads(out)

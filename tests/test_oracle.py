@@ -20,6 +20,7 @@ from powerdex import (
     ProductDistribution,
     SimpleWeights,
     TableModel,
+    WeightError,
     brute_bernoulli_index,
     brute_coalition_sums,
     brute_expectation,
@@ -249,6 +250,22 @@ def test_budget_enforced():
         brute_expectation(
             TableModel(wide, [Fraction(0)] * 27), ProductDistribution.uniform(wide), budget=budget
         )
+
+
+@pytest.mark.parametrize(
+    "brute, weights, message",
+    [
+        (brute_simple_index, SimpleWeights.shapley(3), "weights are for n=3, space has n=2"),
+        (brute_bernoulli_index, BernoulliWeights.constant(3, Fraction(1, 2)), "theta has 3 entries for n=2"),
+        (brute_interaction_index, BernoulliWeights.constant(1, Fraction(1, 2)), "theta has 1 entries for n=2"),
+        (brute_interaction_index, InteractionWeights.single(3, 1, ["1/4"] * 3), "weights are for n=3, space has n=2"),
+    ],
+)
+def test_oracle_rejects_a_mis_sized_scheme_as_the_engine_does(and2, brute, weights, message):
+    _, model, dist, e = and2
+    target = Coalition.singleton(0) if brute is brute_interaction_index else 0
+    with pytest.raises(WeightError, match=message):
+        brute(model, dist, e, target, weights)
 
 
 def test_default_budget_limits():
