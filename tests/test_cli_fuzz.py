@@ -98,6 +98,13 @@ def mutated(draw, docs, mutate=True):
     return doc
 
 
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 COMMANDS = st.sampled_from(("attribute", "interact", "expected", "oracle-check", "converse"))
 SLOW = [HealthCheck.too_slow, HealthCheck.data_too_large]
 
@@ -134,10 +141,7 @@ def test_malformed_inputs_exit_cleanly(command, broken, data, inline):
                 argv += [f"--{name}", json.dumps(doc) if use_inline else str(paths[name])]
         if interaction:
             argv += ["--set", "x1,x2"]
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    message = err.getvalue()
+        code, out, message = _run(argv)
     event(f"exit {code}")
     assert code in (0, 2, 3, 4), (code, argv, message)
     if code:
@@ -146,21 +150,12 @@ def test_malformed_inputs_exit_cleanly(command, broken, data, inline):
         assert "Traceback" not in message
     else:
         assert message == ""
-        json.loads(out.getvalue())
-
-
-def _run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+        json.loads(out)
 
 
 # cells of the fixtures' two binary features x1, x2, and near misses
 VALUE = st.sampled_from(("0", "1", " 1 ", '"0"'))
 CELL = VALUE | st.sampled_from(("x1", "x2", "x3", "2", "", '"', "0,1")) | st.text(max_size=3)
-
-
 CSV_ERRORS = ("header", "cells, expected", "domain value", "UTF-8", "field limit", "no data rows", "empty")
 
 
