@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -137,6 +138,10 @@ def _parse_json(data, what: str):
         return json.loads(data)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:  # the bytes of a file, in the encoding json detected
+        raise SchemaError(
+            f"{what} is not valid {exc.encoding.upper()}: {exc.reason} at byte {exc.start}"
+        ) from None
     except RecursionError:
         # the json parser recurses once per nesting level
         raise SchemaError(f"{what} nests too deeply to parse") from None
@@ -679,6 +684,7 @@ def cmd_ingest(args) -> int:
 # argument parsing and dispatch
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="powerdex",

@@ -360,10 +360,10 @@ class ProductDistribution:
 
 
 def check_shared_space(*objects) -> FeatureSpace:
-    spaces = [obj.space for obj in objects]
-    first = spaces[0]
-    for other in spaces[1:]:
-        if other != first:
+    first = objects[0].space
+    for obj in objects[1:]:
+        other = obj.space
+        if other is not first and other != first:
             raise SpaceMismatchError("objects are bound to different feature spaces")
     return first
 

@@ -664,7 +664,21 @@ class EnsembleModel(Model):
 
     def evaluate(self, instance: Instance) -> Fraction:
         check_shared_space(self, instance)
-        return sum((w * m.evaluate(instance) for w, m in self.components), Fraction(0))
+        # sum_j w_j * F_j(x) as one integer pair over the lcm of the terms'
+        # denominators, reduced once
+        num, den = 0, 1
+        for w, model in self.components:
+            value = model.evaluate(instance)
+            tn = w.numerator * value.numerator
+            if not tn:
+                continue
+            td = w.denominator * value.denominator
+            if den % td:
+                g = gcd(den, td)
+                num *= td // g
+                den *= td // g
+            num += tn * (den // td)
+        return Fraction(num, den)
 
     def expected_value(self, dist: ProductDistribution) -> Fraction:
         return self.expected_values([dist])[0]

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from math import lcm, prod
+from typing import Optional, Sequence, Union
 
 from .core import (
     Coalition,
@@ -82,45 +83,79 @@ def conditional_table(
 
 
 def _contract(model: Model, dist: ProductDistribution, e: Optional[Instance]) -> list[Fraction]:
-    """Sum F over the outcome grid one feature at a time, depth first.
+    """Sum F over the outcome grid one feature at a time, depth first, in integers.
 
-    ``walk(i)`` fixes features 0..i-1 and returns a vector over the
-    coalitions of features i..n-1, bit 0 standing for feature i.  Its even
-    entries (i not in S) are the marginal-weighted sums of the sub-vectors
-    of i's values; its odd entries (i in S) are the sub-vector at e_i.
-    With ``e`` None only the marginal sum is taken and the vector is
-    [E[F]].  A value of probability 0 is visited only when it is e_i.
+    Row i is scaled to integers over the lcm L_i of its denominators.
+    ``walk(i)`` fixes features 0..i-1 and returns ``(nums, den)``, a vector
+    over the coalitions S of features i..n-1, bit 0 standing for feature
+    i, whose entry S is nums[S] / (den * prod of L_j over j >= i not in S).
+    Its even entries (i not in S) are the row-weighted sums of the
+    sub-vectors of i's values; its odd entries (i in S) are the sub-vector
+    at e_i.  A sub-vector over another denominator is brought to the lcm
+    of the two first.  With ``e`` None only the weighted sum is taken and
+    the vector is [E[F]].  A value of probability 0 is visited only when it
+    is e_i.  That is at most n * |Omega| integer multiply-adds, and one
+    Fraction per coalition at the end; the walk holds one vector per level,
+    so memory stays O(2^n).
     """
     space = model.space
     n = space.n
+    scales = [lcm(*(p.denominator for p in row)) for row in dist.probs]
+    rows = [
+        [p.numerator * (scale // p.denominator) for p in row]
+        for row, scale in zip(dist.probs, scales)
+    ]
+    hits = [None] * n if e is None else [space.position(i, e[i]) for i in range(n)]
     omega: list = [None] * n
 
-    def walk(i: int) -> list[Fraction]:
+    def walk(i: int) -> tuple[list[int], int]:
         if i == n:
-            return [model.evaluate(Instance._from_trusted_values(space, tuple(omega)))]
-        free: Optional[list[Fraction]] = None
-        pinned: list[Fraction] = []
-        for v, p in zip(space.domains[i], dist.probs[i]):
-            pin = e is not None and v == e[i]
-            if not p and not pin:
+            value = model.evaluate(Instance._from_trusted_values(space, tuple(omega)))
+            return [value.numerator], value.denominator
+        free: Optional[list[int]] = None
+        pinned: list[int] = []
+        den = 0
+        for k, (v, w) in enumerate(zip(space.domains[i], rows[i])):
+            pin = k == hits[i]
+            if not w and not pin:
                 continue
             omega[i] = v
-            sub = walk(i + 1)
+            sub, d = walk(i + 1)
+            if not den:
+                den = d
+            elif d != den:
+                common = lcm(den, d)
+                if common != den:
+                    up = common // den
+                    if free is not None:
+                        free = [x * up for x in free]
+                    pinned = [x * up for x in pinned]
+                    den = common
+                if common != d:
+                    up = common // d
+                    sub = [x * up for x in sub]
             if pin:
                 pinned = sub
-            if p:
+            if w:
                 if free is None:
-                    free = [p * x for x in sub]
+                    free = [w * x for x in sub]
                 else:
-                    free = [f + p * x for f, x in zip(free, sub)]
+                    free = [f + w * x for f, x in zip(free, sub)]
         if e is None:
-            return free
+            return free, den
         both = free + pinned
         both[0::2] = free
         both[1::2] = pinned
-        return both
+        return both, den
 
-    return walk(0)
+    nums, den = walk(0)
+    if e is None:
+        return [Fraction(nums[0], den * prod(scales))]
+    # the denominator of coalition S is den * prod of L_i over i not in S
+    dens = [den]
+    for scale in scales:
+        dens = [d * scale for d in dens] + dens
+    return [Fraction(x, d) for x, d in zip(nums, dens)]
 
 
 def _table_or_compute(
@@ -171,13 +206,27 @@ def brute_bernoulli_index(
     rest = Coalition.singleton(a).complement(space.n)
     bit = 1 << a
     total = Fraction(0)
-    for s in subsets(rest):
-        q = Fraction(1)
-        for i in rest:
-            q *= weights.theta[i] if i in s else 1 - weights.theta[i]
-        if q:
-            total += q * (table[s.mask | bit] - table[s.mask])
+    for mask, q in _coalition_probs(weights.theta, rest):
+        total += q * (table[mask | bit] - table[mask])
     return total
+
+
+def _coalition_probs(theta: Sequence[Fraction], members: Coalition) -> list[tuple[int, Fraction]]:
+    """(S, prod of theta_i over i in S times 1 - theta_i over members - S).
+
+    One subset-product sweep over the members, in integers over the
+    product of the thetas' denominators, keeping only the coalitions S of
+    members with a nonzero probability.
+    """
+    probs = [(0, 1)]
+    for i in members:
+        t, bit = theta[i], 1 << i
+        a, rest = t.numerator, t.denominator - t.numerator
+        probs = [(mask, q * rest) for mask, q in probs if rest] + [
+            (mask | bit, q * a) for mask, q in probs if a
+        ]
+    den = prod(theta[i].denominator for i in members)
+    return [(mask, Fraction(q, den)) for mask, q in probs]
 
 
 def brute_interaction_index(
@@ -202,28 +251,18 @@ def brute_interaction_index(
 
     if isinstance(weights, InteractionWeights):
         row = weights.row(m)
-
-        def coalition_prob(s: Coalition) -> Fraction:
-            return row[len(s)]
-
+        coalitions = [(s.mask, row[len(s)]) for s in subsets(complement)]
     else:
-        theta = weights.theta
-
-        def coalition_prob(s: Coalition) -> Fraction:
-            q = Fraction(1)
-            for i in complement:
-                q *= theta[i] if i in s else 1 - theta[i]
-            return q
+        coalitions = _coalition_probs(weights.theta, complement)
 
     total = Fraction(0)
-    for s in subsets(complement):
-        q = coalition_prob(s)
+    for mask, q in coalitions:
         if not q:
             continue
         marginal = Fraction(0)
         for b in subsets(a_set):
             sign = -1 if (m - len(b)) % 2 else 1
-            marginal += sign * table[s.mask | b.mask]
+            marginal += sign * table[mask | b.mask]
         total += q * marginal
     return total
 

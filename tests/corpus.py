@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from hypothesis import strategies as st
+
 from powerdex import (
     AdditiveModel,
     BernoulliWeights,
@@ -185,3 +187,68 @@ def build_corpus(seed: int = 20250808, per_n: int = 30, ns=range(2, 9)) -> list[
                 )
             )
     return cases
+
+
+# ---------------------------------------------------------------------------
+# hypothesis strategies: rationals over mixed denominators, rows with zero
+# entries and point masses, every model kind and nested ensembles
+
+
+def rationals(bound: int = 9):
+    return st.builds(Fraction, st.integers(-bound, bound), st.integers(1, 12))
+
+
+def component_weights():
+    return st.just(Fraction(0)) | rationals()
+
+
+@st.composite
+def small_spaces(draw, max_n: int = 4) -> FeatureSpace:
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=max_n))
+    return FeatureSpace([tuple(str(v) for v in range(size)) for size in sizes])
+
+
+@st.composite
+def sparse_distributions(draw, space: FeatureSpace) -> ProductDistribution:
+    # small weights over a row total, so a row's reduced entries have
+    # different denominators; a row may hold zeros or be a point mass
+    rows = []
+    for domain in space.domains:
+        size = len(domain)
+        weights = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size).filter(any))
+        rows.append([Fraction(w, sum(weights)) for w in weights])
+    return ProductDistribution(space, rows)
+
+
+def instances(space: FeatureSpace):
+    return st.tuples(*(st.sampled_from(d) for d in space.domains)).map(
+        lambda values: Instance(space, values)
+    )
+
+
+@st.composite
+def models(draw, space: FeatureSpace, depth: int = 2):
+    """A table, additive, tree or ensemble model; ensembles nest ``depth`` deep."""
+    kinds = MODEL_KINDS if depth else MODEL_KINDS[:-1]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "table":
+        size = space.outcome_count()
+        return TableModel(space, draw(st.lists(rationals(), min_size=size, max_size=size)))
+    if kind == "additive":
+        terms = [
+            draw(st.lists(rationals(), min_size=len(d), max_size=len(d)))
+            for d in space.domains
+        ]
+        return AdditiveModel(space, draw(rationals()), terms)
+    if kind == "tree":
+        return TreeModel(space, _drawn_tree(draw, space, frozenset(range(space.n))))
+    components = st.tuples(component_weights(), models(space, depth - 1))
+    return EnsembleModel(draw(st.lists(components, min_size=1, max_size=3)))
+
+
+def _drawn_tree(draw, space: FeatureSpace, free: frozenset):
+    if not free or draw(st.booleans()):
+        return Leaf(draw(rationals()))
+    feature = draw(st.sampled_from(sorted(free)))
+    rest = free - {feature}
+    return Split(feature, tuple(_drawn_tree(draw, space, rest) for _ in space.domains[feature]))

@@ -299,6 +299,18 @@ def test_distribution_must_normalize(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field", ["model", "dist", "instance", "scheme"])
+def test_json_file_that_is_not_utf8_is_one_line_naming_it(tmp_path, capsys, field):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"space": "\xff"}')
+    argv = attribute_args('{"preset":"shapley"}')
+    argv[argv.index(f"--{field}") + 1] = str(path)
+    code, captured = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {path} is not valid UTF-8: invalid start byte at byte 11\n"
+
+
 # ---------------------------------------------------------------------------
 # interact
 
@@ -860,6 +872,19 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["values"] == ["3/8", "3/8"]
+
+
+def test_parser_is_built_once_and_answers_every_call_alike(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    runs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["attribute", "--model", AND_MODEL])
+        runs.append((exc.value.code, capsys.readouterr().err))
+        runs.append(run_cli(*attribute_args('{"preset":"shapley"}'), capsys=capsys))
+    assert runs[0][0] == 2 and "required" in runs[0][1]
+    assert runs[1][0] == 0
+    assert runs[:2] == runs[2:]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from powerdex.models import TREE_DEPTH_LIMIT, Leaf, Split
 
 from corpus import (
     MODEL_KINDS,
+    component_weights,
+    models,
     and_space,
     and_table_model,
     and_tree_model,
@@ -34,6 +36,7 @@ from corpus import (
     random_model_of_kind,
     random_space,
     random_tree_model,
+    small_spaces,
 )
 
 
@@ -197,6 +200,24 @@ def test_ensemble_equals_weighted_component_sum():
             (w * m.expected_value(dist) for w, m in zip(weights, models)), Fraction(0)
         )
         assert ensemble.expected_value(dist) == expected
+
+
+@given(st.data())
+def test_ensemble_evaluate_is_the_weighted_sum_of_its_components(data):
+    space = data.draw(small_spaces())
+    # weights with denominators or 0; components of every kind, ensembles too
+    components = data.draw(
+        st.lists(st.tuples(component_weights(), models(space)), min_size=1, max_size=4)
+    )
+    ensemble = EnsembleModel(components)
+    for x in space.outcomes():
+        x = Instance(space, x)
+        assert ensemble.evaluate(x) == sum(
+            (w * m.evaluate(x) for w, m in components), Fraction(0)
+        )
+    foreign = FeatureSpace([*space.domains, ("0",)])
+    with pytest.raises(SpaceMismatchError):
+        ensemble.evaluate(Instance(foreign, ("0",) * foreign.n))
 
 
 # ---------------------------------------------------------------------------

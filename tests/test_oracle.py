@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerdex import (
+    AdditiveModel,
     BernoulliInteractionWeights,
     BernoulliWeights,
     BudgetExceededError,
     Coalition,
     CountingModel,
+    EnsembleModel,
     FeatureSpace,
     Instance,
     InteractionWeights,
@@ -20,6 +22,7 @@ from powerdex import (
     ProductDistribution,
     SimpleWeights,
     TableModel,
+    TreeModel,
     WeightError,
     brute_bernoulli_index,
     brute_coalition_sums,
@@ -28,13 +31,19 @@ from powerdex import (
     brute_simple_index,
     conditional_expectation,
     conditional_table,
+    subsets,
 )
+
+from powerdex.models import Leaf, Split
 
 from corpus import (
     MODEL_KINDS,
+    THETA_GRID,
     and_space,
     and_table_model,
     constant_model,
+    instances,
+    models,
     ones_instance,
     or_table_model,
     random_distribution,
@@ -42,6 +51,8 @@ from corpus import (
     random_model_of_kind,
     random_space,
     random_tree_model,
+    small_spaces,
+    sparse_distributions,
 )
 
 
@@ -145,6 +156,94 @@ def test_oracle_calls_only_evaluate_once_per_outcome(kind):
         run(counted)
         assert counted.expected_value_calls == 0
         assert 0 < counted.evaluate_calls <= model.space.outcome_count()
+
+
+def _mixed_case():
+    # mixed denominators in a row and among the leaves, e_1 of probability
+    # 0 on a point-mass row, a one-value feature, a zero component weight
+    # and an ensemble inside an ensemble
+    space = FeatureSpace([("a", "b", "c"), ("x", "y"), ("u",)])
+    dist = ProductDistribution(
+        space,
+        [
+            [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)],
+            [Fraction(0), Fraction(1)],
+            [Fraction(1)],
+        ],
+    )
+    tree = TreeModel(
+        space,
+        Split(0, (
+            Leaf(Fraction(1, 5)),
+            Split(1, (Leaf(Fraction(-7, 4)), Leaf(Fraction(2, 9)))),
+            Leaf(Fraction(3)),
+        )),
+    )
+    table = TableModel(space, [Fraction(k, k + 2) for k in range(6)])
+    additive = AdditiveModel(
+        space,
+        Fraction(1, 7),
+        [[Fraction(1, 2), 0, Fraction(-5, 3)], [Fraction(1, 11), 2], [Fraction(3, 8)]],
+    )
+    inner = EnsembleModel([(Fraction(-1, 4), additive), (Fraction(2, 3), tree)])
+    model = EnsembleModel([(Fraction(1, 3), tree), (Fraction(0), table), (Fraction(5, 2), inner)])
+    return model, dist, Instance(space, ("b", "x", "u"))
+
+
+@st.composite
+def _contraction_cases(draw):
+    space = draw(small_spaces())
+    return draw(models(space)), draw(sparse_distributions(space)), draw(instances(space))
+
+
+@given(_contraction_cases())
+@example(_mixed_case())
+@settings(deadline=None)
+def test_integer_contraction_equals_the_sum_over_every_outcome(case):
+    model, dist, e = case
+    want = _definitional_table(model, dist, e)
+    assert conditional_table(model, dist, e) == want
+    assert brute_expectation(model, dist) == want[0]
+
+
+def _theta_product(theta, members, mask):
+    q = Fraction(1)
+    for i in members:
+        q *= theta[i] if mask >> i & 1 else 1 - theta[i]
+    return q
+
+
+@given(_contraction_cases(), st.data())
+@settings(deadline=None)
+def test_bernoulli_oracles_equal_the_per_coalition_product(case, data):
+    model, dist, e = case
+    n = model.space.n
+    theta = data.draw(st.lists(st.sampled_from(THETA_GRID), min_size=n, max_size=n))
+    table = _definitional_table(model, dist, e)
+    for a in range(n):
+        rest = [i for i in range(n) if i != a]
+        want = sum(
+            _theta_product(theta, rest, mask) * (table[mask | 1 << a] - table[mask])
+            for mask in range(1 << n)
+            if not mask >> a & 1
+        )
+        assert brute_bernoulli_index(
+            model, dist, e, a, BernoulliWeights(theta), table=table
+        ) == want
+    a_set = Coalition.from_members(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    complement = list(a_set.complement(n))
+    want = 0
+    for mask in range(1 << n):
+        if mask & a_set.mask:
+            continue
+        marginal = sum(
+            (-1) ** (len(a_set) - b.mask.bit_count()) * table[mask | b.mask]
+            for b in subsets(a_set)
+        )
+        want += _theta_product(theta, complement, mask) * marginal
+    assert brute_interaction_index(
+        model, dist, e, a_set, BernoulliInteractionWeights(theta), table=table
+    ) == want
 
 
 def test_brute_simple_index_and(and2):
