@@ -5,18 +5,20 @@ Three computation paths, all exact:
 * interpolation -- works for any cardinality-based weight vector; 2n
   expected values per feature at the integer nodes z = 0..n-1, combined
   with the dual Vandermonde weights of the vector (equivalently: solve
-  the Vandermonde system for the per-size marginal sums).  A model with
-  its own walk (``Model._gap_polynomials``: trees, and ensembles of them)
-  gives the generating polynomial those nodes sample directly.
+  the Vandermonde system for the per-size marginal sums).
 * bernoulli-direct -- two expected values, for indices whose coalition
   distribution factors into independent per-feature inclusion trials.
 * closed-form -- the marginal preset, which needs no expectations at all.
 
-Every path that needs expectations goes through ``batched_node_sums``:
-the distributions of all requested targets at one node form one request.
-A target is the derivative along a feature or a set (``_derivative``); a
-feature's distributions each swap one marginal of the node's, so
-``Model.expected_values_swapped`` answers them from one pass.
+Both paths that need expectations take a feature's derivative
+E[F | a pinned to e_a] - E[F | a free], the other features on their
+z-mixture rows (interpolation) or theta-mixture rows (bernoulli-direct).
+A model with its own walk (``Model._gap_polynomials``: trees, additive
+models and ensembles of them) gives every feature's derivative from one
+pass.  Every other model, and every interaction set of two or more
+members, goes through ``batched_node_sums``: the distributions of all
+requested targets (``_derivative``) at one node form one
+``expected_values`` batch.  Engine calls count requested expectations.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .core import (
     point_mass_row,
 )
 from .interpolation import vandermonde_dual, vandermonde_solve
-from .models import Model, _z_factors, conditional_expectation
+from .models import Factor, Model, _fixed_factors, _z_factors, conditional_expectation
 
 PATH_INTERPOLATION = "interpolation"
 PATH_BERNOULLI = "bernoulli-direct"
@@ -209,31 +211,21 @@ def batched_node_sums(
 
     ``node_rows`` yields the n base probability rows of each node, and a
     variant's distribution is the node's rows with its own rows put in.
-    Each node makes one request for every variant of every target: when
-    each variant puts in a single row, to ``model.expected_values_swapped``
-    (one pass over the node's distribution answers them all), otherwise
-    to ``model.expected_values``.  Also returns the number of
-    distributions requested for each target, which is its engine-call
-    count.
+    Each node makes one ``model.expected_values`` request for every
+    variant of every target.  Also returns the number of distributions
+    requested for each target, which is its engine-call count.
     """
     sums: list[list[Fraction]] = [[] for _ in targets]
     calls = [0] * len(targets)
     overrides = [rows for variants in targets for _, rows in variants]
-    swaps = None
-    if all(len(rows) == 1 for rows in overrides):
-        swaps = [next(iter(rows.items())) for rows in overrides]
     for rows in node_rows:
-        if swaps is not None:
-            node = ProductDistribution._from_trusted_rows(space, tuple(rows))
-            values = iter(model.expected_values_swapped(node, swaps))
-        else:
-            batch = []
-            for extra in overrides:
-                varied = list(rows)
-                for i, row in extra.items():
-                    varied[i] = row
-                batch.append(ProductDistribution._from_trusted_rows(space, tuple(varied)))
-            values = iter(model.expected_values(batch))
+        batch = []
+        for extra in overrides:
+            varied = list(rows)
+            for i, row in extra.items():
+                varied[i] = row
+            batch.append(ProductDistribution._from_trusted_rows(space, tuple(varied)))
+        values = iter(model.expected_values(batch))
         for t, variants in enumerate(targets):
             calls[t] += len(variants)
             sums[t].append(
@@ -268,7 +260,7 @@ def _z_node_sums(
 ) -> tuple[list[list[Fraction]], list[int]]:
     """``batched_node_sums`` with every marginal blended toward e by each node's z-mixture."""
     space = dist.space
-    hits = [space.position(i, e[i]) for i in range(space.n)]
+    hits = _hits(space, e)
 
     def rows(z):
         if not z:
@@ -314,20 +306,27 @@ def _coefficient_sums(gaps: Iterable[Sequence[Fraction]]) -> list[tuple[Fraction
 Walked = tuple[list[dict[int, list[int]]], int]
 
 
-def _walked_gaps(
-    model: Model, dist: ProductDistribution, e: Instance, features: Sequence[int]
-) -> Optional[Walked]:
+def _hits(space: FeatureSpace, e: Instance) -> list[int]:
+    return [space.position(i, e[i]) for i in range(space.n)]
+
+
+def _walked(model: Model, factors: Sequence[Factor], features: Sequence[int]) -> Optional[Walked]:
     """The features' gap polynomials from the model's own walk, or None without one."""
-    space = dist.space
-    hits = [space.position(i, e[i]) for i in range(space.n)]
     wanted = 0
     for a in features:
         wanted |= 1 << a
-    found = model._gap_polynomials(_z_factors(dist.probs, hits), wanted)
+    found = model._gap_polynomials(factors, wanted)
     if found is None:
         return None
     polys, den = found
     return [polys.get(a, {}) for a in features], den
+
+
+def _walked_gaps(
+    model: Model, dist: ProductDistribution, e: Instance, features: Sequence[int]
+) -> Optional[Walked]:
+    # under the z-mixture rows of the other features
+    return _walked(model, _z_factors(dist.probs, _hits(dist.space, e)), features)
 
 
 def _walked_indices(walked: Walked, q: Sequence[Fraction]) -> list[Fraction]:
@@ -441,6 +440,15 @@ def _bernoulli_indices(
             space.check_feature(i)
     _check_scheme_size(weights, space.n)
     mixed = bernoulli_mixture(dist, e, weights.theta)
+    if all(len(members) == 1 for members in member_sets):
+        features = [a for (a,) in member_sets]
+        factors = _fixed_factors(mixed.probs, dist.probs, _hits(space, e))
+        walked = _walked(model, factors, features)
+        if walked is not None:
+            # fixed rows: each Q_{a,L} is a constant, and the gap is their sum
+            by_feature, den = walked
+            values = [Fraction(sum(q[0] for q in polys.values()), den) for polys in by_feature]
+            return values, [2] * len(features)
     targets = [_derivative(space, dist, e, members) for members in member_sets]
     sums, calls = batched_node_sums(model, space, [mixed.probs], targets)
     return [s[0] for s in sums], calls

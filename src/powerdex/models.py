@@ -5,12 +5,15 @@ Every model exposes two primitives: ``evaluate`` on a full instance and
 engine is the workhorse that all attribution reductions call; they
 submit their calls in batches through ``expected_values``, which models
 may override to share work between the distributions of one batch.
-Batches in which every distribution is one base distribution with a
-single marginal swapped go through ``expected_values_swapped``: E[F] is
-multilinear in the marginal rows, so models answer all such swaps from
-one pass over the base distribution.  Trees and ensembles compute on
-reduced (numerator, denominator) integer pairs and build a Fraction only
-for each value they return.
+
+Trees, additive models and ensembles of them also answer the private
+walk hook ``Model._gap_polynomials``: every wanted feature's gap (pinned
+to e minus free) under given rows of the other features, in one pass.
+Both reductions of ``indices`` ask it first, interpolation with the
+z-mixture rows and bernoulli-direct with the theta-mixture rows; tables,
+``CountingModel`` and user subclasses answer None and get the batches.
+Trees and ensembles compute on reduced (numerator, denominator) integer
+pairs and build a Fraction only for each value they return.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from math import gcd, lcm
+from typing import Mapping, Optional, Sequence, Union
 
 from .core import (
     Coalition,
@@ -38,8 +41,6 @@ TABLE_SIZE_LIMIT = 1 << 24
 # so the bound keeps every walk far below Python's recursion limit.
 TREE_DEPTH_LIMIT = 512
 
-_ZERO = Fraction(0)
-
 # A marginal swap: feature i's row replaced by another row over its domain.
 Swap = tuple[int, Sequence[Fraction]]
 
@@ -52,44 +53,66 @@ class _PairRows:
     """Probability rows as pairs, each distinct row object converted once.
 
     Lives for one engine call, during which every row it has seen stays
-    alive (the caller holds the distributions and swaps), so the rows'
-    identities are stable keys.  Nothing is stored on a distribution.
+    alive (the caller holds the distributions), so the rows' identities
+    are stable keys.  Nothing is stored on a distribution.
     """
 
     def __init__(self):
         self._rows: dict[int, tuple[Pair, ...]] = {}
         self._tables: dict[int, list[tuple[Pair, ...]]] = {}
 
-    def row(self, row: Sequence[Fraction]) -> tuple[Pair, ...]:
-        pairs = self._rows.get(id(row))
-        if pairs is None:
-            pairs = self._rows[id(row)] = tuple([(p.numerator, p.denominator) for p in row])
-        return pairs
-
     def rows(self, probs: Sequence[Sequence[Fraction]]) -> list[tuple[Pair, ...]]:
         table = self._tables.get(id(probs))
         if table is None:
-            table = self._tables[id(probs)] = [self.row(row) for row in probs]
+            table = self._tables[id(probs)] = []
+            for row in probs:
+                pairs = self._rows.get(id(row))
+                if pairs is None:
+                    pairs = self._rows[id(row)] = tuple([(p.numerator, p.denominator) for p in row])
+                table.append(pairs)
         return table
 
 
-# A feature's z-mixture row over one denominator, (den, nums, hit): under a
-# split on the feature, child c has the linear factor
-# (nums[c] + z * den * [c == hit]) / den, hit being e's position.
-ZFactor = tuple[int, tuple[int, ...], int]
+# A feature's walk factor over one denominator, (den, nums, hit, gaps).
+# Under a split on another feature, child c has the context factor
+# (nums[c] + z * den * [c == hit]) / den: the z-mixture row, hit being e's
+# position, or a fixed row with hit -1 (no z term).  Under a split on the
+# feature itself, child c has the own gap (delta_e - p)(c) on the input
+# row p, which is gaps[c] / den; gaps is None on a z-mixture row, whose
+# own gap is (den * [c == hit] - nums[c]) / den.
+Factor = tuple[int, tuple[int, ...], int, Optional[tuple[int, ...]]]
 
 # Gap polynomials (see ``Model._gap_polynomials``): per feature and path
 # length L, the integer coefficients of Q_L times the shared denominator.
 GapPolynomials = tuple[dict[int, dict[int, list[int]]], int]
 
 
-def _z_factors(probs: Sequence[Sequence[Fraction]], hits: Sequence[int]) -> list[ZFactor]:
+def _z_factors(probs: Sequence[Sequence[Fraction]], hits: Sequence[int]) -> list[Factor]:
     factors = []
     for row, hit in zip(probs, hits):
         den = 1
         for p in row:
             den *= p.denominator // gcd(den, p.denominator)
-        factors.append((den, tuple([p.numerator * (den // p.denominator) for p in row]), hit))
+        factors.append((den, tuple([p.numerator * (den // p.denominator) for p in row]), hit, None))
+    return factors
+
+
+def _fixed_factors(
+    context: Sequence[Sequence[Fraction]],
+    probs: Sequence[Sequence[Fraction]],
+    hits: Sequence[int],
+) -> list[Factor]:
+    # every feature on its context row, its own gap on its input row
+    factors = []
+    for fixed, row, hit in zip(context, probs, hits):
+        den = 1
+        for p in (*fixed, *row):
+            den *= p.denominator // gcd(den, p.denominator)
+        nums = tuple([p.numerator * (den // p.denominator) for p in fixed])
+        gaps = tuple(
+            [(den if c == hit else 0) - p.numerator * (den // p.denominator) for c, p in enumerate(row)]
+        )
+        factors.append((den, nums, -1, gaps))
     return factors
 
 
@@ -132,13 +155,6 @@ def _fractions(values: Sequence[Pair]) -> list[Fraction]:
     return out
 
 
-def _swapped_mask(swaps: Sequence[Swap]) -> int:
-    mask = 0
-    for i, _ in swaps:
-        mask |= 1 << i
-    return mask
-
-
 class Model(abc.ABC):
     """An evaluable map from full instances to rationals."""
 
@@ -161,13 +177,18 @@ class Model(abc.ABC):
     ) -> list[Fraction]:
         """Per ``(i, row)`` of ``swaps``: E[F] under dist with feature i's marginal set to row.
 
-        Each row must be a probability row over feature i's domain (the
-        reductions pass point masses, input marginals and mixtures).  The
-        answers equal ``expected_values`` on the swapped distributions.
+        Each row must be a probability row over feature i's domain.  The
+        answers are ``expected_values`` on the swapped distributions.
         """
-        space = _check_swaps(self, dist, swaps)
+        space = check_shared_space(self, dist)
         dists = []
         for i, row in swaps:
+            space.check_feature(i)
+            if len(row) != len(space.domains[i]):
+                raise ValueError(
+                    f"feature {i}: a swapped row of {len(row)} probabilities "
+                    f"for {len(space.domains[i])} values"
+                )
             rows = list(dist.probs)
             rows[i] = row
             dists.append(ProductDistribution._from_trusted_rows(space, tuple(rows)))
@@ -175,49 +196,33 @@ class Model(abc.ABC):
 
     # The same answers as pairs, for an ensemble that sums its components
     # without building a Fraction per term.  ``pairs`` converts rows once
-    # per call for all components.  These defaults go through the public
-    # methods; trees and ensembles compute in pairs.
+    # per call for all components.  This default goes through the public
+    # method; trees and ensembles compute in pairs.
 
     def _pair_values(
         self, dists: Sequence[ProductDistribution], pairs: _PairRows
     ) -> list[Pair]:
         return [(v.numerator, v.denominator) for v in self.expected_values(dists)]
 
-    def _pair_values_swapped(
-        self, dist: ProductDistribution, swaps: Sequence[Swap], pairs: _PairRows
-    ) -> list[Pair]:
-        return [
-            (v.numerator, v.denominator) for v in self.expected_values_swapped(dist, swaps)
-        ]
-
     def _gap_polynomials(
-        self, factors: Sequence[ZFactor], wanted: int
+        self, factors: Sequence[Factor], wanted: int
     ) -> Optional[GapPolynomials]:
         """Each wanted feature's gap polynomials, or None for a model without a walk.
 
-        Under the z-mixture (z*delta_j + p_j)/(1+z) of every other feature
-        j, feature a's gap (pinned to e_a minus free) times (1+z)^(n-1) is
-        the generating polynomial G_a(z) = sum_L Q_{a,L}(z) (1+z)^(n-L),
-        each Q_{a,L} of degree below L.  A model with a walk returns
-        ``(polys, den)``: ``polys[a][L]`` holds den times the coefficients
-        of Q_{a,L}, lowest first, for the features of the bitmask
-        ``wanted`` (a missing feature or length is 0).  ``factors`` holds
-        every feature's z-mixture row.  The default has no walk; the
-        reductions then request the n-node expectations.
+        Feature a's gap is E[F] with a's row replaced by its own gap
+        delta_{e_a} - p_a and every other feature j on its context row
+        (see ``Factor``).  Under the z-mixture (z*delta_j + p_j)/(1+z), the
+        gap times (1+z)^(n-1) is the generating polynomial
+        G_a(z) = sum_L Q_{a,L}(z) (1+z)^(n-L), each Q_{a,L} of degree below
+        L; under fixed rows every Q_{a,L} is a constant and the gap is
+        their sum.  A model with a walk returns ``(polys, den)``:
+        ``polys[a][L]`` holds den times the coefficients of Q_{a,L}, lowest
+        first, for the features of the bitmask ``wanted`` (a missing
+        feature or length is 0).  ``factors`` holds every feature's
+        factor.  The default has no walk; the reductions then request the
+        expectations themselves.
         """
         return None
-
-
-def _check_swaps(model: Model, dist: ProductDistribution, swaps: Sequence[Swap]) -> FeatureSpace:
-    space = check_shared_space(model, dist)
-    for i, row in swaps:
-        space.check_feature(i)
-        if len(row) != len(space.domains[i]):
-            raise ValueError(
-                f"feature {i}: a swapped row of {len(row)} probabilities "
-                f"for {len(space.domains[i])} values"
-            )
-    return space
 
 
 class TableModel(Model):
@@ -322,24 +327,21 @@ class AdditiveModel(Model):
                     total += v * p
         return total
 
-    def expected_values_swapped(
-        self, dist: ProductDistribution, swaps: Sequence[Swap]
-    ) -> list[Fraction]:
-        # only feature i's term changes: E - t_i.p_i + t_i.row
-        _check_swaps(self, dist, swaps)
-        value = self.expected_value(dist)
-        rest: dict[int, Fraction] = {}
-        values = []
-        for i, row in swaps:
-            terms = self.terms[i]
-            if i not in rest:
-                rest[i] = value - _dot(terms, dist.probs[i])
-            values.append(rest[i] + _dot(terms, row))
-        return values
-
-
-def _dot(values: Sequence[Fraction], probs: Sequence[Fraction]) -> Fraction:
-    return sum((v * p for v, p in zip(values, probs) if p), _ZERO)
+    def _gap_polynomials(
+        self, factors: Sequence[Factor], wanted: int
+    ) -> Optional[GapPolynomials]:
+        # feature a's gap is z-free, the path length 1 constant
+        # Q_{a,1} = sum_c (delta_e - p_a)(c) * t_a(c)
+        values = {}
+        for a, ((den, nums, hit, gaps), terms) in enumerate(zip(factors, self.terms)):
+            if wanted >> a & 1:
+                if gaps is None:  # a z-mixture row
+                    gaps = [(den if c == hit else 0) - num for c, num in enumerate(nums)]
+                total = sum((g * t for g, t in zip(gaps, terms) if g), Fraction(0))
+                if total:
+                    values[a] = total / den
+        den = lcm(*(v.denominator for v in values.values()))
+        return {a: {1: [v.numerator * (den // v.denominator)]} for a, v in values.items()}, den
 
 
 @dataclass(frozen=True)
@@ -451,10 +453,7 @@ class TreeModel(Model):
 
     def expected_value(self, dist: ProductDistribution) -> Fraction:
         check_shared_space(self, dist)
-        tree = self._tree
-        if tree.__class__ is not tuple:
-            return tree  # a single leaf
-        return Fraction(*_expect(tree, _PairRows().rows(dist.probs)))
+        return Fraction(*self._value(_PairRows().rows(dist.probs)))
 
     def _value(self, rows: Sequence[Sequence[Pair]]) -> Pair:
         tree = self._tree
@@ -486,110 +485,20 @@ class TreeModel(Model):
             values.append(value)
         return values
 
-    def expected_values_swapped(
-        self, dist: ProductDistribution, swaps: Sequence[Swap]
-    ) -> list[Fraction]:
-        """All swaps from one walk (none if the tree reads no swapped feature).
-
-        E with row i := r is E + sum_v r(v) * D_i[v], where D_i[v] sums
-        A_s * (C_s[v] - value_s) over the splits s on feature i: A_s is the
-        probability of reaching s, C_s[v] the value of its child for v and
-        value_s its own value.  No split on i lies below another, so A_s
-        does not depend on row i.
-        """
-        _check_swaps(self, dist, swaps)
-        if not _swapped_mask(swaps) & self._mask:
-            return [self.expected_value(dist)] * len(swaps)
-        return _fractions(self._pair_values_swapped(dist, swaps, _PairRows()))
-
-    def _pair_values_swapped(
-        self, dist: ProductDistribution, swaps: Sequence[Swap], pairs: _PairRows
-    ) -> list[Pair]:
-        rows = pairs.rows(dist.probs)
-        wanted = _swapped_mask(swaps)
-        if not wanted & self._mask:
-            return [self._value(rows)] * len(swaps)
-        value, grads = self._swap_walk(rows, wanted)
-        values = []
-        for i, row in swaps:
-            grad = grads.get(i)
-            if grad is None:
-                values.append(value)
-                continue
-            num, den = value
-            for (a, b), (gn, gd) in zip(pairs.row(row), grad):
-                if a and gn:
-                    d = b * gd
-                    num = num * d + a * gn * den
-                    den *= d
-            g = gcd(num, den)
-            values.append((num // g, den // g))
-        return values
-
-    def _swap_walk(
-        self, rows: Sequence[Sequence[Pair]], wanted: int
-    ) -> tuple[Pair, dict[int, list[Pair]]]:
-        """E under the pair rows, and D_i (see ``expected_values_swapped``) per wanted i.
-
-        ``wanted`` is a bitmask of features.  Subtrees without a split on a
-        wanted feature, and subtrees reached with probability 0, only need
-        their value.
-        """
-        grads = {i: [(0, 1)] * len(rows[i]) for i in self._read if wanted >> i & 1}
-
-        def walk(node: tuple, rn: int, rd: int) -> Pair:
-            # the subtree's value; rn/rd is the nonzero product of the
-            # branch probabilities above node
-            feature, children, _ = node
-            grad = grads.get(feature)
-            num, den = 0, 1
-            values = []
-            for (a, b), child in zip(rows[feature], children):
-                if child.__class__ is not tuple:
-                    cn, cd = child.numerator, child.denominator
-                elif a and child[2] & wanted:
-                    n, d = rn * a, rd * b
-                    g = gcd(n, d)
-                    cn, cd = walk(child, n // g, d // g)
-                elif a or grad is not None:
-                    cn, cd = _expect(child, rows)
-                else:
-                    continue  # probability 0 under a split no swap reads
-                if a:
-                    d = b * cd
-                    num = num * d + a * cn * den
-                    den *= d
-                values.append((cn, cd))
-            g = gcd(num, den)
-            num //= g
-            den //= g
-            if grad is not None:
-                for k, (cn, cd) in enumerate(values):
-                    # grad[k] += reach * (child - value)
-                    tn = rn * (cn * den - num * cd)
-                    if tn:
-                        td = rd * cd * den
-                        gn, gd = grad[k]
-                        gn = gn * td + tn * gd
-                        gd *= td
-                        g = gcd(gn, gd)
-                        grad[k] = (gn // g, gd // g)
-            return num, den
-
-        return walk(self._tree, 1, 1), grads
-
     def _gap_polynomials(
-        self, factors: Sequence[ZFactor], wanted: int
+        self, factors: Sequence[Factor], wanted: int
     ) -> Optional[GapPolynomials]:
         """One walk: a leaf of value v on a path P of length L adds to Q_{a,L}, a in P,
 
-        v * (delta_a - p_a)(c_a) * prod_{j in P, j != a} (z*delta_j + p_j)(c_j),
+        v * (delta_a - p_a)(c_a) * prod_{j in P, j != a} f_j(c_j),
 
-        c_j being the path's child at feature j.  The walk carries the
-        product F of the path's factors and, per wanted feature a on the
-        path, E_a = g_a * prod_{j != a} f_j, all over the product of the
-        path's denominators.  Children of probability 0 off e add nothing;
-        subtrees without a wanted feature are skipped when no E_a is carried.
+        c_j being the path's child at feature j and f_j its context factor
+        (see ``Factor``).  The walk carries the product F of the path's
+        context factors and, per wanted feature a on the path,
+        E_a = g_a * prod_{j != a} f_j, all over the product of the path's
+        denominators.  A child whose context factor is 0 gets only its own
+        gap, and F is 0 below it; subtrees without a wanted feature are
+        skipped when no E_a is carried.
         """
         polys: dict[int, dict[int, list[int]]] = {}
         tree = self._tree
@@ -613,23 +522,34 @@ class TreeModel(Model):
                 _accumulate(polys.setdefault(a, {}), length, s, gap)
 
         def walk(node: tuple, length: int, product, carried: list, rest: int) -> None:
-            # rest: top over the product of the denominators on the path to node
+            # rest: top over the product of the denominators on the path to
+            # node; product: F, or None where no gap can start below
             feature, children, _ = node
-            den, nums, hit = factors[feature]
-            own = wanted >> feature & 1
+            den, nums, hit, own_gaps = factors[feature]
+            starting = wanted if product is not None else 0  # features that may start a gap
+            own = starting >> feature & 1
             rest //= den
             length += 1
             for c, (num, child) in enumerate(zip(nums, children)):
                 on_e = c == hit
-                if not num and not on_e:
-                    continue
                 split = child.__class__ is tuple
+                if not num and not on_e:
+                    # a zero context factor: F and every carried E_a are 0
+                    # below; on a fixed row the own gap need not be
+                    g = own_gaps[c] if own and own_gaps is not None else 0
+                    if g and (split or child):
+                        gaps = [(feature, [g * x for x in product])]
+                        if split:
+                            walk(child, length, None, gaps, rest)
+                        else:
+                            add(gaps, length, child, rest)
+                    continue
                 if not split and not child:
                     continue  # a zero leaf
-                below = split and child[2] & wanted
+                below = split and child[2] & starting
                 gaps = [(a, _times(gap, num, den, on_e)) for a, gap in carried]
                 if own:
-                    g = den - num if on_e else -num
+                    g = (den - num if on_e else -num) if own_gaps is None else own_gaps[c]
                     if g:
                         gaps.append((feature, [g * x for x in product]))
                 if not split:
@@ -650,8 +570,10 @@ class TreeModel(Model):
 class EnsembleModel(Model):
     """Weighted sum of component models sharing one space.
 
-    Components answer in reduced pairs (``Model._pair_values`` and
-    ``Model._pair_values_swapped``), sharing one conversion of the rows.
+    Components answer batches in reduced pairs (``Model._pair_values``),
+    sharing one conversion of the rows.  The ensemble answers the walk
+    hook (``Model._gap_polynomials``) when every component does, as
+    trees, additive models and ensembles of them do.
     """
 
     def __init__(self, components: Sequence[tuple[Fraction, Model]]):
@@ -687,26 +609,29 @@ class EnsembleModel(Model):
         check_shared_space(self, *dists)
         return _fractions(self._pair_values(dists, _PairRows()))
 
-    def expected_values_swapped(
-        self, dist: ProductDistribution, swaps: Sequence[Swap]
-    ) -> list[Fraction]:
-        _check_swaps(self, dist, swaps)
-        return _fractions(self._pair_values_swapped(dist, swaps, _PairRows()))
-
     def _pair_values(self, dists: Sequence[ProductDistribution], pairs: _PairRows) -> list[Pair]:
-        return self._weighted_sums(
-            len(dists), (m._pair_values(dists, pairs) for _, m in self.components)
-        )
-
-    def _pair_values_swapped(
-        self, dist: ProductDistribution, swaps: Sequence[Swap], pairs: _PairRows
-    ) -> list[Pair]:
-        return self._weighted_sums(
-            len(swaps), (m._pair_values_swapped(dist, swaps, pairs) for _, m in self.components)
-        )
+        # sum_j w_j * answer_j, entry by entry, one gcd per product and sum
+        totals: list[Pair] = [(0, 1)] * len(dists)
+        for w, model in self.components:
+            wn, wd = w.numerator, w.denominator
+            # a component repeats one value object for the distributions
+            # it cannot tell apart, so weight each distinct object once
+            weighted: dict[int, Pair] = {}
+            for k, value in enumerate(model._pair_values(dists, pairs)):
+                term = weighted.get(id(value))
+                if term is None:
+                    n, d = wn * value[0], wd * value[1]
+                    g = gcd(n, d)
+                    term = weighted[id(value)] = (n // g, d // g)
+                num, den = totals[k]
+                num = num * term[1] + term[0] * den
+                den *= term[1]
+                g = gcd(num, den)
+                totals[k] = (num // g, den // g)
+        return totals
 
     def _gap_polynomials(
-        self, factors: Sequence[ZFactor], wanted: int
+        self, factors: Sequence[Factor], wanted: int
     ) -> Optional[GapPolynomials]:
         # sum_j w_j * polys_j over one common denominator; no walk unless
         # every component has one
@@ -731,27 +656,6 @@ class EnsembleModel(Model):
                     _accumulate(into, length, s, coeffs)
         return total, den
 
-    def _weighted_sums(self, count: int, answers: Iterable[list[Pair]]) -> list[Pair]:
-        # sum_j w_j * answer_j, entry by entry, one gcd per product and sum
-        totals: list[Pair] = [(0, 1)] * count
-        for (w, _), values in zip(self.components, answers):
-            wn, wd = w.numerator, w.denominator
-            # a component repeats one value object for the distributions
-            # it cannot tell apart, so weight each distinct object once
-            weighted: dict[int, Pair] = {}
-            for k, value in enumerate(values):
-                term = weighted.get(id(value))
-                if term is None:
-                    n, d = wn * value[0], wd * value[1]
-                    g = gcd(n, d)
-                    term = weighted[id(value)] = (n // g, d // g)
-                num, den = totals[k]
-                num = num * term[1] + term[0] * den
-                den *= term[1]
-                g = gcd(num, den)
-                totals[k] = (num // g, den // g)
-        return totals
-
 
 class CountingModel(Model):
     """Delegating wrapper that counts engine calls (used for call-count contracts)."""
@@ -773,12 +677,6 @@ class CountingModel(Model):
     def expected_values(self, dists: Sequence[ProductDistribution]) -> list[Fraction]:
         self.expected_value_calls += len(dists)
         return self.inner.expected_values(dists)
-
-    def expected_values_swapped(
-        self, dist: ProductDistribution, swaps: Sequence[Swap]
-    ) -> list[Fraction]:
-        self.expected_value_calls += len(swaps)
-        return self.inner.expected_values_swapped(dist, swaps)
 
 
 def conditional_expectation(

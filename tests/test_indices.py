@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from powerdex import (
@@ -21,6 +21,7 @@ from powerdex import (
     all_coefficients,
     attribute_all,
     bernoulli_indices,
+    brute_bernoulli_index,
     brute_coefficient_sums,
     brute_simple_index,
     compute_bernoulli_index,
@@ -38,6 +39,7 @@ from powerdex.indices import _walked_gaps
 from powerdex.models import Leaf, Split
 
 from corpus import (
+    THETA_GRID,
     and_space,
     and_table_model,
     constant_model,
@@ -254,13 +256,18 @@ def test_attribute_all_marginal_uses_closed_form(and2):
     assert report.values == (Fraction(1, 2), Fraction(1, 2))
 
 class SpyTree(TreeModel):
-    """A tree that counts its traversals."""
+    """A tree that counts its traversals and its gap walks."""
 
     traversals = 0
+    walks = 0
 
-    def expected_value(self, dist):
+    def _value(self, rows):
         self.traversals += 1
-        return super().expected_value(dist)
+        return super()._value(rows)
+
+    def _gap_polynomials(self, factors, wanted):
+        self.walks += 1
+        return super()._gap_polynomials(factors, wanted)
 
 
 def test_tree_skips_traversals_for_a_feature_it_never_reads():
@@ -275,7 +282,8 @@ def test_tree_skips_traversals_for_a_feature_it_never_reads():
     value = compute_simple_index(counted, dist, e, 3, SimpleWeights.shapley(4))
     assert value == 0  # a dummy feature
     assert counted.expected_value_calls == 8  # the 2n contract counts distributions
-    assert spy.traversals == 4  # one traversal per node: pinned and free coincide
+    # the wrapper hides the walk; pinned and free coincide, one traversal per node
+    assert (spy.walks, spy.traversals) == (0, 4)
 
 
 def test_attribute_all_engine_calls_count_requested_expectations():
@@ -369,29 +377,23 @@ def test_path_agreement_banzhaf_binomial():
         ) == compute_bernoulli_index(model, dist, e, a, BernoulliWeights.constant(5, theta))
 
 
-class SpyWalkTree(SpyTree):
-    """A tree that counts its traversals and its swap walks."""
-
-    walks = 0
-
-    def _swap_walk(self, dist, wanted):
-        self.walks += 1
-        return super()._swap_walk(dist, wanted)
-
-
-def test_tree_answers_each_node_with_one_walk():
+def test_tree_answers_every_node_from_one_walk():
     rng = random.Random(5)
     space = random_space(rng, 4)
     leaves = lambda k: tuple(Leaf(Fraction(rng.randint(-9, 9), 7)) for _ in range(k))
     root = Split(0, tuple(Split(1, leaves(len(space.domains[1]))) for _ in space.domains[0]))
-    spy = SpyWalkTree(space, root)
+    spy = SpyTree(space, root)
     dist = random_distribution(rng, space)
     e = random_instance(rng, space)
+    shapley = SimpleWeights.shapley(4)
+    value = compute_simple_index(spy, dist, e, 1, shapley)
+    assert (spy.walks, spy.traversals) == (1, 0)  # the four nodes from one walk
     counted = CountingModel(spy)
-    value = compute_simple_index(counted, dist, e, 1, SimpleWeights.shapley(4))
-    assert value == brute_simple_index(spy, dist, e, 1, SimpleWeights.shapley(4))
+    assert compute_simple_index(counted, dist, e, 1, shapley) == value
     assert counted.expected_value_calls == 8  # the 2n contract counts distributions
-    assert (spy.walks, spy.traversals) == (4, 0)  # one walk per node
+    # the wrapper hides the walk: pinned and free differ on a read feature
+    assert (spy.walks, spy.traversals) == (1, 8)
+    assert value == brute_simple_index(spy, dist, e, 1, shapley)
 
 
 def test_bernoulli_singleton_interaction_is_the_feature_reduction():
@@ -399,14 +401,17 @@ def test_bernoulli_singleton_interaction_is_the_feature_reduction():
     space = random_space(rng, 4)
     leaves = lambda k: tuple(Leaf(Fraction(rng.randint(-9, 9), 7)) for _ in range(k))
     root = Split(0, tuple(Split(1, leaves(len(space.domains[1]))) for _ in space.domains[0]))
-    spy = SpyWalkTree(space, root)
+    spy = SpyTree(space, root)
     dist = random_distribution(rng, space)
     e = random_instance(rng, space)
     theta = BernoulliWeights([Fraction(k, 5) for k in range(4)])
+    singleton = Coalition.singleton(1)
+    value = compute_interaction_bernoulli(spy, dist, e, singleton, theta)
+    assert (spy.walks, spy.traversals) == (1, 0)  # both expectations from one walk
     counted = CountingModel(spy)
-    value = compute_interaction_bernoulli(counted, dist, e, Coalition.singleton(1), theta)
+    assert compute_interaction_bernoulli(counted, dist, e, singleton, theta) == value
     assert counted.expected_value_calls == 2
-    assert (spy.walks, spy.traversals) == (1, 0)  # both swaps from one walk
+    assert (spy.walks, spy.traversals) == (1, 2)  # wrapped: one traversal each
     assert value == compute_bernoulli_index(spy, dist, e, 1, theta)
 
 
@@ -457,23 +462,29 @@ def test_attribute_all_reports_coefficient_sums_from_the_same_pass():
 # ---------------------------------------------------------------------------
 # the per-tree polynomial walk against the n-node reduction
 
-def test_an_unwrapped_tree_makes_no_swap_walk_and_no_traversal():
+def test_an_unwrapped_tree_makes_no_traversal_on_either_walk_path():
     rng = random.Random(5)
     space = random_space(rng, 4)
     leaves = lambda k: tuple(Leaf(Fraction(rng.randint(-9, 9), 7)) for _ in range(k))
     root = Split(0, tuple(Split(1, leaves(len(space.domains[1]))) for _ in space.domains[0]))
-    spy = SpyWalkTree(space, root)
+    spy = SpyTree(space, root)
     dist = random_distribution(rng, space)
     e = random_instance(rng, space)
     shapley = SimpleWeights.shapley(4)
     report = attribute_all(spy, dist, e, shapley, coefficient_sums=True)
     values = simple_indices(spy, dist, e, shapley)
     sums = all_coefficients(spy, dist, e)
-    assert (spy.walks, spy.traversals) == (0, 0)  # the n-node path makes 4 walks per call
+    banzhaf = attribute_all(spy, dist, e, SimpleWeights.banzhaf(4))
+    theta = BernoulliWeights([Fraction(k, 3) for k in range(4)])
+    bernoulli = bernoulli_indices(spy, dist, e, theta)
+    assert (spy.walks, spy.traversals) == (5, 0)  # one walk per call, interpolated or direct
     assert report.engine_calls == (8,) * 4  # the 2n contract still counts distributions
+    assert banzhaf.engine_calls == (2,) * 4  # and the 2 of bernoulli-direct
     assert list(report.values) == values
     assert list(report.coefficient_sums) == sums
     assert report == attribute_all(CountingModel(spy), dist, e, shapley, coefficient_sums=True)
+    assert banzhaf == attribute_all(CountingModel(spy), dist, e, SimpleWeights.banzhaf(4))
+    assert bernoulli == bernoulli_indices(CountingModel(spy), dist, e, theta)
 
 
 ROW_KINDS = ("random", "zero entry", "zero at e", "point mass at e", "point mass off e")
@@ -541,8 +552,22 @@ def _weights(rng, n, preset):
     depth=st.integers(min_value=1, max_value=7),
     kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=7, max_size=7),
     preset=st.sampled_from(PRESETS),
+    thetas=st.lists(st.sampled_from(THETA_GRID), min_size=7, max_size=7),
 )
-def test_the_walk_equals_the_node_reduction_and_the_oracle(seed, n, shape, depth, kinds, preset):
+# theta_j = 1 (a point mass at e), and theta_j = 0 on a zero entry at e,
+# each give a split above a wanted feature a child whose context factor is
+# 0 but whose own gap is not
+@example(
+    seed=1, n=3, shape="tree", depth=3, kinds=["random"] * 7,
+    preset="shapley", thetas=[Fraction(1)] * 7,
+)
+@example(
+    seed=1, n=3, shape="tree", depth=3, kinds=["zero at e"] * 7,
+    preset="shapley", thetas=[Fraction(0)] * 7,
+)
+def test_the_walk_equals_the_node_reduction_and_the_oracle(
+    seed, n, shape, depth, kinds, preset, thetas
+):
     rng = random.Random(seed)
     space = random_space(rng, n)
     e = random_instance(rng, space)
@@ -555,7 +580,7 @@ def test_the_walk_equals_the_node_reduction_and_the_oracle(seed, n, shape, depth
     w = _weights(rng, n, preset)
     features = range(n)
     walks = _walked_gaps(model, dist, e, features) is not None
-    assert walks == (shape not in ("with table", "with additive"))
+    assert walks == (shape != "with table")
     counted = CountingModel(model)
     assert _walked_gaps(counted, dist, e, features) is None
 
@@ -569,8 +594,20 @@ def test_the_walk_equals_the_node_reduction_and_the_oracle(seed, n, shape, depth
     a = rng.randrange(n)  # one wanted feature
     assert compute_simple_index(model, dist, e, a, w) == values[a]
     assert interpolate_coefficients(model, dist, e, a) == sums[a]
+
+    theta = BernoulliWeights(thetas[:n])
+    bernoulli = bernoulli_indices(model, dist, e, theta)
+    assert bernoulli == bernoulli_indices(counted, dist, e, theta)
+    direct = []
+    for scheme in (SimpleWeights.banzhaf(n), SimpleWeights.binomial(n, Fraction(rng.randint(1, 6), 7))):
+        report = attribute_all(model, dist, e, scheme)
+        assert report == attribute_all(counted, dist, e, scheme)
+        direct.append((scheme, report.values))
     if n <= 6:
         table = conditional_table(model, dist, e)
         for a in features:
             assert values[a] == brute_simple_index(model, dist, e, a, w, table=table)
             assert sums[a] == brute_coefficient_sums(model, dist, e, a, table=table)
+            assert bernoulli[a] == brute_bernoulli_index(model, dist, e, a, theta, table=table)
+            for scheme, got in direct:
+                assert got[a] == brute_simple_index(model, dist, e, a, scheme, table=table)

@@ -446,6 +446,11 @@ def test_tree_depth_limit():
     report = attribute_all(tree, ProductDistribution.point_mass(e), e, SimpleWeights.shapley(depth + 1))
     assert report.values == (0,) * (depth + 1)
     assert report.engine_calls == (2 * (depth + 1),) * (depth + 1)
+    # Banzhaf runs the same walk on the theta = 1/2 rows (1/4, 3/4), where
+    # every gap is nonzero
+    report = attribute_all(tree, dist, e, SimpleWeights.banzhaf(depth + 1))
+    assert report.values == (Fraction(1, 2) * Fraction(3, 4) ** (depth - 1),) * depth + (0,)
+    assert report.path == "bernoulli-direct"
     root = tree.root  # rebuilt one frame per level, within the default limit
     limit = sys.getrecursionlimit()
     # dataclass equality recurses about four frames per level
