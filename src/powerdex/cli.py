@@ -51,16 +51,13 @@ from .interaction import (
     BivariateGrid,
     InteractionWeights,
     PATH_BIVARIATE,
-    compute_interaction_bernoulli,
-    compute_interaction_simple,
+    _interaction_bernoulli,
+    _interaction_simple,
 )
 from .models import (
     AdditiveModel,
-    CountingModel,
     EnsembleModel,
-    Leaf,
     Model,
-    Split,
     TREE_DEPTH_LIMIT,
     TableModel,
     TreeModel,
@@ -96,10 +93,14 @@ class NamedSpace:
     names: tuple[str, ...]
     space: FeatureSpace
 
+    @functools.cached_property
+    def _positions(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.names)}
+
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._positions[name]
+        except (KeyError, TypeError):  # TypeError: a JSON list or object
             raise SchemaError(f"unknown feature name {name!r}") from None
 
 
@@ -153,6 +154,32 @@ def _load_json(path: str):
     return _parse_json(data, path)
 
 
+@contextmanager
+def _model_nesting():
+    """Room for the json parser to decode a model file, whatever the caller's depth.
+
+    The parser recurses about twice per split, so the decode may go
+    2 * TREE_DEPTH_LIMIT + 100 levels below the caller; the recursion limit
+    is raised, never lowered, and restored on exit.  The tree walks recurse
+    once per split from about the same depth under the restored limit, so
+    the allowance stays below twice the levels left there: a tree too deep
+    for them fails to decode.  A file nested more deeply still fails with a
+    RecursionError, before the C stack is at risk.
+    """
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    levels = min(2 * TREE_DEPTH_LIMIT + 100, 2 * (limit - depth) - 64)
+    sys.setrecursionlimit(max(limit, depth + levels))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def parse_space(doc) -> NamedSpace:
     features = _require(doc, "features", "space")
     if not isinstance(features, list) or not features:
@@ -177,36 +204,94 @@ def parse_space(doc) -> NamedSpace:
     return NamedSpace(tuple(names), FeatureSpace(domains))
 
 
-def _parse_tree_node(doc, named: NamedSpace, context: str, depth: int = 0):
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{context}: tree node must be an object")
-    if "leaf" in doc:
-        return Leaf(_rational(doc["leaf"], f"{context}.leaf"))
-    if depth == TREE_DEPTH_LIMIT:
-        raise SchemaError(f"{context}: tree is deeper than the limit of {TREE_DEPTH_LIMIT} splits")
-    name = _require(doc, "feature", context)
-    children_doc = _require(doc, "children", context)
-    feature = named.index(name)
-    domain = named.space.domains[feature]
-    if not isinstance(children_doc, dict):
-        raise SchemaError(f"{context}.children must be an object keyed by value")
-    unknown = set(children_doc) - set(domain)
-    if unknown:
-        raise SchemaError(
-            f"{context}.children: {sorted(unknown)!r} are not values of feature {name!r}"
-        )
-    missing = set(domain) - set(children_doc)
-    if missing:
-        raise SchemaError(
-            f"{context}.children: missing children for values {sorted(missing)!r} "
-            f"of feature {name!r}"
-        )
-    children = []  # a loop, not a generator: one stack frame per tree level
-    for v in domain:
-        children.append(
-            _parse_tree_node(children_doc[v], named, f"{context}.children[{v!r}]", depth + 1)
-        )
-    return Split(feature, tuple(children))
+def _parse_tree(root, named: NamedSpace, context: str, literals: dict) -> TreeModel:
+    """A tree model document compiled in one pass into ``TreeModel``'s stored form.
+
+    The nodes are read depth first, each split's children in domain order,
+    with an explicit stack of the open splits.  The checks and their
+    messages are those of reading ``Leaf``/``Split`` nodes and building
+    ``TreeModel(space, root)``: a node's own errors come in tree order, and
+    a feature repeated along a path, the library's check, is reported only
+    once the whole tree has read cleanly.  A node's context string is built
+    only for an error.  ``literals`` maps each leaf literal already parsed
+    in this file to its Fraction.
+    """
+    domains = named.space.domains
+    # each open split is [feature, an iterator over its children's documents,
+    # its compiled children, its subtree's feature mask, its path's feature
+    # mask]; the first entry stands in as the root's parent
+    stack: list[list] = [[None, iter((root,)), [], 0, 0]]
+    repeat = None  # the first feature repeated along a path
+
+    def where() -> str:
+        # each open split is reading its child at the count compiled so far
+        steps = [f".children[{domains[f][len(kids)]!r}]" for f, _, kids, _, _ in stack[1:]]
+        return f"{context}.root" + "".join(steps)
+
+    while True:
+        frame = stack[-1]
+        kids = frame[2]
+        for node in frame[1]:
+            if node.__class__ is not dict:
+                raise SchemaError(f"{where()}: tree node must be an object")
+            if "leaf" in node:
+                text = node["leaf"]
+                compiled = literals.get(text) if text.__class__ is str else None
+                if compiled is None:
+                    try:
+                        compiled = parse_rational(text)
+                    except ValueError as exc:
+                        raise SchemaError(f"{where()}.leaf: {exc}") from None
+                    if text.__class__ is str:
+                        literals[text] = compiled
+                kids.append(compiled)
+                continue
+            if len(stack) > TREE_DEPTH_LIMIT:
+                raise SchemaError(
+                    f"{where()}: tree is deeper than the limit of {TREE_DEPTH_LIMIT} splits"
+                )
+            if "feature" not in node or "children" not in node:
+                key = "feature" if "feature" not in node else "children"
+                raise SchemaError(f"{where()}: missing required field {key!r}")
+            name = node["feature"]
+            feature = named.index(name)
+            domain = domains[feature]
+            children = node["children"]
+            if children.__class__ is not dict:
+                raise SchemaError(f"{where()}.children must be an object keyed by value")
+            if tuple(children) == domain:  # keyed in domain order, as files usually are
+                docs = iter(children.values())
+            else:
+                unknown = set(children) - set(domain)
+                if unknown:
+                    raise SchemaError(
+                        f"{where()}.children: {sorted(unknown)!r} are not values of feature {name!r}"
+                    )
+                missing = set(domain) - set(children)
+                if missing:
+                    raise SchemaError(
+                        f"{where()}.children: missing children for values {sorted(missing)!r} "
+                        f"of feature {name!r}"
+                    )
+                docs = map(children.__getitem__, domain)
+            bit = 1 << feature
+            path = frame[4]
+            if path & bit and repeat is None:
+                repeat = feature
+            stack.append([feature, docs, [], bit, path | bit])
+            break
+        else:
+            # every child is compiled: so is the split, as its parent's child
+            stack.pop()
+            if not stack:
+                break
+            feature, _, _, mask, _ = frame
+            parent = stack[-1]
+            parent[2].append((feature, tuple(kids), mask))
+            parent[3] |= mask
+    if repeat is not None:
+        raise SchemaError(f"{context}: feature {repeat} repeats along a path")
+    return TreeModel._from_compiled(named.space, kids[0])
 
 
 def _feature_rows(
@@ -241,7 +326,12 @@ def _feature_rows(
     return rows
 
 
-def parse_model(doc, named: NamedSpace, context: str = "model") -> Model:
+def parse_model(
+    doc, named: NamedSpace, context: str = "model", literals: Optional[dict] = None
+) -> Model:
+    """The model of a document; ``literals`` memoizes leaf literals across its trees."""
+    if literals is None:
+        literals = {}
     kind = _require(doc, "type", context)
     space = named.space
     if kind == "table":
@@ -260,11 +350,7 @@ def parse_model(doc, named: NamedSpace, context: str = "model") -> Model:
         rows = _feature_rows(terms, named, f"{context}.terms", "values", "value")
         return AdditiveModel(space, bias, rows)
     if kind == "tree":
-        root = _parse_tree_node(_require(doc, "root", context), named, f"{context}.root")
-        try:
-            return TreeModel(space, root)
-        except ValueError as exc:
-            raise SchemaError(f"{context}: {exc}") from None
+        return _parse_tree(_require(doc, "root", context), named, context, literals)
     if kind == "ensemble":
         components_doc = _require(doc, "components", context)
         if not isinstance(components_doc, list) or not components_doc:
@@ -279,6 +365,7 @@ def parse_model(doc, named: NamedSpace, context: str = "model") -> Model:
                 _require(comp, "model", f"{context}.components[{idx}]"),
                 named,
                 f"{context}.components[{idx}].model",
+                literals,
             )
             components.append((weight, inner))
         return EnsembleModel(components)
@@ -286,7 +373,8 @@ def parse_model(doc, named: NamedSpace, context: str = "model") -> Model:
 
 
 def load_model_file(path: str) -> tuple[NamedSpace, Model]:
-    doc = _load_json(path)
+    with _model_nesting():
+        doc = _load_json(path)
     named = parse_space(_require(doc, "space", path))
     model = parse_model(_require(doc, "model", path), named)
     return named, model
@@ -535,11 +623,11 @@ def cmd_attribute(args) -> int:
     return EXIT_OK
 
 
-def _interaction(model, dist, e, a_set, scheme) -> tuple[Fraction, str]:
-    """The interaction index of ``a_set`` and the path that computed it."""
+def _interaction(model, dist, e, a_set, scheme) -> tuple[Fraction, int, str]:
+    """The interaction index of ``a_set``, its engine calls and the path that computed it."""
     if isinstance(scheme, InteractionWeights):
-        return compute_interaction_simple(model, dist, e, a_set, scheme), PATH_BIVARIATE
-    return compute_interaction_bernoulli(model, dist, e, a_set, scheme), PATH_BERNOULLI
+        return (*_interaction_simple(model, dist, e, a_set, scheme), PATH_BIVARIATE)
+    return (*_interaction_bernoulli(model, dist, e, a_set, scheme), PATH_BERNOULLI)
 
 
 def cmd_interact(args) -> int:
@@ -548,8 +636,7 @@ def cmd_interact(args) -> int:
     scheme = parse_interaction_scheme(
         _load_inline_or_file(args.scheme, "scheme"), named.space.n
     )
-    counted = CountingModel(model)
-    value, path = _interaction(counted, dist, e, a_set, scheme)
+    value, calls, path = _interaction(model, dist, e, a_set, scheme)
     doc = {
         "command": "interact",
         "features": list(named.names),
@@ -557,7 +644,7 @@ def cmd_interact(args) -> int:
         "set": [named.names[i] for i in a_set],
         "scheme": scheme_descriptor(scheme),
         "path": path,
-        "engine_calls": counted.expected_value_calls,
+        "engine_calls": calls,
         "value": format_rational(value),
         "decimal": decimal_string(value),
     }

@@ -39,6 +39,13 @@ MAX_LITERAL_DIGITS = 4300
 
 _DIGIT_RUN = re.compile(r"[\d_]+")
 
+# An integer or p/q in ASCII digits, with no sign but '-', no spaces and no
+# underscores: the form ``format_rational`` writes, read without the
+# checks below.  Its length bound is the least ``int_max_str_digits`` the
+# interpreter accepts, so ``int`` converts it under any setting.
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_PLAIN_LENGTH = 640
+
 
 def _quote(text: str) -> str:
     # at most 40 characters of a literal go into an error message
@@ -56,6 +63,14 @@ def parse_rational(text: str) -> Fraction:
     """
     if not isinstance(text, str):
         raise ValueError(f"rational literal must be a string, got {type(text).__name__}")
+    plain = _PLAIN.fullmatch(text) if len(text) <= _PLAIN_LENGTH else None
+    if plain is not None:
+        num, den = plain.groups()
+        if den is None:
+            return Fraction(int(num))
+        den = int(den)
+        if den:  # a zero denominator takes the checks below
+            return Fraction(int(num), den)
     s = text.strip()
     if "e" in s or "E" in s:
         raise ValueError(f"invalid rational literal {_quote(text)}: exponents are not allowed")

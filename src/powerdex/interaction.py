@@ -173,6 +173,19 @@ def compute_interaction_simple(
     whose coefficients are the size-partitioned sums of E[F|S u B];
     the index is their signed, weighted total.
     """
+    return _interaction_simple(model, dist, e, a_set, weights, grid, prefactor)[0]
+
+
+def _interaction_simple(
+    model: Model,
+    dist: ProductDistribution,
+    e: Instance,
+    a_set: Coalition,
+    weights: InteractionWeights,
+    grid: Optional[BivariateGrid] = None,
+    prefactor: str = PREFACTOR_FACTORED,
+) -> tuple[Fraction, int]:
+    # the index and the number of expectations it requested
     space = check_shared_space(model, dist, e)
     a_set.check_within(space)
     if not a_set:
@@ -203,8 +216,8 @@ def compute_interaction_simple(
         )
         for y, w in zip(grid.y_nodes, y_weights)
     ]
-    sums, _ = _z_node_sums(model, dist, e, grid.z_nodes, [variants])
-    return _dual_dots(grid.z_nodes, row, z_power, sums)[0]
+    sums, calls = _z_node_sums(model, dist, e, grid.z_nodes, [variants])
+    return _dual_dots(grid.z_nodes, row, z_power, sums)[0], calls[0]
 
 
 def compute_interaction_bernoulli(
@@ -222,6 +235,17 @@ def compute_interaction_bernoulli(
     inside the target set are ignored.  This is the reduction of
     ``compute_bernoulli_index``, whose feature is the |A| = 1 case.
     """
+    return _interaction_bernoulli(model, dist, e, a_set, weights)[0]
+
+
+def _interaction_bernoulli(
+    model: Model,
+    dist: ProductDistribution,
+    e: Instance,
+    a_set: Coalition,
+    weights: BernoulliWeights,
+) -> tuple[Fraction, int]:
+    # the index and the number of expectations it requested
     space = check_shared_space(model, dist, e)
     a_set.check_within(space)
     if not a_set:
@@ -232,4 +256,5 @@ def compute_interaction_bernoulli(
             f"interaction set of size {m} would need 2^{m} expectations "
             f"(limit {INTERACTION_SET_LIMIT})"
         )
-    return _bernoulli_indices(model, dist, e, [a_set.members()], weights)[0][0]
+    values, calls = _bernoulli_indices(model, dist, e, [a_set.members()], weights)
+    return values[0], calls[0]

@@ -164,6 +164,12 @@ class Model(abc.ABC):
     def evaluate(self, instance: Instance) -> Fraction:
         """Exact model output for a full instance."""
 
+    def _evaluate(self, instance: Instance) -> Fraction:
+        # ``evaluate`` on an instance already checked to share the space
+        # (an ensemble's, for its components); the built-in models skip
+        # the check here
+        return self.evaluate(instance)
+
     @abc.abstractmethod
     def expected_value(self, dist: ProductDistribution) -> Fraction:
         """Exact expectation of the model under a product distribution."""
@@ -269,6 +275,9 @@ class TableModel(Model):
 
     def evaluate(self, instance: Instance) -> Fraction:
         check_shared_space(self, instance)
+        return self._evaluate(instance)
+
+    def _evaluate(self, instance: Instance) -> Fraction:
         return self.values[self._index(instance)]
 
     def expected_value(self, dist: ProductDistribution) -> Fraction:
@@ -312,6 +321,9 @@ class AdditiveModel(Model):
 
     def evaluate(self, instance: Instance) -> Fraction:
         check_shared_space(self, instance)
+        return self._evaluate(instance)
+
+    def _evaluate(self, instance: Instance) -> Fraction:
         space = self.space
         return self.bias + sum(
             (self.terms[i][space.position(i, instance[i])] for i in range(space.n)),
@@ -402,10 +414,22 @@ class TreeModel(Model):
 
     def __init__(self, space: FeatureSpace, root: TreeNode):
         self.space = space
-        self._tree = self._compile(root, seen_nodes=set(), path_features=frozenset())
-        self._mask = self._tree[2] if self._tree.__class__ is tuple else 0
+        self._adopt(self._compile(root, seen_nodes=set(), path_features=frozenset()))
+
+    @classmethod
+    def _from_compiled(cls, space: FeatureSpace, tree: Compiled) -> "TreeModel":
+        # skips validation; callers must supply the compiled form of a
+        # valid tree over space, as ``_compile`` builds it
+        model = object.__new__(cls)
+        model.space = space
+        model._adopt(tree)
+        return model
+
+    def _adopt(self, tree: Compiled) -> None:
+        self._tree = tree
+        self._mask = tree[2] if tree.__class__ is tuple else 0
         # the features some split branches on
-        self._read = tuple(i for i in range(space.n) if self._mask >> i & 1)
+        self._read = tuple(i for i in range(self.space.n) if self._mask >> i & 1)
 
     @property
     def root(self) -> TreeNode:
@@ -444,6 +468,9 @@ class TreeModel(Model):
 
     def evaluate(self, instance: Instance) -> Fraction:
         check_shared_space(self, instance)
+        return self._evaluate(instance)
+
+    def _evaluate(self, instance: Instance) -> Fraction:
         node = self._tree
         space = self.space
         while node.__class__ is tuple:
@@ -586,11 +613,15 @@ class EnsembleModel(Model):
 
     def evaluate(self, instance: Instance) -> Fraction:
         check_shared_space(self, instance)
+        return self._evaluate(instance)
+
+    def _evaluate(self, instance: Instance) -> Fraction:
         # sum_j w_j * F_j(x) as one integer pair over the lcm of the terms'
-        # denominators, reduced once
+        # denominators, reduced once; the components' spaces were checked
+        # equal to the ensemble's at construction
         num, den = 0, 1
         for w, model in self.components:
-            value = model.evaluate(instance)
+            value = model._evaluate(instance)
             tn = w.numerator * value.numerator
             if not tn:
                 continue

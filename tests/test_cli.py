@@ -27,7 +27,7 @@ from powerdex.cli import (
     parse_model,
     parse_space,
 )
-from powerdex.models import TREE_DEPTH_LIMIT
+from powerdex.models import TREE_DEPTH_LIMIT, TreeModel
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -287,6 +287,156 @@ def test_malformed_model_file(tmp_path, capsys):
     assert "children" in captured.err
 
 
+TREE_SPACE = {"features": [
+    {"name": "x1", "values": ["0", "1"]},
+    {"name": "x2", "values": ["0", "1", "2"]},
+]}
+L1 = {"leaf": "1"}
+
+
+def _split(name, *children):
+    return {"feature": name, "children": {str(v): child for v, child in enumerate(children)}}
+
+
+def _chain(depth):
+    # a split on c_k over {0, 1} per level, the next level under "1"
+    node = L1
+    for k in reversed(range(depth)):
+        node = {"feature": f"c{k}", "children": {"0": {"leaf": "0"}, "1": node}}
+    return node
+
+
+CHAIN_SPACE = {
+    "features": [{"name": f"c{k}", "values": ["0", "1"]} for k in range(TREE_DEPTH_LIMIT + 1)]
+}
+X1_REPEATS = _split("x1", _split("x1", L1, L1), L1)  # x1 again under x1 = "0"
+
+
+@pytest.mark.parametrize(
+    "space, model, message",
+    [
+        (TREE_SPACE, {"type": "tree", "root": ["leaf"]}, "model.root: tree node must be an object"),
+        (
+            TREE_SPACE,
+            {"type": "tree", "root": _split("x1", L1, 5)},
+            "model.root.children['1']: tree node must be an object",
+        ),
+        (TREE_SPACE, {"type": "tree"}, "model: missing required field 'root'"),
+        (
+            TREE_SPACE,
+            {"type": "tree", "root": {"children": {}}},
+            "model.root: missing required field 'feature'",
+        ),
+        (
+            TREE_SPACE,
+            {"type": "tree", "root": _split("x1", {"feature": "x2"}, L1)},
+            "model.root.children['0']: missing required field 'children'",
+        ),
+        (TREE_SPACE, {"type": "tree", "root": _split("x3", L1, L1)}, "unknown feature name 'x3'"),
+        (
+            TREE_SPACE,
+            {"type": "tree", "root": {"feature": ["x1"], "children": {}}},
+            "unknown feature name ['x1']",
+        ),
+        (
+            TREE_SPACE,
+            {"type": "tree", "root": {"feature": "x2", "children": [L1, L1, L1]}},
+            "model.root.children must be an object keyed by value",
+        ),
+        (
+            TREE_SPACE,
+            {"type": "tree", "root": _split("x1", L1, L1, L1, L1)},
+            "model.root.children: ['2', '3'] are not values of feature 'x1'",
+        ),
+        (
+            TREE_SPACE,
+            {"type": "tree", "root": _split("x1", L1, {"feature": "x2", "children": {"1": L1}})},
+            "model.root.children['1'].children: missing children for values ['0', '2'] of feature 'x2'",
+        ),
+        (
+            # unknown values are reported before missing ones
+            TREE_SPACE,
+            {"type": "tree", "root": {"feature": "x2", "children": {"0": L1, "b": L1, "a": L1}}},
+            "model.root.children: ['a', 'b'] are not values of feature 'x2'",
+        ),
+        (
+            TREE_SPACE,
+            {"type": "tree", "root": _split("x2", L1, L1, _split("x1", L1, {"leaf": "x"}))},
+            "model.root.children['2'].children['1'].leaf: invalid rational literal 'x'",
+        ),
+        (
+            TREE_SPACE,
+            {"type": "tree", "root": _split("x1", {"leaf": 3}, L1)},
+            "model.root.children['0'].leaf: rational literal must be a string, got int",
+        ),
+        (
+            TREE_SPACE,
+            {"type": "tree", "root": {"leaf": "1/0"}},
+            "model.root.leaf: invalid rational literal '1/0': denominator must be positive",
+        ),
+        (
+            CHAIN_SPACE,
+            {"type": "tree", "root": _chain(TREE_DEPTH_LIMIT + 1)},
+            "model.root" + ".children['1']" * TREE_DEPTH_LIMIT
+            + f": tree is deeper than the limit of {TREE_DEPTH_LIMIT} splits",
+        ),
+        (TREE_SPACE, {"type": "tree", "root": X1_REPEATS}, "model: feature 0 repeats along a path"),
+        (
+            # the first repeat in depth-first order is reported
+            TREE_SPACE,
+            {"type": "tree", "root": _split(
+                "x1", _split("x2", L1, _split("x2", L1, L1, L1), L1), X1_REPEATS
+            )},
+            "model: feature 1 repeats along a path",
+        ),
+        (
+            # a later error in the same tree is reported before a repeat
+            TREE_SPACE,
+            {"type": "tree", "root": _split("x1", _split("x1", L1, L1), {"leaf": "x"})},
+            "model.root.children['1'].leaf: invalid rational literal 'x'",
+        ),
+        (
+            TREE_SPACE,
+            {"type": "tree", "root": _split("x2", X1_REPEATS, L1, _split("x3", L1, L1))},
+            "unknown feature name 'x3'",
+        ),
+        (
+            # components are read in order: a repeat in one is reported
+            # before any error in a later one
+            TREE_SPACE,
+            {"type": "ensemble", "components": [
+                {"weight": "1", "model": {"type": "tree", "root": L1}},
+                {"weight": "1", "model": {"type": "tree", "root": X1_REPEATS}},
+                {"weight": "x", "model": {"type": "tree", "root": {"leaf": "x"}}},
+            ]},
+            "model.components[1].model: feature 0 repeats along a path",
+        ),
+        (
+            TREE_SPACE,
+            {"type": "ensemble", "components": [
+                {"weight": "1", "model": {"type": "tree", "root": _split("x1", L1, {"leaf": "1/0"})}},
+                {"weight": "1", "model": {"type": "tree", "root": X1_REPEATS}},
+            ]},
+            "model.components[0].model.root.children['1'].leaf: "
+            "invalid rational literal '1/0': denominator must be positive",
+        ),
+    ],
+)
+def test_tree_errors_keep_their_line(tmp_path, capsys, space, model, message):
+    path = tmp_path / "model.json"
+    # deep enough to encode and decode the chain's JSON from any caller
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * TREE_DEPTH_LIMIT + 1000))
+    try:
+        path.write_text(json.dumps({"space": space, "model": model}))
+        code, captured = run_cli(
+            "expected", "--model", str(path), "--dist", str(FIXTURES / "uniform_any.json"), capsys=capsys
+        )
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 def test_distribution_must_normalize(tmp_path, capsys):
     bad = tmp_path / "bad_dist.json"
     bad.write_text(json.dumps({"marginals": [
@@ -378,6 +528,33 @@ def test_interact_bernoulli_scheme(capsys):
     assert doc["value"] == "1/4"
     assert doc["engine_calls"] == 4
     assert doc["path"] == "bernoulli-direct"
+
+
+def test_interact_bernoulli_singleton_walks_the_tree_once(monkeypatch, capsys):
+    calls = {"walk": 0, "traversal": 0}
+
+    def spy(method, kind):
+        def wrapper(self, *args):
+            calls[kind] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(TreeModel, "_gap_polynomials", spy(TreeModel._gap_polynomials, "walk"))
+    monkeypatch.setattr(TreeModel, "_value", spy(TreeModel._value, "traversal"))
+    code, captured = run_cli(
+        "interact",
+        "--model", AND_TREE,
+        "--dist", UNIFORM2,
+        "--instance", AND_INSTANCE,
+        "--set", "x1",
+        "--scheme", '{"bernoulli":{"theta":["1/2","1/2"]}}',
+        capsys=capsys,
+    )
+    assert code == 0
+    doc = json.loads(captured.out)
+    assert (doc["path"], doc["engine_calls"]) == ("bernoulli-direct", 2)
+    assert calls == {"walk": 1, "traversal": 0}
 
 
 def test_interact_diag_echoes_the_grid(capsys):
@@ -929,6 +1106,58 @@ def test_deep_tree_file_still_computes(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["value"] == f"1/{2**480}"
+
+
+def _called_deeper(frames, function, *args):
+    # function(*args) from the given number of extra stack frames
+    if frames == 0:
+        return function(*args)
+    return _called_deeper(frames - 1, function, *args)
+
+
+@pytest.mark.parametrize("caller_frames", [0, 250])
+def test_tree_file_at_the_depth_limit_computes_in_process(tmp_path, capsys, caller_frames):
+    chain = tmp_path / "chain.json"
+    _write_chain(chain, TREE_DEPTH_LIMIT)
+    limit = sys.getrecursionlimit()
+    code, _ = _called_deeper(
+        caller_frames,
+        run_cli,
+        "expected", "--model", str(chain), "--dist", str(FIXTURES / "uniform_any.json"),
+    )
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert json.loads(captured.out)["value"] == f"1/{2**TREE_DEPTH_LIMIT}"
+    assert sys.getrecursionlimit() == limit
+
+
+def test_tree_file_too_deep_for_a_deep_caller_is_one_line(tmp_path, capsys):
+    # the tree walks could not follow this tree from a caller 600 frames
+    # deep, so its file fails to decode there
+    chain = tmp_path / "chain.json"
+    _write_chain(chain, TREE_DEPTH_LIMIT)
+    code, _ = _called_deeper(
+        600,
+        run_cli,
+        "attribute", "--model", str(chain), "--dist", str(FIXTURES / "uniform_any.json"),
+        "--instance", json.dumps({f"c{k}": "1" for k in range(TREE_DEPTH_LIMIT)}),
+        "--scheme", '{"preset": "banzhaf"}',
+    )
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {chain} nests too deeply to parse\n"
+
+
+def test_tree_file_past_the_depth_limit_is_one_line(tmp_path, capsys):
+    chain = tmp_path / "chain.json"
+    _write_chain(chain, TREE_DEPTH_LIMIT + 1)
+    code, captured = run_cli(
+        "expected", "--model", str(chain), "--dist", str(FIXTURES / "uniform_any.json"),
+        capsys=capsys,
+    )
+    assert (code, captured.out) == (2, "")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.endswith(f": tree is deeper than the limit of {TREE_DEPTH_LIMIT} splits\n")
 
 
 def test_tree_past_the_depth_limit_is_schema_error():

@@ -19,7 +19,9 @@ from pathlib import Path
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from powerdex.cli import main
+from powerdex.cli import SchemaError, main, parse_model, parse_space
+from powerdex.core import parse_rational
+from powerdex.models import Leaf, Split, TreeModel
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -190,3 +192,92 @@ def test_ingest_exits_cleanly(content, command):
     else:
         assert message == ""
         json.loads(out)
+
+
+# tree models over x1 in {0, 1}, x2 in {0, 1}, x3 in {0, 1, 2}
+TREE_NAMED = parse_space(
+    {"features": [
+        {"name": "x1", "values": ["0", "1"]},
+        {"name": "x2", "values": ["0", "1"]},
+        {"name": "x3", "values": ["0", "1", "2"]},
+    ]}
+)
+
+
+def _split(name, *children):
+    return {"feature": name, "children": {str(v): child for v, child in enumerate(children)}}
+
+
+TREES = [
+    {"type": "tree", "root": {"leaf": "3/4"}},
+    _fixture("and_tree_model.json")["model"],
+    {"type": "tree", "root": _split(
+        "x3",
+        _split("x1", {"leaf": "-1/2"}, _split("x2", {"leaf": "0"}, {"leaf": "2"})),
+        {"leaf": "1/3"},
+        _split("x2", _split("x1", {"leaf": "5"}, {"leaf": "1/3"}), {"leaf": "-7/4"}),
+    )},
+    # children keyed out of domain order
+    {"type": "tree", "root": {"feature": "x3", "children": {
+        "2": {"leaf": "1"},
+        "0": {"feature": "x2", "children": {"1": {"leaf": "-1"}, "0": {"leaf": "1/2"}}},
+        "1": {"leaf": "0"},
+    }}},
+]
+
+
+@st.composite
+def relabelled(draw, docs):
+    """A tree document with some feature names and leaf literals redrawn.
+
+    A name is replaced by one of a feature with as many values, so the
+    children still fit and a path may now repeat a feature.
+    """
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    nodes = [doc["root"]]
+    for node in nodes:
+        if "leaf" in node:
+            if draw(st.booleans()):
+                literals = ("0", "1", "-2", "1/2", "-3/4", " 7 ", "2.5", "0010/4")
+                node["leaf"] = draw(st.sampled_from(literals))
+        else:
+            if draw(st.booleans()):
+                arity = len(node["children"])
+                domains = TREE_NAMED.space.domains
+                names = [name for name, domain in zip(TREE_NAMED.names, domains) if len(domain) == arity]
+                node["feature"] = draw(st.sampled_from(names))
+            nodes.extend(node["children"].values())
+    return doc
+
+
+def _read_tree(doc):
+    """Leaf and Split nodes from a tree node document that parse_model accepted."""
+    if "leaf" in doc:
+        return Leaf(parse_rational(doc["leaf"]))
+    feature = TREE_NAMED.index(doc["feature"])
+    domain = TREE_NAMED.space.domains[feature]
+    return Split(feature, tuple(_read_tree(doc["children"][v]) for v in domain))
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=SLOW)
+@given(mutated(TREES) | relabelled(TREES))
+def test_tree_documents_compile_as_the_library_compiles_them(doc):
+    try:
+        model = parse_model(doc, TREE_NAMED)
+    except SchemaError as exc:
+        if "repeats along a path" not in str(exc):
+            event("other error")
+            return
+        event("repeat")
+        # the same first repeat as the library reports
+        try:
+            TreeModel(TREE_NAMED.space, _read_tree(doc["root"]))
+        except ValueError as library:
+            assert str(exc) == f"model: {library}"
+            return
+        raise AssertionError(f"the library accepts the tree: {exc}")
+    if not isinstance(model, TreeModel):
+        event("another model type")
+        return
+    event("tree")
+    assert model._tree == TreeModel(TREE_NAMED.space, _read_tree(doc["root"]))._tree

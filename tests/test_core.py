@@ -1,7 +1,8 @@
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerdex import (
@@ -19,7 +20,7 @@ from powerdex import (
     parse_rational,
     subsets,
 )
-from powerdex.core import MAX_LITERAL_DIGITS
+from powerdex.core import MAX_LITERAL_DIGITS, _quote
 
 from corpus import and_space, ones_instance
 
@@ -64,6 +65,84 @@ def test_parse_rejects_a_longer_digit_run_in_a_short_message():
     with pytest.raises(ValueError, match=f"more than {MAX_LITERAL_DIGITS} digits") as info:
         parse_rational(text)
     assert len(str(info.value)) < 200
+
+
+def _reference_parse_rational(text):
+    # parse_rational without its fast path for plain literals
+    if not isinstance(text, str):
+        raise ValueError(f"rational literal must be a string, got {type(text).__name__}")
+    s = text.strip()
+    if "e" in s or "E" in s:
+        raise ValueError(f"invalid rational literal {_quote(text)}: exponents are not allowed")
+    if len(s) > MAX_LITERAL_DIGITS and any(
+        len(run) - run.count("_") > MAX_LITERAL_DIGITS for run in re.findall(r"[\d_]+", s)
+    ):
+        raise ValueError(
+            f"invalid rational literal {_quote(text)}: "
+            f"more than {MAX_LITERAL_DIGITS} digits in a row"
+        )
+    if "/" in s:
+        num_s, _, den_s = s.partition("/")
+        try:
+            num = int(num_s)
+            den = int(den_s)
+        except ValueError:
+            raise ValueError(f"invalid rational literal {_quote(text)}") from None
+        if den <= 0:
+            raise ValueError(
+                f"invalid rational literal {_quote(text)}: denominator must be positive"
+            )
+        return Fraction(num, den)
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"invalid rational literal {_quote(text)}") from None
+
+
+# pieces of literals: ASCII and other decimal digits (Arabic-Indic, Bengali,
+# fullwidth), digits that are not decimal, signs, separators and spaces
+LITERAL_PIECES = st.sampled_from(
+    ("0", "1", "7", "00", "42", "-", "+", "/", ".", "_", " ", "\t", "\n", "\u00a0", "e", "E",
+     "\u0663", "\u09ea", "\uff10", "\u00b2", "\u00bd", "nan", "inf", "x")
+)
+# digit runs around the fast path's length bound and MAX_LITERAL_DIGITS
+DIGIT_RUNS = st.sampled_from(("1", "0", "_1", "\u0663")).flatmap(
+    lambda digit: st.sampled_from((639, 640, 641, MAX_LITERAL_DIGITS, MAX_LITERAL_DIGITS + 1)).map(
+        lambda k: digit * k
+    )
+)
+LITERALS = st.lists(LITERAL_PIECES | DIGIT_RUNS | st.text(max_size=3), max_size=6).map("".join)
+# near the plain form p/q: signs, spaces, underscores and other digits around it
+DIGITS = st.text(alphabet="0123456789_\u0663", max_size=4)
+NEAR_PLAIN = st.tuples(
+    st.sampled_from(("", "-", "+", " ", "--")), DIGITS, st.sampled_from(("", "/", "//", ".")), DIGITS,
+    st.sampled_from(("", " ", "\n")),
+).map("".join)
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except Exception as exc:  # noqa: BLE001 - the kind and message are compared
+        return type(exc).__name__, str(exc)
+    return type(value).__name__, value
+
+
+@settings(max_examples=500)
+@example("1/0")
+@example("-3/000")
+@example("1_0/2")
+@example(" -5 ")
+@given(
+    NEAR_PLAIN
+    | LITERALS
+    | st.fractions().map(format_rational)
+    | st.integers()
+    | st.none()
+    | st.lists(st.just("1"))
+)
+def test_parse_fast_path_answers_as_the_full_grammar(text):
+    assert _outcome(parse_rational, text) == _outcome(_reference_parse_rational, text)
 
 
 @given(st.fractions())

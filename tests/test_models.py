@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from powerdex import (
     AdditiveModel,
     Coalition,
+    CountingModel,
     EnsembleModel,
     FeatureSpace,
     Instance,
@@ -20,6 +21,7 @@ from powerdex import (
     attribute_all,
     conditional_expectation,
 )
+from powerdex.core import check_shared_space
 from powerdex.models import TREE_DEPTH_LIMIT, Leaf, Split
 
 from corpus import (
@@ -218,6 +220,35 @@ def test_ensemble_evaluate_is_the_weighted_sum_of_its_components(data):
     foreign = FeatureSpace([*space.domains, ("0",)])
     with pytest.raises(SpaceMismatchError):
         ensemble.evaluate(Instance(foreign, ("0",) * foreign.n))
+
+
+def test_ensemble_evaluate_checks_the_space_once(monkeypatch):
+    rng = random.Random(5)
+    space = random_space(rng, 4)
+    inner = EnsembleModel([
+        (Fraction(1, 2), random_tree_model(rng, space)),
+        (Fraction(3), random_additive_model(rng, space)),
+    ])
+    ensemble = EnsembleModel([
+        (Fraction(2), inner),
+        (Fraction(1, 3), TableModel.tabulate(random_tree_model(rng, space))),
+    ])
+    counted = CountingModel(ensemble)
+    outer = EnsembleModel([(Fraction(-1), counted)])
+    e = random_instance(rng, space)
+    want = ensemble.evaluate(e)
+    checks = []
+
+    def counting_check(*objects):
+        checks.append(objects)
+        return check_shared_space(*objects)
+
+    monkeypatch.setattr("powerdex.models.check_shared_space", counting_check)
+    assert ensemble.evaluate(e) == want
+    assert len(checks) == 1
+    # a user model inside an ensemble is still reached through its evaluate
+    assert outer.evaluate(e) == -want
+    assert counted.evaluate_calls == 1
 
 
 # ---------------------------------------------------------------------------
