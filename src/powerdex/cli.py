@@ -224,8 +224,11 @@ def _parse_tree(root, named: NamedSpace, context: str, literals: dict) -> TreeMo
     repeat = None  # the first feature repeated along a path
 
     def where() -> str:
-        # each open split is reading its child at the count compiled so far
+        # each open split is reading its child at the count compiled so far;
+        # a long path keeps its first and last 4 steps
         steps = [f".children[{domains[f][len(kids)]!r}]" for f, _, kids, _, _ in stack[1:]]
+        if len(steps) > 8:
+            steps[4:-4] = [f"<{len(steps) - 8} more steps>"]
         return f"{context}.root" + "".join(steps)
 
     while True:

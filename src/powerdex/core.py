@@ -344,18 +344,6 @@ class ProductDistribution:
         return cls(space, [[Fraction(1, len(d))] * len(d) for d in space.domains])
 
     @classmethod
-    def from_mappings(
-        cls, space: FeatureSpace, marginals: Sequence[Mapping[Value, Fraction]]
-    ) -> "ProductDistribution":
-        rows = []
-        for i, mapping in enumerate(marginals):
-            domain = space.domains[i]
-            if set(mapping) != set(domain):
-                raise ValueError(f"feature {i}: marginal keys do not match the domain")
-            rows.append([as_rational(mapping[v]) for v in domain])
-        return cls(space, rows)
-
-    @classmethod
     def point_mass(cls, e: Instance) -> "ProductDistribution":
         space = e.space
         rows = []

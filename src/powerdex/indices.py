@@ -3,22 +3,28 @@
 Three computation paths, all exact:
 
 * interpolation -- works for any cardinality-based weight vector; 2n
-  expected values per feature at the integer nodes z = 0..n-1, combined
-  with the dual Vandermonde weights of the vector (equivalently: solve
-  the Vandermonde system for the per-size marginal sums).
+  expected values per feature at the integer nodes z = 0..n-1 give the
+  feature's generating polynomial, whose coefficients (the per-size
+  marginal sums) the vector weighs.
 * bernoulli-direct -- two expected values, for indices whose coalition
   distribution factors into independent per-feature inclusion trials.
 * closed-form -- the marginal preset, which needs no expectations at all.
 
 Both paths that need expectations take a feature's derivative
 E[F | a pinned to e_a] - E[F | a free], the other features on their
-z-mixture rows (interpolation) or theta-mixture rows (bernoulli-direct).
-A model with its own walk (``Model._gap_polynomials``: trees, additive
-models and ensembles of them) gives every feature's derivative from one
-pass.  Every other model, and every interaction set of two or more
-members, goes through ``batched_node_sums``: the distributions of all
-requested targets (``_derivative``) at one node form one
-``expected_values`` batch.  Engine calls count requested expectations.
+z-mixture rows (interpolation) or theta-mixture rows (bernoulli-direct),
+and read it in one form (``Reduced``): per member set A, polynomials
+Q_{A,L} over one denominator whose sum_L Q_{A,L}(z) (1+z)^(n-L) is the
+generating polynomial.  Every model gives them through
+``Model._gap_polynomials``: trees and additive models from one walk of
+their own, ensembles as the sum of their components' answers, and every
+other model through the batch reduction passed in.  That reduction
+requests the distributions of all targets (``_derivative``) at one node
+as one ``expected_values`` batch (``batched_node_sums``) and interpolates
+the node sums into Q_{A,n} (``_node_polynomials``).  An interaction set
+of two or more members takes it on the model itself.  Engine calls count
+requested expectations: 2n per feature, and 2^m for a derivative along m
+members.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (
     Coalition,
@@ -40,8 +46,15 @@ from .core import (
     mixture_row,
     point_mass_row,
 )
-from .interpolation import vandermonde_dual, vandermonde_solve
-from .models import Factor, Model, _fixed_factors, _z_factors, conditional_expectation
+from .interpolation import _lagrange
+from .models import (
+    Factor,
+    GapPolynomials,
+    Model,
+    _fixed_factors,
+    _z_factors,
+    conditional_expectation,
+)
 
 PATH_INTERPOLATION = "interpolation"
 PATH_BERNOULLI = "bernoulli-direct"
@@ -172,10 +185,6 @@ class AttributionReport:
     # on request only
     coefficient_sums: Optional[tuple[tuple[Fraction, ...], ...]] = None
 
-    @property
-    def total_engine_calls(self) -> int:
-        return sum(self.engine_calls)
-
 
 def marginal_contribution(
     model: Model,
@@ -206,17 +215,15 @@ def batched_node_sums(
     space: FeatureSpace,
     node_rows: Iterable[Sequence[Sequence[Fraction]]],
     targets: Sequence[Sequence[Variant]],
-) -> tuple[list[list[Fraction]], list[int]]:
+) -> list[list[Fraction]]:
     """Per target and node, the sum of coefficient * E[F] over the target's variants.
 
     ``node_rows`` yields the n base probability rows of each node, and a
     variant's distribution is the node's rows with its own rows put in.
     Each node makes one ``model.expected_values`` request for every
-    variant of every target.  Also returns the number of distributions
-    requested for each target, which is its engine-call count.
+    variant of every target.
     """
     sums: list[list[Fraction]] = [[] for _ in targets]
-    calls = [0] * len(targets)
     overrides = [rows for variants in targets for _, rows in variants]
     for rows in node_rows:
         batch = []
@@ -226,12 +233,9 @@ def batched_node_sums(
                 varied[i] = row
             batch.append(ProductDistribution._from_trusted_rows(space, tuple(varied)))
         values = iter(model.expected_values(batch))
-        for t, variants in enumerate(targets):
-            calls[t] += len(variants)
-            sums[t].append(
-                sum((coef * next(values) for coef, _ in variants), Fraction(0))
-            )
-    return sums, calls
+        for total, variants in zip(sums, targets):
+            total.append(sum((coef * next(values) for coef, _ in variants), Fraction(0)))
+    return sums
 
 
 _SIGNS = (Fraction(1), Fraction(-1))
@@ -255,9 +259,13 @@ def _derivative(
     return variants
 
 
+def _hits(space: FeatureSpace, e: Instance) -> list[int]:
+    return [space.position(i, e[i]) for i in range(space.n)]
+
+
 def _z_node_sums(
     model: Model, dist: ProductDistribution, e: Instance, nodes: Sequence[Fraction], targets
-) -> tuple[list[list[Fraction]], list[int]]:
+) -> list[list[Fraction]]:
     """``batched_node_sums`` with every marginal blended toward e by each node's z-mixture."""
     space = dist.space
     hits = _hits(space, e)
@@ -272,78 +280,64 @@ def _z_node_sums(
     return batched_node_sums(model, space, (rows(z) for z in nodes), targets)
 
 
-def _dual_dots(nodes: Sequence[Fraction], q, power: int, node_sums) -> list[Fraction]:
-    """Per target, sum_z u_z (1+z)^power s(z), with u the dual weights of q at the nodes."""
-    u = [(1 + z) ** power * w for z, w in zip(nodes, vandermonde_dual(nodes, q))]
-    return [sum((w * s for w, s in zip(u, sums)), Fraction(0)) for sums in node_sums]
+def _node_polynomials(
+    keys: Iterable, nodes: Sequence[Fraction], node_sums, power: int, n: int
+) -> GapPolynomials:
+    """Per key, the polynomial through the points (z, (1+z)^power s(z)), read as Q_{A,n}.
+
+    ``node_sums`` holds each key's sums s at the nodes.  With the power
+    n - m this is the generating polynomial of the key's member set A.
+    """
+    coeffs, den = _lagrange(nodes, node_sums, power)
+    return {key: {n: c} for key, c in zip(keys, coeffs)}, den
 
 
-def _interpolation_gaps(
-    model: Model, dist: ProductDistribution, e: Instance, features: Sequence[int]
-) -> tuple[list[Fraction], list[list[Fraction]], list[int]]:
-    """The nodes 0..n-1 and, per feature, its gap under each node's z-mixture."""
-    space = dist.space
-    nodes = [Fraction(z) for z in range(space.n)]
-    gaps, calls = _z_node_sums(
-        model, dist, e, nodes, [_derivative(space, dist, e, (a,)) for a in features]
-    )
-    return nodes, gaps, calls
+# Per member set A, its polynomials Q_{A,L} by path length L, and their
+# one denominator: sum_L Q_{A,L}(z) (1+z)^(n-L) is the set's generating
+# polynomial.
+Reduced = tuple[list[dict[int, list[int]]], int]
 
 
-def _coefficient_sums(gaps: Iterable[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
-    # the gaps at z = 0..n-1, scaled by (1+z)^(n-1), interpolate the per-size sums
-    sums = []
-    for gap in gaps:
-        n = len(gap)
-        nodes = [Fraction(z) for z in range(n)]
-        sums.append(
-            vandermonde_solve(nodes, [(1 + z) ** (n - 1) * g for z, g in zip(nodes, gap)])
+def _reduce(
+    model: Model,
+    factors: Sequence[Factor],
+    member_sets: Sequence[Sequence[int]],
+    batches: Callable[[Model, Sequence], GapPolynomials],
+) -> Reduced:
+    """The member sets' polynomials: a feature's from the model's hook.
+
+    ``batches(component, keys)`` is the batch reduction keyed by ``keys``.
+    A set of two or more members takes it on the model itself.
+    """
+    if all(len(members) == 1 for members in member_sets):
+        keys = [a for (a,) in member_sets]
+        wanted = 0
+        for a in keys:
+            wanted |= 1 << a
+        polys, den = model._gap_polynomials(
+            factors, wanted, lambda component: batches(component, keys)
         )
-    return sums
+    else:
+        keys = range(len(member_sets))
+        polys, den = batches(model, keys)
+    return [polys.get(key, {}) for key in keys], den
 
 
-# Per feature, its gap polynomials by path length, and their denominator.
-Walked = tuple[list[dict[int, list[int]]], int]
-
-
-def _hits(space: FeatureSpace, e: Instance) -> list[int]:
-    return [space.position(i, e[i]) for i in range(space.n)]
-
-
-def _walked(model: Model, factors: Sequence[Factor], features: Sequence[int]) -> Optional[Walked]:
-    """The features' gap polynomials from the model's own walk, or None without one."""
-    wanted = 0
-    for a in features:
-        wanted |= 1 << a
-    found = model._gap_polynomials(factors, wanted)
-    if found is None:
-        return None
-    polys, den = found
-    return [polys.get(a, {}) for a in features], den
-
-
-def _walked_gaps(
-    model: Model, dist: ProductDistribution, e: Instance, features: Sequence[int]
-) -> Optional[Walked]:
-    # under the z-mixture rows of the other features
-    return _walked(model, _z_factors(dist.probs, _hits(dist.space, e)), features)
-
-
-def _walked_indices(walked: Walked, q: Sequence[Fraction]) -> list[Fraction]:
+def _walked_indices(reduced: Reduced, q: Sequence[Fraction], n: int) -> list[Fraction]:
     # sum_k q_k [z^k] sum_L Q_L(z) (1+z)^(n-L) = sum_L sum_i Q_{L,i} W_{L,i}
     # with W_{L,i} = sum_j q_{i+j} C(n-L, j): W_n = q, and Pascal's rule
     # gives W_{L,i} = W_{L+1,i} + W_{L+1,i+1}
-    by_feature, den = walked
+    by_set, den = reduced
     common = lcm(*(x.denominator for x in q))
     w = [x.numerator * (common // x.denominator) for x in q]
-    weights = {len(w): w}
-    shortest = min((length for polys in by_feature for length in polys), default=len(w))
-    while len(w) > shortest:
+    weights = {n: w}
+    shortest = min((length for polys in by_set for length in polys), default=n)
+    for length in range(n - 1, shortest - 1, -1):
         w = [a + b for a, b in zip(w, w[1:])]
-        weights[len(w)] = w
+        weights[length] = w
     den *= common
     values = []
-    for polys in by_feature:
+    for polys in by_set:
         total = 0
         for length, coeffs in polys.items():
             total += sum(c * x for c, x in zip(coeffs, weights[length]))
@@ -351,11 +345,11 @@ def _walked_indices(walked: Walked, q: Sequence[Fraction]) -> list[Fraction]:
     return values
 
 
-def _walked_coefficients(walked: Walked, n: int) -> list[tuple[Fraction, ...]]:
+def _walked_coefficients(reduced: Reduced, n: int) -> list[tuple[Fraction, ...]]:
     # sum_L Q_L(z) (1+z)^(n-L) by Horner's rule in (1+z), shortest L first
-    by_feature, den = walked
+    by_set, den = reduced
     sums = []
-    for polys in by_feature:
+    for polys in by_set:
         c = [0] * n
         for length in range(min(polys, default=n), n + 1):
             c = c[:1] + [a + b for a, b in zip(c[1:], c)]  # times (1+z)
@@ -365,13 +359,22 @@ def _walked_coefficients(walked: Walked, n: int) -> list[tuple[Fraction, ...]]:
     return sums
 
 
-def _coefficients(
+def _z_reduction(
     model: Model, dist: ProductDistribution, e: Instance, features: Sequence[int]
-) -> list[tuple[Fraction, ...]]:
-    walked = _walked_gaps(model, dist, e, features)
-    if walked is not None:
-        return _walked_coefficients(walked, dist.space.n)
-    return _coefficient_sums(_interpolation_gaps(model, dist, e, features)[1])
+) -> Reduced:
+    """The features' gap polynomials under the z-mixture rows of the others."""
+    space = dist.space
+    n = space.n
+
+    def batches(component, keys):
+        # the gaps at z = 0..n-1, scaled by (1+z)^(n-1), interpolate G_a
+        nodes = [Fraction(z) for z in range(n)]
+        targets = [_derivative(space, dist, e, (a,)) for a in keys]
+        sums = _z_node_sums(component, dist, e, nodes, targets)
+        return _node_polynomials(keys, nodes, sums, n - 1, n)
+
+    factors = _z_factors(dist.probs, _hits(space, e))
+    return _reduce(model, factors, [(a,) for a in features], batches)
 
 
 def interpolate_coefficients(
@@ -388,7 +391,7 @@ def interpolate_coefficients(
     """
     space = check_shared_space(model, dist, e)
     space.check_feature(a)
-    return _coefficients(model, dist, e, [a])[0]
+    return _walked_coefficients(_z_reduction(model, dist, e, [a]), space.n)[0]
 
 
 def all_coefficients(
@@ -396,7 +399,7 @@ def all_coefficients(
 ) -> list[tuple[Fraction, ...]]:
     """``interpolate_coefficients`` of every feature, from one batch per node."""
     space = check_shared_space(model, dist, e)
-    return _coefficients(model, dist, e, range(space.n))
+    return _walked_coefficients(_z_reduction(model, dist, e, range(space.n)), space.n)
 
 
 def _interpolated_indices(
@@ -409,20 +412,14 @@ def _interpolated_indices(
 ) -> tuple[list[Fraction], list[int], Optional[list[tuple[Fraction, ...]]]]:
     """The features' indices, engine calls and, on request, coefficient sums.
 
-    A model with its own walk gives the gap polynomials directly; any
-    other model interpolates the gaps at the nodes 0..n-1.  Either way the
-    reduction requests 2n expectations per feature.
+    The model's hook gives the gap polynomials; a model without a walk
+    interpolates its gaps at the nodes 0..n-1.  Either way the reduction
+    requests 2n expectations per feature.
     """
-    walked = _walked_gaps(model, dist, e, features)
-    if walked is not None:
-        n = dist.space.n
-        sums = _walked_coefficients(walked, n) if coefficient_sums else None
-        return _walked_indices(walked, q), [2 * n] * len(features), sums
-    # sum_k q_k c_k = sum_z u_z * gap(z), with u the dual weights of q
-    # scaled by the (1+z)^(n-1) of the generating polynomial
-    nodes, gaps, calls = _interpolation_gaps(model, dist, e, features)
-    sums = _coefficient_sums(gaps) if coefficient_sums else None
-    return _dual_dots(nodes, q, len(nodes) - 1, gaps), calls, sums
+    n = dist.space.n
+    reduced = _z_reduction(model, dist, e, features)
+    sums = _walked_coefficients(reduced, n) if coefficient_sums else None
+    return _walked_indices(reduced, q, n), [2 * n] * len(features), sums
 
 
 def _bernoulli_indices(
@@ -440,18 +437,17 @@ def _bernoulli_indices(
             space.check_feature(i)
     _check_scheme_size(weights, space.n)
     mixed = bernoulli_mixture(dist, e, weights.theta)
-    if all(len(members) == 1 for members in member_sets):
-        features = [a for (a,) in member_sets]
-        factors = _fixed_factors(mixed.probs, dist.probs, _hits(space, e))
-        walked = _walked(model, factors, features)
-        if walked is not None:
-            # fixed rows: each Q_{a,L} is a constant, and the gap is their sum
-            by_feature, den = walked
-            values = [Fraction(sum(q[0] for q in polys.values()), den) for polys in by_feature]
-            return values, [2] * len(features)
-    targets = [_derivative(space, dist, e, members) for members in member_sets]
-    sums, calls = batched_node_sums(model, space, [mixed.probs], targets)
-    return [s[0] for s in sums], calls
+
+    def batches(component, keys):
+        targets = [_derivative(space, dist, e, members) for members in member_sets]
+        sums = batched_node_sums(component, space, [mixed.probs], targets)
+        return _node_polynomials(keys, [Fraction(0)], sums, 0, space.n)
+
+    factors = _fixed_factors(mixed.probs, dist.probs, _hits(space, e))
+    by_set, den = _reduce(model, factors, member_sets, batches)
+    # fixed rows: each Q_{A,L} is a constant, and the derivative is their sum
+    values = [Fraction(sum(q[0] for q in polys.values()), den) for polys in by_set]
+    return values, [2 ** len(members) for members in member_sets]
 
 
 def marginal_index(

@@ -30,10 +30,10 @@ from .indices import (
     _bernoulli_indices,
     _check_cardinality_row,
     _check_scheme_size,
-    _dual_dots,
+    _node_polynomials,
+    _walked_indices,
     _z_node_sums,
 )
-from .interpolation import vandermonde_dual
 from .models import Model, conditional_expectation
 
 PATH_BIVARIATE = "bivariate-interpolation"
@@ -202,22 +202,39 @@ def _interaction_simple(
             f"grid must be {n - m + 1} z-nodes by {m + 1} y-nodes for n={n}, |A|={m}"
         )
 
-    # the nested solves (in z per y-node, then in y per z-degree) reduce
-    # to the outer product of the dual weights of the row and of the signs
+    # the y-weights sum the y-interpolant's coefficients with the signs
+    # (-1)^(m-k); the z-sums then interpolate into Q_{A,n}
     if prefactor == PREFACTOR_FACTORED:
         z_power, y_power = n - m, m
     else:
         z_power, y_power = n, 0
-    y_weights = vandermonde_dual(grid.y_nodes, [(-1) ** (m - j) for j in range(m + 1)])
     variants = [
         (
             w * (1 + y) ** y_power,
             {i: mixture_row(dist.probs[i], space.position(i, e[i]), y) for i in a_set},
         )
-        for y, w in zip(grid.y_nodes, y_weights)
+        for y, w in zip(grid.y_nodes, _signed_weights(grid.y_nodes))
     ]
-    sums, calls = _z_node_sums(model, dist, e, grid.z_nodes, [variants])
-    return _dual_dots(grid.z_nodes, row, z_power, sums)[0], calls[0]
+    sums = _z_node_sums(model, dist, e, grid.z_nodes, [variants])
+    polys, den = _node_polynomials([0], grid.z_nodes, sums, z_power, n)
+    return _walked_indices(([polys[0]], den), row, n)[0], (n - m + 1) * (m + 1)
+
+
+def _signed_weights(nodes: Sequence[Fraction]) -> list[Fraction]:
+    """(-1)^m l_j(-1) per node, l_j the Lagrange basis polynomial of node j.
+
+    For m + 1 distinct nodes and every k <= m these satisfy
+    sum_j w_j * nodes[j]^k = (-1)^(m-k).
+    """
+    m = len(nodes) - 1
+    weights = []
+    for j, y in enumerate(nodes):
+        w = Fraction((-1) ** m)
+        for i, other in enumerate(nodes):
+            if i != j:
+                w *= (-1 - other) / (y - other)
+        weights.append(w)
+    return weights
 
 
 def compute_interaction_bernoulli(

@@ -1,9 +1,15 @@
-"""Exact polynomial interpolation and linear solving over rationals."""
+"""Exact polynomial interpolation and linear solving over rationals.
+
+Interpolation is one integer Lagrange solve (``_lagrange``), whose
+coefficients share one denominator; ``vandermonde_solve`` returns them as
+Fractions.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .core import PowerdexError
@@ -16,80 +22,63 @@ class SingularSystemError(PowerdexError):
 def vandermonde_solve(
     nodes: Sequence[Fraction], values: Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
-    """Power-basis coefficients of the polynomial through (nodes[i], values[i]).
+    """Power-basis coefficients of the polynomial through (nodes[i], values[i])."""
+    (coeffs,), den = _lagrange(nodes, [values])
+    return tuple(Fraction(c, den) for c in coeffs)
 
-    Newton divided differences followed by basis expansion: O(n^2) exact
-    operations, no pivoting needed since the nodes are distinct.
+
+def _lagrange(
+    nodes: Sequence[Fraction], rows: Sequence[Sequence[Fraction]], power: int = 0
+) -> tuple[list[list[int]], int]:
+    """Per row of values v, the coefficients of the polynomial through (x, (1+x)^power v).
+
+    The coefficients of every row come as integers over one common
+    denominator.  This is the Lagrange form in integers: with nodes X_i/S
+    for integers X_i, the basis polynomial of node i in t = S*x is
+    M_i(t) / d_i, M_i the master polynomial prod_j (t - X_j) divided by
+    (t - X_i) and d_i the integer prod_{j != i} (X_i - X_j).  Each scaled
+    value over its d_i is one Fraction, and coefficient k is scaled back
+    by S^k: O(n^2) integer operations per row.
     """
     n = len(nodes)
-    if len(values) != n:
+    if any(len(row) != n for row in rows):
         raise ValueError("node and value counts differ")
     if len(set(nodes)) != n:
         raise ValueError("interpolation nodes must be distinct")
-    dd = list(values)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (nodes[i] - nodes[i - j])
-    coeffs = [Fraction(0)] * n
-    basis = [Fraction(1)]  # coefficients of prod_{t<i} (x - nodes[t])
-    for i in range(n):
-        for t, b in enumerate(basis):
-            coeffs[t] += dd[i] * b
-        if i + 1 < n:
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for t, b in enumerate(basis):
-                nxt[t + 1] += b
-                nxt[t] -= nodes[i] * b
-            basis = nxt
-    return tuple(coeffs)
-
-
-def vandermonde_dual(
-    nodes: Sequence[Fraction], weights: Sequence[Fraction]
-) -> tuple[Fraction, ...]:
-    """The vector u = V^-T w for the Vandermonde matrix V of the nodes.
-
-    For every value vector v, sum_i u_i * v_i equals
-    sum_k w_k * vandermonde_solve(nodes, v)[k], so a fixed weighted sum of
-    interpolated coefficients becomes one dot product with the sampled
-    values.  u_i is sum_k w_k [x^k] L_i(x), with L_i the Lagrange basis
-    polynomial of node i: O(n^2) operations.
-    """
-    n = len(nodes)
-    if len(weights) != n:
-        raise ValueError("node and weight counts differ")
-    if len(set(nodes)) != n:
-        raise ValueError("interpolation nodes must be distinct")
-    # With nodes X/D for integers X, V = V_X diag(D^-k), so u = V_X^-T (w_k D^k):
-    # everything below is integer arithmetic over one common denominator
-    # until the last division.
     nodes = [Fraction(x) for x in nodes]
     scale = lcm(*(x.denominator for x in nodes))
     xs = [x.numerator * (scale // x.denominator) for x in nodes]
-    scaled = [Fraction(w) * scale**k for k, w in enumerate(weights)]
-    common = lcm(*(w.denominator for w in scaled))
-    ws = [w.numerator * (common // w.denominator) for w in scaled]
-    master = [1]  # coefficients of prod_t (x - xs[t])
+    master = [1]  # coefficients of prod_t (t - xs[t])
     for x in xs:
         nxt = [0] * (len(master) + 1)
         for t, b in enumerate(master):
             nxt[t + 1] += b
             nxt[t] -= x * b
         master = nxt
-    dual = []
+    columns = [[0] * n for _ in range(n)]  # columns[k][i]: [t^k] M_i
+    ups, downs = [], []  # (1+x_i)^power / d_i
     for i, x in enumerate(xs):
         # synthetic division of the master polynomial by (t - x), top down
         carry = 0
-        numerator = 0
         for k in range(n, 0, -1):
             carry = master[k] + x * carry
-            numerator += ws[k - 1] * carry
-        denominator = common
+            columns[k - 1][i] = carry
+        d = scale**power
         for j, other in enumerate(xs):
             if j != i:
-                denominator *= x - other
-        dual.append(Fraction(numerator, denominator))
-    return tuple(dual)
+                d *= x - other
+        ups.append((scale + x) ** power)
+        downs.append(d)
+    weighted = [
+        [Fraction(v.numerator * u, v.denominator * d) for v, u, d in zip(row, ups, downs)]
+        for row in rows
+    ]
+    common = lcm(*(r.denominator for row in weighted for r in row))
+    out = []
+    for row in weighted:
+        cs = [r.numerator * (common // r.denominator) for r in row]
+        out.append([sum(map(mul, cs, column)) * scale**k for k, column in enumerate(columns)])
+    return out, common
 
 
 def solve_linear_system(

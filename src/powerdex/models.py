@@ -6,12 +6,14 @@ engine is the workhorse that all attribution reductions call; they
 submit their calls in batches through ``expected_values``, which models
 may override to share work between the distributions of one batch.
 
-Trees, additive models and ensembles of them also answer the private
-walk hook ``Model._gap_polynomials``: every wanted feature's gap (pinned
-to e minus free) under given rows of the other features, in one pass.
-Both reductions of ``indices`` ask it first, interpolation with the
-z-mixture rows and bernoulli-direct with the theta-mixture rows; tables,
-``CountingModel`` and user subclasses answer None and get the batches.
+Every model answers the private hook ``Model._gap_polynomials``: every
+wanted feature's gap (pinned to e minus free) under given rows of the
+other features, as polynomials over one denominator.  Both reductions of
+``indices`` ask it, interpolation with the z-mixture rows and
+bernoulli-direct with the theta-mixture rows.  Trees and additive models
+answer from one walk of their own; every other model hands back the
+batch reduction that ``indices`` passes in, and an ensemble sums its
+components' answers, so its trees walk whatever their siblings are.
 Trees and ensembles compute on reduced (numerator, denominator) integer
 pairs and build a Fraction only for each value they return.
 """
@@ -22,14 +24,13 @@ import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .core import (
     Coalition,
     FeatureSpace,
     Instance,
     ProductDistribution,
-    Value,
     as_rational,
     check_shared_space,
     condition,
@@ -85,6 +86,10 @@ Factor = tuple[int, tuple[int, ...], int, Optional[tuple[int, ...]]]
 # Gap polynomials (see ``Model._gap_polynomials``): per feature and path
 # length L, the integer coefficients of Q_L times the shared denominator.
 GapPolynomials = tuple[dict[int, dict[int, list[int]]], int]
+
+# The batch reduction of the caller: a model's gap polynomials from its
+# expected values, for a model without a walk of its own.
+Batches = Callable[["Model"], GapPolynomials]
 
 
 def _z_factors(probs: Sequence[Sequence[Fraction]], hits: Sequence[int]) -> list[Factor]:
@@ -211,9 +216,9 @@ class Model(abc.ABC):
         return [(v.numerator, v.denominator) for v in self.expected_values(dists)]
 
     def _gap_polynomials(
-        self, factors: Sequence[Factor], wanted: int
-    ) -> Optional[GapPolynomials]:
-        """Each wanted feature's gap polynomials, or None for a model without a walk.
+        self, factors: Sequence[Factor], wanted: int, batches: Batches
+    ) -> GapPolynomials:
+        """Each wanted feature's gap polynomials.
 
         Feature a's gap is E[F] with a's row replaced by its own gap
         delta_{e_a} - p_a and every other feature j on its context row
@@ -221,14 +226,14 @@ class Model(abc.ABC):
         gap times (1+z)^(n-1) is the generating polynomial
         G_a(z) = sum_L Q_{a,L}(z) (1+z)^(n-L), each Q_{a,L} of degree below
         L; under fixed rows every Q_{a,L} is a constant and the gap is
-        their sum.  A model with a walk returns ``(polys, den)``:
-        ``polys[a][L]`` holds den times the coefficients of Q_{a,L}, lowest
-        first, for the features of the bitmask ``wanted`` (a missing
-        feature or length is 0).  ``factors`` holds every feature's
-        factor.  The default has no walk; the reductions then request the
-        expectations themselves.
+        their sum.  The answer is ``(polys, den)``: ``polys[a][L]`` holds
+        den times the coefficients of Q_{a,L}, lowest first, for the
+        features of the bitmask ``wanted`` (a missing feature or length is
+        0).  ``factors`` holds every feature's factor.  The default has no
+        walk and answers ``batches(self)``, which requests the
+        expectations and interpolates them into Q_{a,n}.
         """
-        return None
+        return batches(self)
 
 
 class TableModel(Model):
@@ -253,12 +258,6 @@ class TableModel(Model):
             strides.append(stride)
             stride *= len(domain)
         self._strides = tuple(reversed(strides))
-
-    @classmethod
-    def from_mapping(
-        cls, space: FeatureSpace, mapping: Mapping[tuple[Value, ...], Fraction]
-    ) -> "TableModel":
-        return cls(space, [mapping[outcome] for outcome in space.outcomes()])
 
     @classmethod
     def tabulate(cls, model: "Model") -> "TableModel":
@@ -340,8 +339,8 @@ class AdditiveModel(Model):
         return total
 
     def _gap_polynomials(
-        self, factors: Sequence[Factor], wanted: int
-    ) -> Optional[GapPolynomials]:
+        self, factors: Sequence[Factor], wanted: int, batches: Batches
+    ) -> GapPolynomials:
         # feature a's gap is z-free, the path length 1 constant
         # Q_{a,1} = sum_c (delta_e - p_a)(c) * t_a(c)
         values = {}
@@ -513,8 +512,8 @@ class TreeModel(Model):
         return values
 
     def _gap_polynomials(
-        self, factors: Sequence[Factor], wanted: int
-    ) -> Optional[GapPolynomials]:
+        self, factors: Sequence[Factor], wanted: int, batches: Batches
+    ) -> GapPolynomials:
         """One walk: a leaf of value v on a path P of length L adds to Q_{a,L}, a in P,
 
         v * (delta_a - p_a)(c_a) * prod_{j in P, j != a} f_j(c_j),
@@ -598,9 +597,8 @@ class EnsembleModel(Model):
     """Weighted sum of component models sharing one space.
 
     Components answer batches in reduced pairs (``Model._pair_values``),
-    sharing one conversion of the rows.  The ensemble answers the walk
-    hook (``Model._gap_polynomials``) when every component does, as
-    trees, additive models and ensembles of them do.
+    sharing one conversion of the rows.  The walk hook
+    (``Model._gap_polynomials``) sums the components' own answers.
     """
 
     def __init__(self, components: Sequence[tuple[Fraction, Model]]):
@@ -662,18 +660,16 @@ class EnsembleModel(Model):
         return totals
 
     def _gap_polynomials(
-        self, factors: Sequence[Factor], wanted: int
-    ) -> Optional[GapPolynomials]:
-        # sum_j w_j * polys_j over one common denominator; no walk unless
-        # every component has one
+        self, factors: Sequence[Factor], wanted: int, batches: Batches
+    ) -> GapPolynomials:
+        # sum_j w_j * polys_j over one common denominator
         total: dict[int, dict[int, list[int]]] = {}
         den = 1
         for w, model in self.components:
-            found = model._gap_polynomials(factors, wanted)
-            if found is None:
-                return None
-            polys, d = found
-            if not w or not polys:
+            if not w:
+                continue
+            polys, d = model._gap_polynomials(factors, wanted, batches)
+            if not polys:
                 continue
             d *= w.denominator
             common = den * d // gcd(den, d)

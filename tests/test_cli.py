@@ -377,8 +377,8 @@ X1_REPEATS = _split("x1", _split("x1", L1, L1), L1)  # x1 again under x1 = "0"
         (
             CHAIN_SPACE,
             {"type": "tree", "root": _chain(TREE_DEPTH_LIMIT + 1)},
-            "model.root" + ".children['1']" * TREE_DEPTH_LIMIT
-            + f": tree is deeper than the limit of {TREE_DEPTH_LIMIT} splits",
+            "model.root" + ".children['1']" * 4 + f"<{TREE_DEPTH_LIMIT - 8} more steps>"
+            + ".children['1']" * 4 + f": tree is deeper than the limit of {TREE_DEPTH_LIMIT} splits",
         ),
         (TREE_SPACE, {"type": "tree", "root": X1_REPEATS}, "model: feature 0 repeats along a path"),
         (
@@ -1157,6 +1157,7 @@ def test_tree_file_past_the_depth_limit_is_one_line(tmp_path, capsys):
     )
     assert (code, captured.out) == (2, "")
     assert len(captured.err.splitlines()) == 1
+    assert len(captured.err) < 300  # the node path keeps its first and last 4 steps
     assert captured.err.endswith(f": tree is deeper than the limit of {TREE_DEPTH_LIMIT} splits\n")
 
 

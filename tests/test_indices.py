@@ -1,3 +1,5 @@
+import collections
+import contextlib
 import random
 from fractions import Fraction
 
@@ -35,7 +37,6 @@ from powerdex import (
     simple_indices,
 )
 
-from powerdex.indices import _walked_gaps
 from powerdex.models import Leaf, Split
 
 from corpus import (
@@ -265,9 +266,9 @@ class SpyTree(TreeModel):
         self.traversals += 1
         return super()._value(rows)
 
-    def _gap_polynomials(self, factors, wanted):
+    def _gap_polynomials(self, factors, wanted, batches):
         self.walks += 1
-        return super()._gap_polynomials(factors, wanted)
+        return super()._gap_polynomials(factors, wanted, batches)
 
 
 def test_tree_skips_traversals_for_a_feature_it_never_reads():
@@ -489,7 +490,7 @@ def test_an_unwrapped_tree_makes_no_traversal_on_either_walk_path():
 
 ROW_KINDS = ("random", "zero entry", "zero at e", "point mass at e", "point mass off e")
 PRESETS = ("shapley", "banzhaf", "dictatorial", "marginal", "binomial", "random")
-SHAPES = ("tree", "leaf", "ensemble", "nested", "with table", "with additive")
+SHAPES = ("tree", "leaf", "ensemble", "nested", "with table", "with additive", "with counted tree")
 
 
 def _row(rng, size, hit, kind):
@@ -529,8 +530,40 @@ def _walk_model(rng, space, shape, depth):
         components.append((weight(), TableModel.tabulate(tree())))
     elif shape == "with additive":
         components.append((weight(), random_additive_model(rng, space)))
+    elif shape == "with counted tree":
+        components.append((weight(), CountingModel(tree())))
     rng.shuffle(components)
     return EnsembleModel(components)
+
+
+def _bare_trees(model, live=True):
+    """Each tree reached as a component, and whether every weight above it is nonzero."""
+    if type(model) is TreeModel:
+        return [(model, live)]
+    if isinstance(model, EnsembleModel):
+        return [pair for w, m in model.components for pair in _bare_trees(m, live and w != 0)]
+    return []  # tables, additive models and wrapped trees
+
+
+@contextlib.contextmanager
+def _tree_spies():
+    """Per tree id, its gap walks and its traversals while inside."""
+    walks, traversals = collections.Counter(), collections.Counter()
+    walk, value = TreeModel._gap_polynomials, TreeModel._value
+
+    def spied_walk(self, *args):
+        walks[id(self)] += 1
+        return walk(self, *args)
+
+    def spied_value(self, rows):
+        traversals[id(self)] += 1
+        return value(self, rows)
+
+    TreeModel._gap_polynomials, TreeModel._value = spied_walk, spied_value
+    try:
+        yield walks, traversals
+    finally:
+        TreeModel._gap_polynomials, TreeModel._value = walk, value
 
 
 def _weights(rng, n, preset):
@@ -579,28 +612,35 @@ def test_the_walk_equals_the_node_reduction_and_the_oracle(
     model = _walk_model(rng, space, shape, depth)
     w = _weights(rng, n, preset)
     features = range(n)
-    walks = _walked_gaps(model, dist, e, features) is not None
-    assert walks == (shape != "with table")
+    bare = _bare_trees(model)
     counted = CountingModel(model)
-    assert _walked_gaps(counted, dist, e, features) is None
 
-    values = simple_indices(model, dist, e, w)
-    sums = all_coefficients(model, dist, e)
+    def reduce(reduction, *args):
+        # every bare tree walks once (none behind a zero weight) and is never
+        # traversed, whatever its siblings are
+        with _tree_spies() as (walks, traversals):
+            result = reduction(model, dist, e, *args)
+        for tree, live in bare:
+            assert (walks[id(tree)], traversals[id(tree)]) == (int(live), 0)
+        return result
+
+    values = reduce(simple_indices, w)
+    sums = reduce(all_coefficients)
     assert values == simple_indices(counted, dist, e, w)
     assert sums == all_coefficients(counted, dist, e)
-    report = attribute_all(model, dist, e, w, coefficient_sums=True)
+    report = reduce(attribute_all, w, True)
     assert report == attribute_all(counted, dist, e, w, coefficient_sums=True)
     assert (list(report.values), list(report.coefficient_sums)) == (values, sums)
     a = rng.randrange(n)  # one wanted feature
-    assert compute_simple_index(model, dist, e, a, w) == values[a]
-    assert interpolate_coefficients(model, dist, e, a) == sums[a]
+    assert reduce(compute_simple_index, a, w) == values[a]
+    assert reduce(interpolate_coefficients, a) == sums[a]
 
     theta = BernoulliWeights(thetas[:n])
-    bernoulli = bernoulli_indices(model, dist, e, theta)
+    bernoulli = reduce(bernoulli_indices, theta)
     assert bernoulli == bernoulli_indices(counted, dist, e, theta)
     direct = []
     for scheme in (SimpleWeights.banzhaf(n), SimpleWeights.binomial(n, Fraction(rng.randint(1, 6), 7))):
-        report = attribute_all(model, dist, e, scheme)
+        report = reduce(attribute_all, scheme)
         assert report == attribute_all(counted, dist, e, scheme)
         direct.append((scheme, report.values))
     if n <= 6:
