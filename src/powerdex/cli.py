@@ -15,11 +15,14 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import json
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence, Union
 
 from .core import (
@@ -178,6 +181,24 @@ def _model_nesting():
         yield
     finally:
         sys.setrecursionlimit(limit)
+
+
+@contextmanager
+def _collector_paused():
+    """CPython's cyclic collector off for a bulk build, then as the caller had it.
+
+    The JSON documents, compiled trees and CSV blocks the CLI builds hold
+    no reference cycles, so a collection that runs while they grow only
+    walks the half-built structure.  ``gc.disable`` is process-wide: other
+    threads see it too until the block exits.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def parse_space(doc) -> NamedSpace:
@@ -376,10 +397,12 @@ def parse_model(
 
 
 def load_model_file(path: str) -> tuple[NamedSpace, Model]:
-    with _model_nesting():
-        doc = _load_json(path)
-    named = parse_space(_require(doc, "space", path))
-    model = parse_model(_require(doc, "model", path), named)
+    with _collector_paused():
+        with _model_nesting():
+            doc = _load_json(path)
+        named = parse_space(_require(doc, "space", path))
+        model = parse_model(_require(doc, "model", path), named)
+        del doc  # freed before the collector resumes, so it does not scan the document
     return named, model
 
 
@@ -487,52 +510,95 @@ def scheme_descriptor(scheme) -> dict:
     raise TypeError(f"unsupported scheme {scheme!r}")
 
 
+_CSV_BLOCK_ROWS = 1024
+
+
 def ingest_csv(path: str, named: NamedSpace) -> tuple[ProductDistribution, int]:
-    """Empirical per-feature marginals from a CSV of observed rows."""
+    """Empirical per-feature marginals from a CSV of observed rows.
+
+    The rows are counted a block at a time: each column's raw cells with a
+    ``Counter``, then each distinct cell's stripped value looked up in its
+    domain once.  The errors and the order they come in are those of
+    reading row by row, since a block's rows are checked before a read
+    error met after them is raised.
+    """
     space = named.space
-    with _opened(path, "r", newline="", encoding="utf-8") as handle:
-        records = _csv_records(handle, path)
-        header = next(records, None)
-        if header is None:
+    with _opened(path, "r", newline="", encoding="utf-8") as handle, _collector_paused():
+        blocks = _csv_blocks(handle, path)
+        first = next(blocks, None)
+        if first is None:
             raise SchemaError(f"{path}: file is empty")
-        header = [h.strip() for h in header]
+        header = [h.strip() for h in first[0]]
         if sorted(header) != sorted(named.names):
             raise SchemaError(
                 f"{path}: header {header!r} must contain exactly the feature names "
                 f"{list(named.names)!r}"
             )
         columns = [named.index(h) for h in header]
+        width = len(header)
         counts = [[0] * len(domain) for domain in space.domains]
         rows = 0
-        for line, record in enumerate(records, start=2):
-            if len(record) != len(header):
-                raise SchemaError(f"{path}: row {line} has {len(record)} cells, expected {len(header)}")
-            for cell, feature in zip(record, columns):
-                value = cell.strip()
-                try:
-                    pos = space.position(feature, value)
-                except ValueError:
-                    raise SchemaError(
-                        f"{path}: row {line}, column {named.names[feature]!r}: "
-                        f"value {value!r} is not a declared domain value"
-                    ) from None
-                counts[feature][pos] += 1
-            rows += 1
+        line = 2  # the row number of the block's first record
+        for block in chain((first[1:],), blocks):
+            clean = next((k for k, record in enumerate(block) if len(record) != width), len(block))
+            checked = block[:clean]  # the rows before the first with a wrong cell count
+            for cells, feature in zip(zip(*checked), columns):
+                for cell, count in Counter(cells).items():
+                    try:
+                        counts[feature][space.position(feature, cell.strip())] += count
+                    except ValueError:  # report the first such cell, as a row-by-row read would
+                        _check_cells(path, named, checked, columns, line)
+            if clean < len(block):
+                raise SchemaError(
+                    f"{path}: row {line + clean} has {len(block[clean])} cells, expected {width}"
+                )
+            rows += len(block)
+            line += len(block)
     if rows == 0:
         raise SchemaError(f"{path}: no data rows")
     probs = [[Fraction(c, rows) for c in row] for row in counts]
     return ProductDistribution(space, probs), rows
 
 
-def _csv_records(handle, path: str):
-    """The records of an open CSV file; an overlong cell or a bad byte is a SchemaError."""
+def _check_cells(path: str, named: NamedSpace, records, columns, line: int) -> None:
+    """A SchemaError for the first cell outside its domain, in row then header order.
+
+    ``records`` are the CSV rows from row number ``line`` on.
+    """
+    for record in records:
+        for cell, feature in zip(record, columns):
+            value = cell.strip()
+            if value not in named.space.domains[feature]:
+                raise SchemaError(
+                    f"{path}: row {line}, column {named.names[feature]!r}: "
+                    f"value {value!r} is not a declared domain value"
+                )
+        line += 1
+
+
+def _csv_blocks(handle, path: str):
+    """The records of an open CSV file, in lists of at most ``_CSV_BLOCK_ROWS``.
+
+    An overlong cell or a bad byte is a SchemaError, raised only after the
+    records read before it have been yielded.
+    """
     reader = csv.reader(handle)
+    block: list = []
+    error = None
     try:
-        yield from reader
+        for record in reader:
+            block.append(record)
+            if len(block) == _CSV_BLOCK_ROWS:
+                yield block
+                block = []
     except csv.Error as exc:  # a cell over the csv module's field limit
-        raise SchemaError(f"{path}: row {reader.line_num}: {exc}") from None
+        error = SchemaError(f"{path}: row {reader.line_num}: {exc}")
     except UnicodeDecodeError:
-        raise SchemaError(f"{path}: row {_undecodable_row(path)} is not valid UTF-8") from None
+        error = SchemaError(f"{path}: row {_undecodable_row(path)} is not valid UTF-8")
+    if block:
+        yield block
+    if error is not None:
+        raise error
 
 
 def _undecodable_row(path: str) -> int:

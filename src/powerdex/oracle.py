@@ -166,6 +166,18 @@ def _table_or_compute(
     return table
 
 
+def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Rationals as integer numerators over the lcm of their denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _integer_table(table: ConditionalTable) -> tuple[dict[int, int], int]:
+    """The table's entries as integer numerators over one denominator, keyed by mask."""
+    nums, den = _integer_row(list(table.values()))
+    return dict(zip(table, nums)), den
+
+
 def brute_simple_index(
     model: Model,
     dist: ProductDistribution,
@@ -175,18 +187,23 @@ def brute_simple_index(
     budget: OracleBudget = DEFAULT_BUDGET,
     table: Optional[ConditionalTable] = None,
 ) -> Fraction:
-    """The definitional sum over all 2^(n-1) coalitions avoiding feature a."""
+    """The definitional sum over all 2^(n-1) coalitions avoiding feature a.
+
+    The sum is taken in integers, the table and the weights each over one
+    denominator, and divided once.
+    """
     space = check_shared_space(model, dist, e)
     space.check_feature(a)
     _check_scheme_size(weights, space.n)
-    table = _table_or_compute(model, dist, e, budget, table)
+    nums, den = _integer_table(_table_or_compute(model, dist, e, budget, table))
+    q, q_den = _integer_row(weights.q)
     bit = 1 << a
-    total = Fraction(0)
+    total = 0
     for s in subsets(Coalition.singleton(a).complement(space.n)):
-        q = weights.q[len(s)]
-        if q:
-            total += q * (table[s.mask | bit] - table[s.mask])
-    return total
+        w = q[len(s)]
+        if w:
+            total += w * (nums[s.mask | bit] - nums[s.mask])
+    return Fraction(total, den * q_den)
 
 
 def brute_bernoulli_index(
@@ -198,25 +215,26 @@ def brute_bernoulli_index(
     budget: OracleBudget = DEFAULT_BUDGET,
     table: Optional[ConditionalTable] = None,
 ) -> Fraction:
-    """The definitional sum with coalition probabilities from Bernoulli trials."""
+    """The definitional sum with coalition probabilities from Bernoulli trials, in integers."""
     space = check_shared_space(model, dist, e)
     space.check_feature(a)
     _check_scheme_size(weights, space.n)
-    table = _table_or_compute(model, dist, e, budget, table)
-    rest = Coalition.singleton(a).complement(space.n)
+    nums, den = _integer_table(_table_or_compute(model, dist, e, budget, table))
+    probs, q_den = _coalition_probs(weights.theta, Coalition.singleton(a).complement(space.n))
     bit = 1 << a
-    total = Fraction(0)
-    for mask, q in _coalition_probs(weights.theta, rest):
-        total += q * (table[mask | bit] - table[mask])
-    return total
+    total = sum(q * (nums[mask | bit] - nums[mask]) for mask, q in probs)
+    return Fraction(total, den * q_den)
 
 
-def _coalition_probs(theta: Sequence[Fraction], members: Coalition) -> list[tuple[int, Fraction]]:
-    """(S, prod of theta_i over i in S times 1 - theta_i over members - S).
+def _coalition_probs(
+    theta: Sequence[Fraction], members: Coalition
+) -> tuple[list[tuple[int, int]], int]:
+    """(S, prod of theta_i over i in S times 1 - theta_i over members - S), in integers.
 
-    One subset-product sweep over the members, in integers over the
-    product of the thetas' denominators, keeping only the coalitions S of
-    members with a nonzero probability.
+    One subset-product sweep over the members.  Each probability is an
+    integer numerator over the product of the thetas' denominators, which
+    is returned alongside; only the coalitions S of members with a nonzero
+    probability are kept.
     """
     probs = [(0, 1)]
     for i in members:
@@ -225,8 +243,7 @@ def _coalition_probs(theta: Sequence[Fraction], members: Coalition) -> list[tupl
         probs = [(mask, q * rest) for mask, q in probs if rest] + [
             (mask | bit, q * a) for mask, q in probs if a
         ]
-    den = prod(theta[i].denominator for i in members)
-    return [(mask, Fraction(q, den)) for mask, q in probs]
+    return probs, prod(theta[i].denominator for i in members)
 
 
 def brute_interaction_index(
@@ -244,27 +261,22 @@ def brute_interaction_index(
     if not a_set:
         raise ValueError("the interaction set must be nonempty")
     _check_scheme_size(weights, space.n)
-    table = _table_or_compute(model, dist, e, budget, table)
+    nums, den = _integer_table(_table_or_compute(model, dist, e, budget, table))
     n = space.n
     m = len(a_set)
     complement = a_set.complement(n)
 
     if isinstance(weights, InteractionWeights):
-        row = weights.row(m)
+        row, q_den = _integer_row(weights.row(m))
         coalitions = [(s.mask, row[len(s)]) for s in subsets(complement)]
     else:
-        coalitions = _coalition_probs(weights.theta, complement)
-
-    total = Fraction(0)
+        coalitions, q_den = _coalition_probs(weights.theta, complement)
+    signed = [(b.mask, -1 if (m - len(b)) % 2 else 1) for b in subsets(a_set)]
+    total = 0
     for mask, q in coalitions:
-        if not q:
-            continue
-        marginal = Fraction(0)
-        for b in subsets(a_set):
-            sign = -1 if (m - len(b)) % 2 else 1
-            marginal += sign * table[mask | b.mask]
-        total += q * marginal
-    return total
+        if q:
+            total += q * sum(sign * nums[mask | b] for b, sign in signed)
+    return Fraction(total, den * q_den)
 
 
 def brute_coalition_sums(

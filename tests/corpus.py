@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,6 +59,22 @@ def or_table_model(space: FeatureSpace) -> TableModel:
 
 def constant_model(space: FeatureSpace, value: Fraction) -> TreeModel:
     return TreeModel(space, Leaf(value))
+
+
+def csv_marginals(path, names, domains) -> list[list[Fraction]]:
+    """Each feature's value frequencies in a CSV of observed rows, one cell at a time.
+
+    The reference for the CLI's reader: the header names the columns in any
+    order, and every cell is counted by its stripped value.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    features = [list(names).index(name.strip()) for name in header]
+    counts = [dict.fromkeys(domain, 0) for domain in domains]
+    for row in rows:
+        for cell, feature in zip(row, features):
+            counts[feature][cell.strip()] += 1
+    return [[Fraction(counts[f][v], len(rows)) for v in domain] for f, domain in enumerate(domains)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,6 +22,7 @@ from powerdex import (
 )
 from powerdex.cli import (
     SchemaError,
+    ingest_csv,
     load_model_file,
     main,
     parse_distribution,
@@ -28,6 +31,8 @@ from powerdex.cli import (
     parse_space,
 )
 from powerdex.models import TREE_DEPTH_LIMIT, TreeModel
+
+from corpus import csv_marginals
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -900,6 +905,121 @@ def test_csv_field_limit_and_bad_bytes_name_file_and_row(tmp_path, capsys, comma
     code, captured = run_cli(command, "--model", AND_MODEL, "--from-csv", str(path), capsys=capsys)
     assert code == 2
     assert captured.err == f"error: {path}: {error}\n"
+
+
+def _space_model(path, domains):
+    """A constant tree model file over features f0, f1, ... with the given domains."""
+    features = [{"name": f"f{i}", "values": list(domain)} for i, domain in enumerate(domains)]
+    doc = {"space": {"features": features}, "model": {"type": "tree", "root": {"leaf": "0"}}}
+    path.write_text(json.dumps(doc))
+    return load_model_file(str(path))[0]
+
+
+def test_ingest_of_a_long_padded_csv_counts_every_cell(tmp_path):
+    named = _space_model(tmp_path / "model.json", [("0", "1"), ("a", "b", "c"), ("x", "y", "z")])
+    rng = random.Random(7)
+    header = ["f2", " f0", "f1 "]
+    lines = [",".join(header)]
+    for _ in range(2560):  # about two and a half blocks of 1024 rows
+        lines.append(",".join(
+            rng.choice(("", " ", "  ")) + rng.choice(named.space.domains[int(h.strip()[1])])
+            + rng.choice(("", " "))
+            for h in header
+        ))
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(lines) + "\n")
+    dist, rows = ingest_csv(str(path), named)
+    assert rows == 2560
+    assert [list(row) for row in dist.probs] == csv_marginals(
+        path, named.names, named.space.domains
+    )
+
+
+@pytest.mark.parametrize(
+    "row3",
+    # the bad byte lies past the decoder's first chunk, so row 2 is read before it
+    [b"0\n", b"1,0,1\n", b"1," + b"0" * 10_000 + b"\xff\n", b"1," + b"0" * 200_000 + b"\n"],
+    ids=["too-few-cells", "too-many-cells", "bad-byte", "field-limit"],
+)
+def test_ingest_invalid_value_wins_over_a_later_row(tmp_path, capsys, row3):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"x1,x2\n1,7\n" + row3 + b"0,1\n")
+    code, captured = run_cli(
+        "ingest", "--model", AND_MODEL, "--from-csv", str(path), capsys=capsys
+    )
+    assert code == 2
+    assert captured.err == (
+        f"error: {path}: row 2, column 'x2': value '7' is not a declared domain value\n"
+    )
+
+
+def test_ingest_reports_the_first_invalid_cell_in_header_order(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_text("x2,x1\n1,0\n 5 ,9\n")
+    code, captured = run_cli(
+        "ingest", "--model", AND_MODEL, "--from-csv", str(path), capsys=capsys
+    )
+    assert code == 2
+    assert captured.err == (
+        f"error: {path}: row 3, column 'x2': value '5' is not a declared domain value\n"
+    )
+
+
+@pytest.mark.parametrize("bad_row", [1024, 1025, 1026, 2048, 2049])
+def test_ingest_invalid_value_near_a_block_boundary_names_its_row(tmp_path, capsys, bad_row):
+    path = tmp_path / "data.csv"
+    rows = ["1,0"] * 2100
+    rows[bad_row - 2] = "1,2"  # data rows are numbered from 2, after the header
+    path.write_text("x1,x2\n" + "\n".join(rows) + "\n")
+    code, captured = run_cli(
+        "ingest", "--model", AND_MODEL, "--from-csv", str(path), capsys=capsys
+    )
+    assert code == 2
+    assert captured.err == (
+        f"error: {path}: row {bad_row}, column 'x2': value '2' is not a declared domain value\n"
+    )
+
+
+def _mid_tree_error(path):
+    doc = json.loads(Path(AND_TREE).read_text())
+    doc["model"]["root"]["children"]["1"]["children"]["1"] = {"leaf": "1/0"}
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("model", None),
+        ("mid-tree-error", "root.children"),
+        ("too-deep", "nests too deeply to parse"),
+        ("csv", None),
+        ("csv-error", "not a declared domain value"),
+    ],
+)
+def test_reading_inputs_leaves_the_collector_as_found(tmp_path, enabled, case, error):
+    path = tmp_path / "input"
+    if case == "mid-tree-error":
+        _mid_tree_error(path)
+    elif case == "too-deep":
+        _write_chain(path, 600)
+    elif case.startswith("csv"):
+        path.write_text("x1,x2\n1,0\n" + ("1,7\n" if error else ""))
+    if case.startswith("csv"):
+        read = lambda: ingest_csv(str(path), load_model_file(AND_MODEL)[0])
+    else:
+        read = lambda: load_model_file(AND_MODEL if case == "model" else str(path))
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if error is None:
+            read()
+        else:
+            with pytest.raises(SchemaError, match=error):
+                read()
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 # ---------------------------------------------------------------------------

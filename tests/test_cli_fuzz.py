@@ -19,9 +19,11 @@ from pathlib import Path
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from powerdex.cli import SchemaError, main, parse_model, parse_space
+from powerdex.cli import SchemaError, ingest_csv, load_model_file, main, parse_model, parse_space
 from powerdex.core import parse_rational
 from powerdex.models import Leaf, Split, TreeModel
+
+from corpus import csv_marginals
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -184,14 +186,17 @@ def test_ingest_exits_cleanly(content, command):
         path.write_bytes(content)
         model = str(FIXTURES / "and_model.json")
         code, out, message = _run([command, "--model", model, "--from-csv", str(path)])
-    event(f"exit {code}")
-    assert code in (0, 2), (code, content[:80], message)
-    if code:
-        event(next((kind for kind in CSV_ERRORS if kind in message), "other"))
-        assert message.count("\n") == 1 and message.startswith(f"error: {path}: "), message
-    else:
-        assert message == ""
-        json.loads(out)
+        event(f"exit {code}")
+        assert code in (0, 2), (code, content[:80], message)
+        if code:
+            event(next((kind for kind in CSV_ERRORS if kind in message), "other"))
+            assert message.count("\n") == 1 and message.startswith(f"error: {path}: "), message
+        else:
+            assert message == ""
+            json.loads(out)
+            named, _ = load_model_file(model)
+            want = csv_marginals(path, named.names, named.space.domains)
+            assert [list(row) for row in ingest_csv(str(path), named)[0].probs] == want
 
 
 # tree models over x1 in {0, 1}, x2 in {0, 1}, x3 in {0, 1, 2}

@@ -51,6 +51,7 @@ from corpus import (
     random_model_of_kind,
     random_space,
     random_tree_model,
+    rationals,
     small_spaces,
     sparse_distributions,
 )
@@ -244,6 +245,65 @@ def test_bernoulli_oracles_equal_the_per_coalition_product(case, data):
     assert brute_interaction_index(
         model, dist, e, a_set, BernoulliInteractionWeights(theta), table=table
     ) == want
+
+
+def _weight_row(draw, size):
+    """Nonnegative integer weights of the given length, some zero, at least one not."""
+    raw = draw(st.lists(st.sampled_from((0, 0, 1, 2, 5)), min_size=size, max_size=size))
+    if not any(raw):
+        raw[draw(st.integers(0, size - 1))] = 1
+    return raw
+
+
+@st.composite
+def _tables_and_weights(draw):
+    """Any table over n features, cardinality weights with zeros, and thetas in [0, 1]."""
+    n = draw(st.integers(1, 5))
+    table = {mask: draw(rationals()) for mask in range(1 << n)}
+    a_set = Coalition.from_members(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    m = len(a_set)
+    raw = _weight_row(draw, n - m + 1)
+    total = sum(comb(n - m, k) * v for k, v in enumerate(raw))
+    pair = InteractionWeights.single(n, m, [Fraction(v, total) for v in raw])
+    theta = draw(st.lists(st.sampled_from(THETA_GRID), min_size=n, max_size=n))
+    return table, SimpleWeights.normalized(_weight_row(draw, n)), theta, a_set, pair
+
+
+@given(_tables_and_weights())
+@settings(deadline=None)
+def test_integer_index_sums_equal_the_fraction_sums(case):
+    table, weights, theta, a_set, pair = case
+    n = weights.n
+    space = and_space(n)
+    model, dist = constant_model(space, Fraction(0)), ProductDistribution.uniform(space)
+    e = ones_instance(space)
+    for a in range(n):
+        rest = [i for i in range(n) if i != a]
+        gaps = [
+            (mask, table[mask | 1 << a] - table[mask])
+            for mask in range(1 << n)
+            if not mask >> a & 1
+        ]
+        want = sum(weights.q[mask.bit_count()] * gap for mask, gap in gaps)
+        assert brute_simple_index(model, dist, e, a, weights, table=table) == want
+        want = sum(_theta_product(theta, rest, mask) * gap for mask, gap in gaps)
+        got = brute_bernoulli_index(model, dist, e, a, BernoulliWeights(theta), table=table)
+        assert got == want
+    m = len(a_set)
+    complement = list(a_set.complement(n))
+    marginals = {
+        mask: sum((-1) ** (m - len(b)) * table[mask | b.mask] for b in subsets(a_set))
+        for mask in range(1 << n)
+        if not mask & a_set.mask
+    }
+    row = pair.row(m)
+    want = sum(row[mask.bit_count()] * marginal for mask, marginal in marginals.items())
+    assert brute_interaction_index(model, dist, e, a_set, pair, table=table) == want
+    want = sum(
+        _theta_product(theta, complement, mask) * marginal for mask, marginal in marginals.items()
+    )
+    scheme = BernoulliInteractionWeights(theta)
+    assert brute_interaction_index(model, dist, e, a_set, scheme, table=table) == want
 
 
 def test_brute_simple_index_and(and2):
