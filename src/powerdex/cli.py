@@ -67,10 +67,11 @@ from .models import (
 )
 from .oracle import (
     BudgetExceededError,
-    brute_bernoulli_index,
+    _bernoulli_sum,
+    _integer_table,
+    _simple_sum,
     brute_coalition_sums,
     brute_interaction_index,
-    brute_simple_index,
     conditional_table,
 )
 
@@ -163,10 +164,11 @@ def _model_nesting():
 
     The parser recurses about twice per split, so the decode may go
     2 * TREE_DEPTH_LIMIT + 100 levels below the caller; the recursion limit
-    is raised, never lowered, and restored on exit.  The tree walks recurse
-    once per split from about the same depth under the restored limit, so
-    the allowance stays below twice the levels left there: a tree too deep
-    for them fails to decode.  A file nested more deeply still fails with a
+    is raised, never lowered, and restored on exit.  Only the expected-value
+    walk and ``TreeModel(space, root)`` still recurse once per split (the
+    gap walk behind ``attribute`` is a loop), from about the same depth
+    under the restored limit, so the allowance stays below twice the levels
+    left there.  A file nested more deeply still fails with a
     RecursionError, before the C stack is at risk.
     """
     depth = 0
@@ -774,9 +776,10 @@ def cmd_oracle_check(args) -> int:
     else:
         simple = isinstance(scheme, SimpleWeights)
         fast_all = (simple_indices if simple else bernoulli_indices)(model, dist, e, scheme)
-        brute = brute_simple_index if simple else brute_bernoulli_index
+        brute = _simple_sum if simple else _bernoulli_sum
+        nums, den = _integer_table(table)  # once, for every feature's sum
         for a, fast in enumerate(fast_all):
-            record(f"index[{named.names[a]}]", fast, brute(model, dist, e, a, scheme, table=table))
+            record(f"index[{named.names[a]}]", fast, brute(nums, den, named.space.n, a, scheme))
     doc["scheme"] = scheme_descriptor(scheme)
     doc["checks"] = checks
     doc["all_equal"] = all(c["equal"] for c in checks)

@@ -14,8 +14,9 @@ bernoulli-direct with the theta-mixture rows.  Trees and additive models
 answer from one walk of their own; every other model hands back the
 batch reduction that ``indices`` passes in, and an ensemble sums its
 components' answers, so its trees walk whatever their siblings are.
-Trees and ensembles compute on reduced (numerator, denominator) integer
-pairs and build a Fraction only for each value they return.
+Tree kernels read each row as integers over one denominator (``Row``),
+and trees and ensembles return reduced (numerator, denominator) integer
+pairs, building a Fraction only for each value they return.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .core import (
     Coalition,
@@ -38,20 +39,29 @@ from .core import (
 
 TABLE_SIZE_LIMIT = 1 << 24
 
-# Splits along one root-to-leaf path.  Tree walks recurse once per level,
-# so the bound keeps every walk far below Python's recursion limit.
+# Splits along one root-to-leaf path.  ``_expect``, compile and rebuild
+# recurse once per level; the bound keeps them far below Python's limit.
 TREE_DEPTH_LIMIT = 512
 
 # A marginal swap: feature i's row replaced by another row over its domain.
 Swap = tuple[int, Sequence[Fraction]]
 
 # A rational as (numerator, denominator) ints in lowest terms, the
-# denominator positive: the form the tree kernel computes in.
+# denominator positive: the form tree values are returned in.
 Pair = tuple[int, int]
 
+# A probability row as (den, nums): integer numerators over the lcm of the
+# row's denominators, the form both tree kernels read.
+Row = tuple[int, tuple[int, ...]]
 
-class _PairRows:
-    """Probability rows as pairs, each distinct row object converted once.
+
+def _row(probs: Sequence[Fraction]) -> Row:
+    den = lcm(*[p.denominator for p in probs])
+    return den, tuple([p.numerator * (den // p.denominator) for p in probs])
+
+
+class _RowCache:
+    """Probability rows as ``Row``s, each distinct row object converted once.
 
     Lives for one engine call, during which every row it has seen stays
     alive (the caller holds the distributions), so the rows' identities
@@ -59,18 +69,18 @@ class _PairRows:
     """
 
     def __init__(self):
-        self._rows: dict[int, tuple[Pair, ...]] = {}
-        self._tables: dict[int, list[tuple[Pair, ...]]] = {}
+        self._rows: dict[int, Row] = {}
+        self._tables: dict[int, list[Row]] = {}
 
-    def rows(self, probs: Sequence[Sequence[Fraction]]) -> list[tuple[Pair, ...]]:
+    def rows(self, probs: Sequence[Sequence[Fraction]]) -> list[Row]:
         table = self._tables.get(id(probs))
         if table is None:
             table = self._tables[id(probs)] = []
             for row in probs:
-                pairs = self._rows.get(id(row))
-                if pairs is None:
-                    pairs = self._rows[id(row)] = tuple([(p.numerator, p.denominator) for p in row])
-                table.append(pairs)
+                converted = self._rows.get(id(row))
+                if converted is None:
+                    converted = self._rows[id(row)] = _row(row)
+                table.append(converted)
         return table
 
 
@@ -79,9 +89,8 @@ class _PairRows:
 # (nums[c] + z * den * [c == hit]) / den: the z-mixture row, hit being e's
 # position, or a fixed row with hit -1 (no z term).  Under a split on the
 # feature itself, child c has the own gap (delta_e - p)(c) on the input
-# row p, which is gaps[c] / den; gaps is None on a z-mixture row, whose
-# own gap is (den * [c == hit] - nums[c]) / den.
-Factor = tuple[int, tuple[int, ...], int, Optional[tuple[int, ...]]]
+# row p, which is gaps[c] / den; on a z-mixture row p is the row itself.
+Factor = tuple[int, tuple[int, ...], int, tuple[int, ...]]
 
 # Gap polynomials (see ``Model._gap_polynomials``): per feature and path
 # length L, the integer coefficients of Q_L times the shared denominator.
@@ -92,14 +101,14 @@ GapPolynomials = tuple[dict[int, dict[int, list[int]]], int]
 Batches = Callable[["Model"], GapPolynomials]
 
 
+def _gaps(den: int, nums: Sequence[int], hit: int) -> tuple[int, ...]:
+    # den * (delta_e - p) for the row p = nums / den, e at position hit
+    return tuple([(den if c == hit else 0) - num for c, num in enumerate(nums)])
+
+
 def _z_factors(probs: Sequence[Sequence[Fraction]], hits: Sequence[int]) -> list[Factor]:
-    factors = []
-    for row, hit in zip(probs, hits):
-        den = 1
-        for p in row:
-            den *= p.denominator // gcd(den, p.denominator)
-        factors.append((den, tuple([p.numerator * (den // p.denominator) for p in row]), hit, None))
-    return factors
+    rows = [_row(row) for row in probs]
+    return [(den, nums, hit, _gaps(den, nums, hit)) for (den, nums), hit in zip(rows, hits)]
 
 
 def _fixed_factors(
@@ -110,14 +119,8 @@ def _fixed_factors(
     # every feature on its context row, its own gap on its input row
     factors = []
     for fixed, row, hit in zip(context, probs, hits):
-        den = 1
-        for p in (*fixed, *row):
-            den *= p.denominator // gcd(den, p.denominator)
-        nums = tuple([p.numerator * (den // p.denominator) for p in fixed])
-        gaps = tuple(
-            [(den if c == hit else 0) - p.numerator * (den // p.denominator) for c, p in enumerate(row)]
-        )
-        factors.append((den, nums, -1, gaps))
+        den, nums = _row((*fixed, *row))
+        factors.append((den, nums[: len(fixed)], -1, _gaps(den, nums[len(fixed) :], hit)))
     return factors
 
 
@@ -206,12 +209,11 @@ class Model(abc.ABC):
         return self.expected_values(dists)
 
     # The same answers as pairs, for an ensemble that sums its components
-    # without building a Fraction per term.  ``pairs`` converts rows once
-    # per call for all components.  This default goes through the public
-    # method; trees and ensembles compute in pairs.
+    # without a Fraction per term; ``cache`` converts rows once per call for
+    # all components.  This default goes through the public method.
 
     def _pair_values(
-        self, dists: Sequence[ProductDistribution], pairs: _PairRows
+        self, dists: Sequence[ProductDistribution], cache: _RowCache
     ) -> list[Pair]:
         return [(v.numerator, v.denominator) for v in self.expected_values(dists)]
 
@@ -344,10 +346,8 @@ class AdditiveModel(Model):
         # feature a's gap is z-free, the path length 1 constant
         # Q_{a,1} = sum_c (delta_e - p_a)(c) * t_a(c)
         values = {}
-        for a, ((den, nums, hit, gaps), terms) in enumerate(zip(factors, self.terms)):
+        for a, ((den, _, _, gaps), terms) in enumerate(zip(factors, self.terms)):
             if wanted >> a & 1:
-                if gaps is None:  # a z-mixture row
-                    gaps = [(den if c == hit else 0) - num for c, num in enumerate(nums)]
                 total = sum((g * t for g, t in zip(gaps, terms) if g), Fraction(0))
                 if total:
                     values[a] = total / den
@@ -374,19 +374,20 @@ TreeNode = Union[Leaf, Split]
 Compiled = Union[tuple, Fraction]
 
 
-def _expect(node: tuple, rows: Sequence[Sequence[Pair]]) -> Pair:
-    # E of a compiled split: the children's p * v over the product of
-    # their denominators, reduced once
+def _expect(node: tuple, rows: Sequence[Row]) -> Pair:
+    # E of a compiled split: sum_c nums[c] * v_c over the row's den and the
+    # product of the children's denominators, reduced once
+    row_den, nums = rows[node[0]]
     num, den = 0, 1
-    for (a, b), child in zip(rows[node[0]], node[1]):
+    for a, child in zip(nums, node[1]):
         if a:
             if child.__class__ is tuple:
                 cn, cd = _expect(child, rows)
             else:
                 cn, cd = child.numerator, child.denominator
-            d = b * cd
-            num = num * d + a * cn * den
-            den *= d
+            num = num * cd + a * cn * den
+            den *= cd
+    den *= row_den
     g = gcd(num, den)
     return num // g, den // g
 
@@ -479,9 +480,9 @@ class TreeModel(Model):
 
     def expected_value(self, dist: ProductDistribution) -> Fraction:
         check_shared_space(self, dist)
-        return Fraction(*self._value(_PairRows().rows(dist.probs)))
+        return Fraction(*self._value(_RowCache().rows(dist.probs)))
 
-    def _value(self, rows: Sequence[Sequence[Pair]]) -> Pair:
+    def _value(self, rows: Sequence[Row]) -> Pair:
         tree = self._tree
         if tree.__class__ is tuple:
             return _expect(tree, rows)
@@ -489,9 +490,9 @@ class TreeModel(Model):
 
     def expected_values(self, dists: Sequence[ProductDistribution]) -> list[Fraction]:
         check_shared_space(self, *dists)
-        return _fractions(self._pair_values(dists, _PairRows()))
+        return _fractions(self._pair_values(dists, _RowCache()))
 
-    def _pair_values(self, dists: Sequence[ProductDistribution], pairs: _PairRows) -> list[Pair]:
+    def _pair_values(self, dists: Sequence[ProductDistribution], cache: _RowCache) -> list[Pair]:
         """One traversal per distinct tuple of the rows the tree reads.
 
         Distributions that share their row objects on every feature the
@@ -507,7 +508,7 @@ class TreeModel(Model):
             key = tuple([id(probs[i]) for i in read])
             value = seen.get(key)
             if value is None:
-                value = seen[key] = self._value(pairs.rows(probs))
+                value = seen[key] = self._value(cache.rows(probs))
             values.append(value)
         return values
 
@@ -522,9 +523,9 @@ class TreeModel(Model):
         (see ``Factor``).  The walk carries the product F of the path's
         context factors and, per wanted feature a on the path,
         E_a = g_a * prod_{j != a} f_j, all over the product of the path's
-        denominators.  A child whose context factor is 0 gets only its own
-        gap, and F is 0 below it; subtrees without a wanted feature are
-        skipped when no E_a is carried.
+        denominators.  A child whose context factor is 0 carries nothing
+        and starts only its own gap, and F is 0 below it; subtrees without
+        a wanted feature are skipped when no E_a is carried.
         """
         polys: dict[int, dict[int, list[int]]] = {}
         tree = self._tree
@@ -534,59 +535,41 @@ class TreeModel(Model):
         for i in self._read:
             top *= factors[i][0]
         scale = 1  # the lcm of the leaf denominators met so far
-
-        def add(gaps: list, length: int, leaf: Fraction, rest: int) -> None:
-            # Q_{a,length} += leaf * E_a, over top * scale
-            nonlocal scale
-            vd = leaf.denominator
-            if scale % vd:
-                grow = vd // gcd(scale, vd)
-                _rescale(polys, grow)
-                scale *= grow
-            s = rest * leaf.numerator * (scale // vd)
-            for a, gap in gaps:
-                _accumulate(polys.setdefault(a, {}), length, s, gap)
-
-        def walk(node: tuple, length: int, product, carried: list, rest: int) -> None:
-            # rest: top over the product of the denominators on the path to
-            # node; product: F, or None where no gap can start below
-            feature, children, _ = node
+        # per split: the path length above it, F (None where no gap can start
+        # below), the carried E_a, and top over the denominators above it
+        stack = [(tree, 0, [1], [], top)]
+        while stack:
+            (feature, children, _), length, product, carried, rest = stack.pop()
             den, nums, hit, own_gaps = factors[feature]
             starting = wanted if product is not None else 0  # features that may start a gap
             own = starting >> feature & 1
             rest //= den
             length += 1
             for c, (num, child) in enumerate(zip(nums, children)):
+                if not child:
+                    continue  # a zero leaf; a split is a nonempty tuple
                 on_e = c == hit
-                split = child.__class__ is tuple
-                if not num and not on_e:
-                    # a zero context factor: F and every carried E_a are 0
-                    # below; on a fixed row the own gap need not be
-                    g = own_gaps[c] if own and own_gaps is not None else 0
-                    if g and (split or child):
-                        gaps = [(feature, [g * x for x in product])]
-                        if split:
-                            walk(child, length, None, gaps, rest)
-                        else:
-                            add(gaps, length, child, rest)
-                    continue
-                if not split and not child:
-                    continue  # a zero leaf
-                below = split and child[2] & starting
-                gaps = [(a, _times(gap, num, den, on_e)) for a, gap in carried]
-                if own:
-                    g = (den - num if on_e else -num) if own_gaps is None else own_gaps[c]
-                    if g:
-                        gaps.append((feature, [g * x for x in product]))
-                if not split:
-                    if gaps:
-                        add(gaps, length, child, rest)
-                elif gaps or below:
+                live = num or on_e  # the context factor is not 0
+                gaps = [(a, _times(gap, num, den, on_e)) for a, gap in carried] if live else []
+                g = own_gaps[c] if own else 0
+                if g:
+                    gaps.append((feature, [g * x for x in product]))
+                if child.__class__ is tuple:
                     # below a split the walk needs F only to start new gaps
-                    then = _times(product, num, den, on_e) if below else None
-                    walk(child, length, then, gaps, rest)
-
-        walk(tree, 0, [1], [], top)
+                    if live and child[2] & starting:
+                        stack.append((child, length, _times(product, num, den, on_e), gaps, rest))
+                    elif gaps:
+                        stack.append((child, length, None, gaps, rest))
+                elif gaps:
+                    # Q_{a,length} += child * E_a, over top * scale
+                    vd = child.denominator
+                    if scale % vd:
+                        grow = vd // gcd(scale, vd)
+                        _rescale(polys, grow)
+                        scale *= grow
+                    s = rest * child.numerator * (scale // vd)
+                    for a, gap in gaps:
+                        _accumulate(polys.setdefault(a, {}), length, s, gap)
         return polys, top * scale
 
     def features_used(self) -> frozenset[int]:
@@ -636,9 +619,9 @@ class EnsembleModel(Model):
 
     def expected_values(self, dists: Sequence[ProductDistribution]) -> list[Fraction]:
         check_shared_space(self, *dists)
-        return _fractions(self._pair_values(dists, _PairRows()))
+        return _fractions(self._pair_values(dists, _RowCache()))
 
-    def _pair_values(self, dists: Sequence[ProductDistribution], pairs: _PairRows) -> list[Pair]:
+    def _pair_values(self, dists: Sequence[ProductDistribution], cache: _RowCache) -> list[Pair]:
         # sum_j w_j * answer_j, entry by entry, one gcd per product and sum
         totals: list[Pair] = [(0, 1)] * len(dists)
         for w, model in self.components:
@@ -646,7 +629,7 @@ class EnsembleModel(Model):
             # a component repeats one value object for the distributions
             # it cannot tell apart, so weight each distinct object once
             weighted: dict[int, Pair] = {}
-            for k, value in enumerate(model._pair_values(dists, pairs)):
+            for k, value in enumerate(model._pair_values(dists, cache)):
                 term = weighted.get(id(value))
                 if term is None:
                     n, d = wn * value[0], wd * value[1]

@@ -196,10 +196,15 @@ def brute_simple_index(
     space.check_feature(a)
     _check_scheme_size(weights, space.n)
     nums, den = _integer_table(_table_or_compute(model, dist, e, budget, table))
+    return _simple_sum(nums, den, space.n, a, weights)
+
+
+def _simple_sum(nums: dict, den: int, n: int, a: int, weights: SimpleWeights) -> Fraction:
+    # brute_simple_index's sum over the table nums / den (``_integer_table``)
     q, q_den = _integer_row(weights.q)
     bit = 1 << a
     total = 0
-    for s in subsets(Coalition.singleton(a).complement(space.n)):
+    for s in subsets(Coalition.singleton(a).complement(n)):
         w = q[len(s)]
         if w:
             total += w * (nums[s.mask | bit] - nums[s.mask])
@@ -220,7 +225,12 @@ def brute_bernoulli_index(
     space.check_feature(a)
     _check_scheme_size(weights, space.n)
     nums, den = _integer_table(_table_or_compute(model, dist, e, budget, table))
-    probs, q_den = _coalition_probs(weights.theta, Coalition.singleton(a).complement(space.n))
+    return _bernoulli_sum(nums, den, space.n, a, weights)
+
+
+def _bernoulli_sum(nums: dict, den: int, n: int, a: int, weights: BernoulliWeights) -> Fraction:
+    # brute_bernoulli_index's sum over the table nums / den (``_integer_table``)
+    probs, q_den = _coalition_probs(weights.theta, Coalition.singleton(a).complement(n))
     bit = 1 << a
     total = sum(q * (nums[mask | bit] - nums[mask]) for mask, q in probs)
     return Fraction(total, den * q_den)

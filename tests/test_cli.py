@@ -104,8 +104,8 @@ def test_attribute_banzhaf_takes_direct_path(capsys):
 
 def test_attribute_matches_library_api(capsys):
     named, model = load_model_file(AND_MODEL)
-    dist = parse_distribution(json.load(open(UNIFORM2)), named, "dist")
-    e = parse_instance(json.load(open(AND_INSTANCE)), named)
+    dist = parse_distribution(json.loads(Path(UNIFORM2).read_text()), named, "dist")
+    e = parse_instance(json.loads(Path(AND_INSTANCE).read_text()), named)
     scheme = SimpleWeights.binomial(2, Fraction(1, 3))
     expected = attribute_all(model, dist, e, scheme)
     code, captured = run_cli(
@@ -1327,7 +1327,7 @@ def test_oracle_check_engine_values_equal_the_per_feature_functions(tmp_path, ca
     dist_path.write_text(json.dumps({"marginals": [
         {"feature": name, "probs": ["1/3", "2/3"]} for name in named.names
     ]}))
-    e = parse_instance(json.load(open(AND_INSTANCE)), named)
+    e = parse_instance(json.loads(Path(AND_INSTANCE).read_text()), named)
     for scheme_doc, scheme in (
         ('{"preset":"banzhaf"}', SimpleWeights.banzhaf(2)),
         ('{"preset":"binomial","theta":"1/3"}', SimpleWeights.binomial(2, Fraction(1, 3))),

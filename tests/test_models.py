@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from powerdex import (
     AdditiveModel,
+    BernoulliWeights,
     Coalition,
     CountingModel,
     EnsembleModel,
@@ -492,3 +494,48 @@ def test_tree_depth_limit():
         sys.setrecursionlimit(limit)
     with pytest.raises(ValueError, match="deeper than the limit"):
         TreeModel(space, _chain(space, depth + 1))
+
+
+def _from_depth(frames, call):
+    # call() from ``frames`` frames below the caller
+    if frames:
+        return _from_depth(frames - 1, call)
+    return call()
+
+
+def test_the_walks_run_from_a_deep_caller():
+    # a Bernoulli scheme keeps the walk linear in n; an interpolation
+    # scheme at this n would cost O(n^3)
+    depth = TREE_DEPTH_LIMIT
+    space = and_space(depth + 1)
+    tree = TreeModel(space, _chain(space, depth))
+    dist = ProductDistribution.uniform(space)
+    e = ones_instance(space)
+    scheme = BernoulliWeights.constant(depth + 1, Fraction(1, 3))
+    shallow = attribute_all(tree, dist, e, scheme)
+    assert shallow.path == "bernoulli-direct"
+    assert _from_depth(700, lambda: attribute_all(tree, dist, e, scheme)) == shallow
+
+
+@pytest.mark.parametrize("kind", ["tree", "ensemble"])
+@pytest.mark.parametrize("scheme", ["shapley", "bernoulli"])
+def test_a_gap_walk_leaves_no_reference_cycle(kind, scheme):
+    rng = random.Random(3)
+    space = random_space(rng, 3)
+    model = random_model_of_kind(kind, rng, space)
+    dist = random_distribution(rng, space)
+    e = random_instance(rng, space)
+    weights = (
+        SimpleWeights.shapley(3)
+        if scheme == "shapley"
+        else BernoulliWeights([Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)])
+    )
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        attribute_all(model, dist, e, weights)
+        assert gc.collect() == 0  # nothing the call left behind needed the collector
+    finally:
+        if enabled:
+            gc.enable()
