@@ -17,6 +17,14 @@ components' answers, so its trees walk whatever their siblings are.
 Tree kernels read each row as integers over one denominator (``Row``),
 and trees and ensembles return reduced (numerator, denominator) integer
 pairs, building a Fraction only for each value they return.
+
+The brute-force oracle reads F through the private point evaluation
+``Model._evaluate_at``, one domain position per feature.  Trees and
+ensembles answer it from their stored form; the default, which tables,
+additive models, ``CountingModel`` and user models take, builds the
+instance and calls the public ``evaluate``, so they count and behave as
+through ``evaluate``.  A subclass of a tree or an ensemble that overrides
+``evaluate`` must also override ``_evaluate`` and ``_evaluate_at``.
 """
 
 from __future__ import annotations
@@ -178,6 +186,19 @@ class Model(abc.ABC):
         # the check here
         return self.evaluate(instance)
 
+    def _evaluate_at(self, positions: Sequence[int]) -> Pair:
+        # F on the outcome with one domain position per feature, as a
+        # reduced pair: the oracle's point evaluation.  The built-in models
+        # read their stored form; this default builds the instance and
+        # calls the public ``evaluate``
+        space = self.space
+        value = self.evaluate(
+            Instance._from_trusted_values(
+                space, tuple([domain[k] for domain, k in zip(space.domains, positions)])
+            )
+        )
+        return value.numerator, value.denominator
+
     @abc.abstractmethod
     def expected_value(self, dist: ProductDistribution) -> Fraction:
         """Exact expectation of the model under a product distribution."""
@@ -238,6 +259,29 @@ class Model(abc.ABC):
         return batches(self)
 
 
+def _table_sum(
+    values: Sequence[Fraction],
+    strides: Sequence[int],
+    probs: Sequence[Sequence[Fraction]],
+    feature: int,
+    weight: Fraction,
+    offset: int,
+    total: Fraction,
+) -> Fraction:
+    # total plus weight * prod_j p_j(c_j) * values[c] over the outcomes c
+    # that agree with the prefix fixed so far (at ``offset``), by full
+    # enumeration; a value of probability 0 is skipped
+    if feature == len(strides):
+        return total + weight * values[offset]
+    stride = strides[feature]
+    for pos, p in enumerate(probs[feature]):
+        if p:
+            total = _table_sum(
+                values, strides, probs, feature + 1, weight * p, offset + stride * pos, total
+            )
+    return total
+
+
 class TableModel(Model):
     """The model as an explicit table over the full product domain.
 
@@ -283,22 +327,7 @@ class TableModel(Model):
 
     def expected_value(self, dist: ProductDistribution) -> Fraction:
         check_shared_space(self, dist)
-        total = Fraction(0)
-        n = self.space.n
-
-        # full enumeration; probabilities accumulated positionally
-        def walk(feature: int, weight: Fraction, offset: int):
-            nonlocal total
-            if feature == n:
-                total += weight * self.values[offset]
-                return
-            stride = self._strides[feature]
-            for pos, p in enumerate(dist.probs[feature]):
-                if p:
-                    walk(feature + 1, weight * p, offset + stride * pos)
-
-        walk(0, Fraction(1), 0)
-        return total
+        return _table_sum(self.values, self._strides, dist.probs, 0, Fraction(1), 0, Fraction(0))
 
 
 class AdditiveModel(Model):
@@ -478,6 +507,12 @@ class TreeModel(Model):
             node = children[space.position(feature, instance[feature])]
         return node
 
+    def _evaluate_at(self, positions: Sequence[int]) -> Pair:
+        node = self._tree
+        while node.__class__ is tuple:
+            node = node[1][positions[node[0]]]
+        return node.numerator, node.denominator
+
     def expected_value(self, dist: ProductDistribution) -> Fraction:
         check_shared_space(self, dist)
         return Fraction(*self._value(_RowCache().rows(dist.probs)))
@@ -596,23 +631,36 @@ class EnsembleModel(Model):
         check_shared_space(self, instance)
         return self._evaluate(instance)
 
+    # Both point evaluations are sum_j w_j * F_j(x); the components' spaces
+    # were checked equal to the ensemble's at construction
+
     def _evaluate(self, instance: Instance) -> Fraction:
-        # sum_j w_j * F_j(x) as one integer pair over the lcm of the terms'
-        # denominators, reduced once; the components' spaces were checked
-        # equal to the ensemble's at construction
-        num, den = 0, 1
-        for w, model in self.components:
+        values = []
+        for _, model in self.components:
             value = model._evaluate(instance)
-            tn = w.numerator * value.numerator
+            values.append((value.numerator, value.denominator))
+        return Fraction(*self._weighted(values))
+
+    def _evaluate_at(self, positions: Sequence[int]) -> Pair:
+        num, den = self._weighted([model._evaluate_at(positions) for _, model in self.components])
+        g = gcd(num, den)
+        return num // g, den // g
+
+    def _weighted(self, values: Sequence[Pair]) -> Pair:
+        # sum_j w_j * values[j] as one integer pair over the lcm of the
+        # terms' denominators, not reduced
+        num, den = 0, 1
+        for (w, _), (vn, vd) in zip(self.components, values):
+            tn = w.numerator * vn
             if not tn:
                 continue
-            td = w.denominator * value.denominator
+            td = w.denominator * vd
             if den % td:
                 g = gcd(den, td)
                 num *= td // g
                 den *= td // g
             num += tn * (den // td)
-        return Fraction(num, den)
+        return num, den
 
     def expected_value(self, dist: ProductDistribution) -> Fraction:
         return self.expected_values([dist])[0]

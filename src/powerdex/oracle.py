@@ -1,8 +1,11 @@
 """Brute-force reference implementations by explicit enumeration.
 
 These are the ground truth the fast reductions are tested against.  They
-only ever call ``Model.evaluate`` on full instances, never the model's
+only ever evaluate the model on full assignments, never through its
 expected-value engine, so agreement between the two is a real check.
+F is read by domain positions through the private ``Model._evaluate_at``:
+trees and ensembles answer it from their stored form, and any other model
+is evaluated through its public ``evaluate`` on a full instance.
 Shipped in the library (not test-only) so external index implementations
 can be validated via the CLI.
 """
@@ -85,70 +88,34 @@ def conditional_table(
 def _contract(model: Model, dist: ProductDistribution, e: Optional[Instance]) -> list[Fraction]:
     """Sum F over the outcome grid one feature at a time, depth first, in integers.
 
-    Row i is scaled to integers over the lcm L_i of its denominators.
-    ``walk(i)`` fixes features 0..i-1 and returns ``(nums, den)``, a vector
-    over the coalitions S of features i..n-1, bit 0 standing for feature
-    i, whose entry S is nums[S] / (den * prod of L_j over j >= i not in S).
-    Its even entries (i not in S) are the row-weighted sums of the
-    sub-vectors of i's values; its odd entries (i in S) are the sub-vector
-    at e_i.  A sub-vector over another denominator is brought to the lcm
-    of the two first.  With ``e`` None only the weighted sum is taken and
-    the vector is [E[F]].  A value of probability 0 is visited only when it
-    is e_i.  That is at most n * |Omega| integer multiply-adds, and one
+    Row i is scaled to integers over the lcm L_i of its denominators, and
+    feature i's visits are worked out once: the ``(position, weight,
+    pinned)`` triples of its values that have a nonzero weight or are e_i
+    (pinned).  ``_walk`` fixes the positions of features 0..i-1 and returns
+    ``(nums, den)``, a vector over the coalitions S of features i..n-1, bit
+    0 standing for feature i, whose entry S is nums[S] / (den * prod of L_j
+    over j >= i not in S).  Its even entries (i not in S) are the
+    row-weighted sums of the sub-vectors of i's values; its odd entries (i
+    in S) are the sub-vector at e_i.  A sub-vector over another denominator
+    is brought to the lcm of the two first.  With ``e`` None nothing is
+    pinned, only the weighted sum is taken and the vector is [E[F]].  F is
+    read once per visited outcome, by ``Model._evaluate_at`` on its
+    positions.  That is at most n * |Omega| integer multiply-adds, and one
     Fraction per coalition at the end; the walk holds one vector per level,
     so memory stays O(2^n).
     """
     space = model.space
     n = space.n
     scales = [lcm(*(p.denominator for p in row)) for row in dist.probs]
-    rows = [
-        [p.numerator * (scale // p.denominator) for p in row]
-        for row, scale in zip(dist.probs, scales)
-    ]
-    hits = [None] * n if e is None else [space.position(i, e[i]) for i in range(n)]
-    omega: list = [None] * n
-
-    def walk(i: int) -> tuple[list[int], int]:
-        if i == n:
-            value = model.evaluate(Instance._from_trusted_values(space, tuple(omega)))
-            return [value.numerator], value.denominator
-        free: Optional[list[int]] = None
-        pinned: list[int] = []
-        den = 0
-        for k, (v, w) in enumerate(zip(space.domains[i], rows[i])):
-            pin = k == hits[i]
-            if not w and not pin:
-                continue
-            omega[i] = v
-            sub, d = walk(i + 1)
-            if not den:
-                den = d
-            elif d != den:
-                common = lcm(den, d)
-                if common != den:
-                    up = common // den
-                    if free is not None:
-                        free = [x * up for x in free]
-                    pinned = [x * up for x in pinned]
-                    den = common
-                if common != d:
-                    up = common // d
-                    sub = [x * up for x in sub]
-            if pin:
-                pinned = sub
-            if w:
-                if free is None:
-                    free = [w * x for x in sub]
-                else:
-                    free = [f + w * x for f, x in zip(free, sub)]
-        if e is None:
-            return free, den
-        both = free + pinned
-        both[0::2] = free
-        both[1::2] = pinned
-        return both, den
-
-    nums, den = walk(0)
+    visits = []
+    for i, (row, scale) in enumerate(zip(dist.probs, scales)):
+        hit = None if e is None else space.position(i, e[i])
+        visits.append(tuple(
+            (k, p.numerator * (scale // p.denominator), k == hit)
+            for k, p in enumerate(row)
+            if p or k == hit
+        ))
+    nums, den = _walk(model, visits, e is not None, [0] * n, 0)
     if e is None:
         return [Fraction(nums[0], den * prod(scales))]
     # the denominator of coalition S is den * prod of L_i over i not in S
@@ -156,6 +123,48 @@ def _contract(model: Model, dist: ProductDistribution, e: Optional[Instance]) ->
     for scale in scales:
         dens = [d * scale for d in dens] + dens
     return [Fraction(x, d) for x, d in zip(nums, dens)]
+
+
+def _walk(
+    model: Model, visits: Sequence[tuple], pinning: bool, positions: list[int], i: int
+) -> tuple[list[int], int]:
+    # ``_contract``'s vector for the prefix fixed in positions[:i]; with
+    # ``pinning`` (e given) it also carries the sub-vector at e_i
+    if i == len(visits):
+        num, den = model._evaluate_at(positions)
+        return [num], den
+    free: Optional[list[int]] = None
+    pinned: list[int] = []
+    den = 0
+    for k, w, pin in visits[i]:
+        positions[i] = k
+        sub, d = _walk(model, visits, pinning, positions, i + 1)
+        if not den:
+            den = d
+        elif d != den:
+            common = lcm(den, d)
+            if common != den:
+                up = common // den
+                if free is not None:
+                    free = [x * up for x in free]
+                pinned = [x * up for x in pinned]
+                den = common
+            if common != d:
+                up = common // d
+                sub = [x * up for x in sub]
+        if pin:
+            pinned = sub
+        if w:
+            if free is None:
+                free = [w * x for x in sub]
+            else:
+                free = [f + w * x for f, x in zip(free, sub)]
+    if not pinning:  # no e: only the weighted sum
+        return free, den
+    both = free + pinned
+    both[0::2] = free
+    both[1::2] = pinned
+    return both, den
 
 
 def _table_or_compute(
@@ -298,12 +307,11 @@ def brute_coalition_sums(
 ) -> tuple[Fraction, ...]:
     """The n+1 sums of E[F|S] grouped by coalition size."""
     space = check_shared_space(model, dist, e)
-    table = _table_or_compute(model, dist, e, budget, table)
-    n = space.n
-    sums = [Fraction(0)] * (n + 1)
-    for mask, value in table.items():
-        sums[mask.bit_count()] += value
-    return tuple(sums)
+    nums, den = _integer_table(_table_or_compute(model, dist, e, budget, table))
+    sums = [0] * (space.n + 1)
+    for mask, num in nums.items():
+        sums[mask.bit_count()] += num
+    return tuple([Fraction(s, den) for s in sums])
 
 
 def brute_coefficient_sums(
@@ -317,10 +325,10 @@ def brute_coefficient_sums(
     """The n sums of m(a;S) grouped by |S|, for cross-checking interpolation."""
     space = check_shared_space(model, dist, e)
     space.check_feature(a)
-    table = _table_or_compute(model, dist, e, budget, table)
+    nums, den = _integer_table(_table_or_compute(model, dist, e, budget, table))
     n = space.n
     bit = 1 << a
-    sums = [Fraction(0)] * n
+    sums = [0] * n
     for s in subsets(Coalition.singleton(a).complement(n)):
-        sums[len(s)] += table[s.mask | bit] - table[s.mask]
-    return tuple(sums)
+        sums[len(s)] += nums[s.mask | bit] - nums[s.mask]
+    return tuple([Fraction(s, den) for s in sums])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,6 +76,19 @@ def csv_marginals(path, names, domains) -> list[list[Fraction]]:
         for cell, feature in zip(row, features):
             counts[feature][cell.strip()] += 1
     return [[Fraction(counts[f][v], len(rows)) for v in domain] for f, domain in enumerate(domains)]
+
+
+def cycles_left_by(call) -> int:
+    """The unreachable objects ``gc.collect()`` finds after ``call()``, run with the collector off."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-import gc
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -24,11 +24,12 @@ from powerdex import (
     conditional_expectation,
 )
 from powerdex.core import check_shared_space
-from powerdex.models import TREE_DEPTH_LIMIT, Leaf, Split
+from powerdex.models import TREE_DEPTH_LIMIT, Leaf, Model, Split
 
 from corpus import (
     MODEL_KINDS,
     component_weights,
+    cycles_left_by,
     models,
     and_space,
     and_table_model,
@@ -251,6 +252,42 @@ def test_ensemble_evaluate_checks_the_space_once(monkeypatch):
     # a user model inside an ensemble is still reached through its evaluate
     assert outer.evaluate(e) == -want
     assert counted.evaluate_calls == 1
+
+
+class _PointModel(Model):
+    """A model from outside the library: it defines evaluate and takes no expectation."""
+
+    def __init__(self, inner: Model):
+        self.inner = inner
+        self.space = inner.space
+
+    def evaluate(self, instance: Instance) -> Fraction:
+        return self.inner.evaluate(instance)
+
+    def expected_value(self, dist: ProductDistribution) -> Fraction:
+        raise AssertionError("a point evaluation took an expectation")
+
+
+@given(st.data())
+def test_evaluate_at_positions_is_evaluate(data):
+    space = data.draw(small_spaces())
+    inner = data.draw(models(space))  # every kind, ensembles nested two deep
+    counted = CountingModel(inner)
+    user = _PointModel(inner)
+    w = data.draw(component_weights())
+    ensemble = EnsembleModel([(w, inner), (Fraction(-2, 3), counted), (Fraction(5), user)])
+    for positions in itertools.product(*(range(len(d)) for d in space.domains)):
+        x = Instance(space, [d[k] for d, k in zip(space.domains, positions)])
+        want = inner.evaluate(x)
+        for model in (inner, counted, user):
+            calls = counted.evaluate_calls
+            assert model._evaluate_at(positions) == (want.numerator, want.denominator)
+            assert counted.evaluate_calls == calls + (model is counted)
+        calls = counted.evaluate_calls
+        value = ensemble.evaluate(x)
+        num, den = ensemble._evaluate_at(positions)
+        assert (num, den) == (value.numerator, value.denominator)  # reduced, den > 0
+        assert counted.evaluate_calls == calls + 2
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +554,7 @@ def test_the_walks_run_from_a_deep_caller():
     assert _from_depth(700, lambda: attribute_all(tree, dist, e, scheme)) == shallow
 
 
-@pytest.mark.parametrize("kind", ["tree", "ensemble"])
+@pytest.mark.parametrize("kind", ["tree", "ensemble", "table", "additive"])
 @pytest.mark.parametrize("scheme", ["shapley", "bernoulli"])
 def test_a_gap_walk_leaves_no_reference_cycle(kind, scheme):
     rng = random.Random(3)
@@ -530,12 +567,5 @@ def test_a_gap_walk_leaves_no_reference_cycle(kind, scheme):
         if scheme == "shapley"
         else BernoulliWeights([Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)])
     )
-    enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        attribute_all(model, dist, e, weights)
-        assert gc.collect() == 0  # nothing the call left behind needed the collector
-    finally:
-        if enabled:
-            gc.enable()
+    # nothing the call left behind needed the collector
+    assert cycles_left_by(lambda: attribute_all(model, dist, e, weights)) == 0

@@ -42,6 +42,7 @@ from corpus import (
     and_space,
     and_table_model,
     constant_model,
+    cycles_left_by,
     instances,
     models,
     ones_instance,
@@ -157,6 +158,13 @@ def test_oracle_calls_only_evaluate_once_per_outcome(kind):
         run(counted)
         assert counted.expected_value_calls == 0
         assert 0 < counted.evaluate_calls <= model.space.outcome_count()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_the_oracle_leaves_no_reference_cycle(kind):
+    model, dist, e = _oracle_case(kind, 4, True, 5)
+    assert cycles_left_by(lambda: conditional_table(model, dist, e)) == 0
+    assert cycles_left_by(lambda: brute_expectation(model, dist)) == 0
 
 
 def _mixed_case():
