@@ -184,21 +184,30 @@ class Instance:
     space: FeatureSpace
     values: tuple[Value, ...]
 
+    # ``_positions``, each value's position in its feature's domain, is kept
+    # beside the fields (not one of them, so equality, hashing and repr see
+    # only the values): the form models and distributions read e in.
+
     def __init__(self, space: FeatureSpace, values: Sequence[Value]):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", tuple(values))
         if len(self.values) != space.n:
             raise ValueError(f"instance has {len(self.values)} values for {space.n} features")
-        for i, v in enumerate(self.values):
-            space.position(i, v)  # raises on unknown value
+        # raises on an unknown value
+        positions = tuple([space.position(i, v) for i, v in enumerate(self.values)])
+        object.__setattr__(self, "_positions", positions)
 
     @classmethod
-    def _from_trusted_values(cls, space: FeatureSpace, values: tuple[Value, ...]) -> "Instance":
-        # skips validation; callers must supply one domain value per feature
-        # (values taken from ``space.domains`` qualify)
+    def _at(cls, space: FeatureSpace, positions: Sequence[int]) -> "Instance":
+        # the instance at one domain position per feature; skips validation,
+        # so callers must supply a position within each feature's domain
+        positions = tuple(positions)
         instance = object.__new__(cls)
         object.__setattr__(instance, "space", space)
-        object.__setattr__(instance, "values", values)
+        object.__setattr__(
+            instance, "values", tuple([d[k] for d, k in zip(space.domains, positions)])
+        )
+        object.__setattr__(instance, "_positions", positions)
         return instance
 
     def __getitem__(self, feature: int) -> Value:
@@ -345,12 +354,10 @@ class ProductDistribution:
 
     @classmethod
     def point_mass(cls, e: Instance) -> "ProductDistribution":
-        space = e.space
         rows = []
-        for i, domain in enumerate(space.domains):
-            pos = space.position(i, e[i])
+        for domain, pos in zip(e.space.domains, e._positions):
             rows.append([Fraction(1) if k == pos else Fraction(0) for k in range(len(domain))])
-        return cls(space, rows)
+        return cls(e.space, rows)
 
     def prob(self, feature: int, value: Value) -> Fraction:
         return self.probs[feature][self.space.position(feature, value)]
@@ -406,10 +413,7 @@ def mixture_distribution(
     if z < 0:
         raise ValueError(f"mixture parameter must be >= 0, got {z}")
     space = check_shared_space(dist, e)
-    rows = tuple(
-        mixture_row(dist.probs[i], space.position(i, e[i]), z)
-        for i in range(space.n)
-    )
+    rows = tuple(mixture_row(row, hit, z) for row, hit in zip(dist.probs, e._positions))
     return ProductDistribution._from_trusted_rows(space, rows)
 
 
@@ -429,8 +433,7 @@ def bernoulli_mixture(
         if t < 0 or t > 1:
             raise ValueError(f"mixing weight for feature {i} is {t}, outside [0, 1]")
     rows = tuple(
-        bernoulli_row(dist.probs[i], space.position(i, e[i]), thetas[i])
-        for i in range(space.n)
+        bernoulli_row(row, hit, t) for row, hit, t in zip(dist.probs, e._positions, thetas)
     )
     return ProductDistribution._from_trusted_rows(space, rows)
 

@@ -259,25 +259,18 @@ def _derivative(
     return variants
 
 
-def _hits(space: FeatureSpace, e: Instance) -> list[int]:
-    return [space.position(i, e[i]) for i in range(space.n)]
-
-
 def _z_node_sums(
     model: Model, dist: ProductDistribution, e: Instance, nodes: Sequence[Fraction], targets
 ) -> list[list[Fraction]]:
     """``batched_node_sums`` with every marginal blended toward e by each node's z-mixture."""
-    space = dist.space
-    hits = _hits(space, e)
-
     def rows(z):
         if not z:
             # the input rows themselves: nothing to build, and a tree's batch
             # key (row identity) sees them as the input rows
             return dist.probs
-        return tuple(mixture_row(row, hit, z) for row, hit in zip(dist.probs, hits))
+        return tuple(mixture_row(row, hit, z) for row, hit in zip(dist.probs, e._positions))
 
-    return batched_node_sums(model, space, (rows(z) for z in nodes), targets)
+    return batched_node_sums(model, dist.space, (rows(z) for z in nodes), targets)
 
 
 def _node_polynomials(
@@ -373,7 +366,7 @@ def _z_reduction(
         sums = _z_node_sums(component, dist, e, nodes, targets)
         return _node_polynomials(keys, nodes, sums, n - 1, n)
 
-    factors = _z_factors(dist.probs, _hits(space, e))
+    factors = _z_factors(dist.probs, e._positions)
     return _reduce(model, factors, [(a,) for a in features], batches)
 
 
@@ -443,7 +436,7 @@ def _bernoulli_indices(
         sums = batched_node_sums(component, space, [mixed.probs], targets)
         return _node_polynomials(keys, [Fraction(0)], sums, 0, space.n)
 
-    factors = _fixed_factors(mixed.probs, dist.probs, _hits(space, e))
+    factors = _fixed_factors(mixed.probs, dist.probs, e._positions)
     by_set, den = _reduce(model, factors, member_sets, batches)
     # fixed rows: each Q_{A,L} is a constant, and the derivative is their sum
     values = [Fraction(sum(q[0] for q in polys.values()), den) for polys in by_set]
@@ -455,16 +448,18 @@ def marginal_index(
 ) -> Fraction:
     """Closed form for the marginal preset: F(e) minus the a-averaged prediction.
 
-    Needs one model evaluation per value of feature a's domain and no
-    expected-value engine calls.
+    Needs one model evaluation per value of feature a's domain with a
+    nonzero probability, plus F(e), and no expected-value engine calls.
     """
     space = check_shared_space(model, dist, e)
     space.check_feature(a)
+    positions = list(e._positions)
     averaged = Fraction(0)
-    for value, p in zip(space.domains[a], dist.probs[a]):
+    for k, p in enumerate(dist.probs[a]):
         if p:
-            averaged += p * model.evaluate(e.replaced(a, value))
-    return model.evaluate(e) - averaged
+            positions[a] = k
+            averaged += p * Fraction(*model._evaluate_at(positions))
+    return Fraction(*model._evaluate_at(e._positions)) - averaged
 
 
 def _simple_indices(

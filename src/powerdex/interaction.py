@@ -211,7 +211,7 @@ def _interaction_simple(
     variants = [
         (
             w * (1 + y) ** y_power,
-            {i: mixture_row(dist.probs[i], space.position(i, e[i]), y) for i in a_set},
+            {i: mixture_row(dist.probs[i], e._positions[i], y) for i in a_set},
         )
         for y, w in zip(grid.y_nodes, _signed_weights(grid.y_nodes))
     ]

@@ -18,18 +18,20 @@ Tree kernels read each row as integers over one denominator (``Row``),
 and trees and ensembles return reduced (numerator, denominator) integer
 pairs, building a Fraction only for each value they return.
 
-The brute-force oracle reads F through the private point evaluation
-``Model._evaluate_at``, one domain position per feature.  Trees and
-ensembles answer it from their stored form; the default, which tables,
-additive models, ``CountingModel`` and user models take, builds the
-instance and calls the public ``evaluate``, so they count and behave as
-through ``evaluate``.  A subclass of a tree or an ensemble that overrides
-``evaluate`` must also override ``_evaluate`` and ``_evaluate_at``.
+Every point read of F goes through the private ``Model._evaluate_at``,
+one domain position per feature: the public ``evaluate`` of each built-in
+model, the brute-force oracle, the marginal closed form and
+``TableModel.tabulate``.  The built-in models answer it from their stored
+form; the default, which ``CountingModel`` and user models take, builds
+the instance and calls the public ``evaluate``, so they count and behave
+as through ``evaluate``.  A subclass of a built-in model that overrides
+``evaluate`` must also override ``_evaluate_at``.
 """
 
 from __future__ import annotations
 
 import abc
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -51,11 +53,9 @@ TABLE_SIZE_LIMIT = 1 << 24
 # recurse once per level; the bound keeps them far below Python's limit.
 TREE_DEPTH_LIMIT = 512
 
-# A marginal swap: feature i's row replaced by another row over its domain.
-Swap = tuple[int, Sequence[Fraction]]
-
 # A rational as (numerator, denominator) ints in lowest terms, the
-# denominator positive: the form tree values are returned in.
+# denominator positive: the form tree values and point evaluations are
+# returned in.
 Pair = tuple[int, int]
 
 # A probability row as (den, nums): integer numerators over the lcm of the
@@ -180,23 +180,11 @@ class Model(abc.ABC):
     def evaluate(self, instance: Instance) -> Fraction:
         """Exact model output for a full instance."""
 
-    def _evaluate(self, instance: Instance) -> Fraction:
-        # ``evaluate`` on an instance already checked to share the space
-        # (an ensemble's, for its components); the built-in models skip
-        # the check here
-        return self.evaluate(instance)
-
     def _evaluate_at(self, positions: Sequence[int]) -> Pair:
         # F on the outcome with one domain position per feature, as a
-        # reduced pair: the oracle's point evaluation.  The built-in models
-        # read their stored form; this default builds the instance and
-        # calls the public ``evaluate``
-        space = self.space
-        value = self.evaluate(
-            Instance._from_trusted_values(
-                space, tuple([domain[k] for domain, k in zip(space.domains, positions)])
-            )
-        )
+        # reduced pair.  The built-in models read their stored form; this
+        # default builds the instance and calls the public ``evaluate``
+        value = self.evaluate(Instance._at(self.space, positions))
         return value.numerator, value.denominator
 
     @abc.abstractmethod
@@ -206,28 +194,6 @@ class Model(abc.ABC):
     def expected_values(self, dists: Sequence[ProductDistribution]) -> list[Fraction]:
         """``[self.expected_value(d) for d in dists]``, possibly sharing work."""
         return [self.expected_value(d) for d in dists]
-
-    def expected_values_swapped(
-        self, dist: ProductDistribution, swaps: Sequence[Swap]
-    ) -> list[Fraction]:
-        """Per ``(i, row)`` of ``swaps``: E[F] under dist with feature i's marginal set to row.
-
-        Each row must be a probability row over feature i's domain.  The
-        answers are ``expected_values`` on the swapped distributions.
-        """
-        space = check_shared_space(self, dist)
-        dists = []
-        for i, row in swaps:
-            space.check_feature(i)
-            if len(row) != len(space.domains[i]):
-                raise ValueError(
-                    f"feature {i}: a swapped row of {len(row)} probabilities "
-                    f"for {len(space.domains[i])} values"
-                )
-            rows = list(dist.probs)
-            rows[i] = row
-            dists.append(ProductDistribution._from_trusted_rows(space, tuple(rows)))
-        return self.expected_values(dists)
 
     # The same answers as pairs, for an ensemble that sums its components
     # without a Fraction per term; ``cache`` converts rows once per call for
@@ -307,23 +273,16 @@ class TableModel(Model):
 
     @classmethod
     def tabulate(cls, model: "Model") -> "TableModel":
-        space = model.space
-        return cls(
-            space, [model.evaluate(Instance(space, omega)) for omega in space.outcomes()]
-        )
-
-    def _index(self, instance: Instance) -> int:
-        space = self.space
-        return sum(
-            self._strides[i] * space.position(i, instance[i]) for i in range(space.n)
-        )
+        grid = itertools.product(*(range(len(d)) for d in model.space.domains))
+        return cls(model.space, [Fraction(*model._evaluate_at(k)) for k in grid])
 
     def evaluate(self, instance: Instance) -> Fraction:
         check_shared_space(self, instance)
-        return self._evaluate(instance)
+        return Fraction(*self._evaluate_at(instance._positions))
 
-    def _evaluate(self, instance: Instance) -> Fraction:
-        return self.values[self._index(instance)]
+    def _evaluate_at(self, positions: Sequence[int]) -> Pair:
+        value = self.values[sum([s * k for s, k in zip(self._strides, positions)])]
+        return value.numerator, value.denominator
 
     def expected_value(self, dist: ProductDistribution) -> Fraction:
         check_shared_space(self, dist)
@@ -351,14 +310,11 @@ class AdditiveModel(Model):
 
     def evaluate(self, instance: Instance) -> Fraction:
         check_shared_space(self, instance)
-        return self._evaluate(instance)
+        return Fraction(*self._evaluate_at(instance._positions))
 
-    def _evaluate(self, instance: Instance) -> Fraction:
-        space = self.space
-        return self.bias + sum(
-            (self.terms[i][space.position(i, instance[i])] for i in range(space.n)),
-            Fraction(0),
-        )
+    def _evaluate_at(self, positions: Sequence[int]) -> Pair:
+        value = sum([row[k] for row, k in zip(self.terms, positions)], self.bias)
+        return value.numerator, value.denominator
 
     def expected_value(self, dist: ProductDistribution) -> Fraction:
         check_shared_space(self, dist)
@@ -497,15 +453,7 @@ class TreeModel(Model):
 
     def evaluate(self, instance: Instance) -> Fraction:
         check_shared_space(self, instance)
-        return self._evaluate(instance)
-
-    def _evaluate(self, instance: Instance) -> Fraction:
-        node = self._tree
-        space = self.space
-        while node.__class__ is tuple:
-            feature, children, _ = node
-            node = children[space.position(feature, instance[feature])]
-        return node
+        return Fraction(*self._evaluate_at(instance._positions))
 
     def _evaluate_at(self, positions: Sequence[int]) -> Pair:
         node = self._tree
@@ -629,28 +577,15 @@ class EnsembleModel(Model):
 
     def evaluate(self, instance: Instance) -> Fraction:
         check_shared_space(self, instance)
-        return self._evaluate(instance)
-
-    # Both point evaluations are sum_j w_j * F_j(x); the components' spaces
-    # were checked equal to the ensemble's at construction
-
-    def _evaluate(self, instance: Instance) -> Fraction:
-        values = []
-        for _, model in self.components:
-            value = model._evaluate(instance)
-            values.append((value.numerator, value.denominator))
-        return Fraction(*self._weighted(values))
+        return Fraction(*self._evaluate_at(instance._positions))
 
     def _evaluate_at(self, positions: Sequence[int]) -> Pair:
-        num, den = self._weighted([model._evaluate_at(positions) for _, model in self.components])
-        g = gcd(num, den)
-        return num // g, den // g
-
-    def _weighted(self, values: Sequence[Pair]) -> Pair:
-        # sum_j w_j * values[j] as one integer pair over the lcm of the
-        # terms' denominators, not reduced
+        # sum_j w_j * F_j(x) over the lcm of the terms' denominators, reduced
+        # once; the components' spaces were checked equal to the ensemble's
+        # at construction
         num, den = 0, 1
-        for (w, _), (vn, vd) in zip(self.components, values):
+        for w, model in self.components:
+            vn, vd = model._evaluate_at(positions)
             tn = w.numerator * vn
             if not tn:
                 continue
@@ -660,7 +595,8 @@ class EnsembleModel(Model):
                 num *= td // g
                 den *= td // g
             num += tn * (den // td)
-        return num, den
+        g = gcd(num, den)
+        return num // g, den // g
 
     def expected_value(self, dist: ProductDistribution) -> Fraction:
         return self.expected_values([dist])[0]

@@ -4,7 +4,7 @@ These are the ground truth the fast reductions are tested against.  They
 only ever evaluate the model on full assignments, never through its
 expected-value engine, so agreement between the two is a real check.
 F is read by domain positions through the private ``Model._evaluate_at``:
-trees and ensembles answer it from their stored form, and any other model
+the built-in models answer it from their stored form, and any other model
 is evaluated through its public ``evaluate`` on a full instance.
 Shipped in the library (not test-only) so external index implementations
 can be validated via the CLI.
@@ -104,18 +104,16 @@ def _contract(model: Model, dist: ProductDistribution, e: Optional[Instance]) ->
     Fraction per coalition at the end; the walk holds one vector per level,
     so memory stays O(2^n).
     """
-    space = model.space
-    n = space.n
     scales = [lcm(*(p.denominator for p in row)) for row in dist.probs]
+    hits = [None] * len(scales) if e is None else e._positions
     visits = []
-    for i, (row, scale) in enumerate(zip(dist.probs, scales)):
-        hit = None if e is None else space.position(i, e[i])
+    for row, scale, hit in zip(dist.probs, scales, hits):
         visits.append(tuple(
             (k, p.numerator * (scale // p.denominator), k == hit)
             for k, p in enumerate(row)
             if p or k == hit
         ))
-    nums, den = _walk(model, visits, e is not None, [0] * n, 0)
+    nums, den = _walk(model, visits, e is not None, [0] * len(visits), 0)
     if e is None:
         return [Fraction(nums[0], den * prod(scales))]
     # the denominator of coalition S is den * prod of L_i over i not in S

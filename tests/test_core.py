@@ -180,6 +180,31 @@ def test_instance_membership_checked():
         Instance(space, ("1",))
 
 
+@st.composite
+def _spaces(draw):
+    # domains of distinct mixed tokens, in no particular order
+    token = st.one_of(st.integers(-3, 3), st.text(max_size=2))
+    domain = st.lists(token, min_size=1, max_size=4, unique=True)
+    return FeatureSpace(draw(st.lists(domain, min_size=1, max_size=4)))
+
+
+@given(st.data())
+def test_an_instance_keeps_the_positions_of_its_values(data):
+    space = data.draw(_spaces())
+    positions = [data.draw(st.integers(0, len(d) - 1)) for d in space.domains]
+    built = Instance(space, [d[k] for d, k in zip(space.domains, positions)])
+    at = Instance._at(space, positions)
+    a = data.draw(st.integers(0, space.n - 1))
+    replaced = built.replaced(a, data.draw(st.sampled_from(space.domains[a])))
+    for x in (built, at, replaced):
+        assert x._positions == tuple(space.position(i, v) for i, v in enumerate(x.values))
+    positions[0] = -1  # the instance holds its own copy
+    assert at._positions == built._positions
+    # the positions are not a field: equality, hashing and repr see the values
+    assert at == built and hash(at) == hash(built) and repr(at) == repr(built)
+    assert "_positions" not in repr(built)
+
+
 def test_coalition_basics():
     c = Coalition.from_members([0, 3])
     assert list(c) == [0, 3]

@@ -44,6 +44,8 @@ from corpus import (
     and_space,
     and_table_model,
     constant_model,
+    instances,
+    models,
     ones_instance,
     random_additive_model,
     random_distribution,
@@ -51,6 +53,8 @@ from corpus import (
     random_simple_weights,
     random_space,
     random_tree_model,
+    small_spaces,
+    sparse_distributions,
 )
 
 @pytest.fixture
@@ -212,7 +216,8 @@ def test_marginal_preset_short_circuits(and2):
     counted = CountingModel(model)
     value = compute_simple_index(counted, dist, e, 0, SimpleWeights.marginal(2))
     assert counted.expected_value_calls == 0
-    assert counted.evaluate_calls <= 3  # F(e) plus one per domain value
+    # F(e) plus one per value of nonzero probability, both values here
+    assert counted.evaluate_calls == 3
     assert value == Fraction(1, 2)
     # closed form agrees with the untagged weight vector run through interpolation
     plain = SimpleWeights.from_values([Fraction(0), Fraction(1)])
@@ -223,6 +228,24 @@ def test_marginal_index_closed_form(and2):
     space, model, dist, e = and2
     # F(e) - sum_v F(v, e_2) P(Y_1 = v) = 1 - 1/2
     assert marginal_index(model, dist, e, 0) == Fraction(1, 2)
+
+
+@given(st.data())
+def test_marginal_index_is_the_definitional_sum(data):
+    space = data.draw(small_spaces())
+    inner = data.draw(models(space))  # every kind, ensembles nested two deep
+    dist = data.draw(sparse_distributions(space))  # zero entries and point masses
+    e = data.draw(instances(space))
+    a = data.draw(st.integers(0, space.n - 1))
+    averaged = sum(
+        (p * inner.evaluate(e.replaced(a, v)) for v, p in zip(space.domains[a], dist.probs[a])),
+        Fraction(0),
+    )
+    counted = CountingModel(inner)
+    assert marginal_index(inner, dist, e, a) == inner.evaluate(e) - averaged
+    assert marginal_index(counted, dist, e, a) == inner.evaluate(e) - averaged
+    assert counted.evaluate_calls == 1 + sum(1 for p in dist.probs[a] if p)
+    assert counted.expected_value_calls == 0
 
 # ---------------------------------------------------------------------------
 # attribute_all

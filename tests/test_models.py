@@ -268,6 +268,24 @@ class _PointModel(Model):
         raise AssertionError("a point evaluation took an expectation")
 
 
+def _point_value(model: Model, x: Instance) -> Fraction:
+    # F(x) by definition, from each model's public fields and domain order
+    space = x.space
+    if isinstance(model, TableModel):
+        return model.values[list(space.outcomes()).index(x.values)]
+    if isinstance(model, AdditiveModel):
+        terms = [row[d.index(v)] for row, d, v in zip(model.terms, space.domains, x.values)]
+        return model.bias + sum(terms, Fraction(0))
+    if isinstance(model, TreeModel):
+        node = model.root
+        while isinstance(node, Split):
+            node = node.children[space.domains[node.feature].index(x[node.feature])]
+        return node.value
+    if isinstance(model, EnsembleModel):
+        return sum((w * _point_value(m, x) for w, m in model.components), Fraction(0))
+    return _point_value(model.inner, x)  # CountingModel, _PointModel
+
+
 @given(st.data())
 def test_evaluate_at_positions_is_evaluate(data):
     space = data.draw(small_spaces())
@@ -278,16 +296,13 @@ def test_evaluate_at_positions_is_evaluate(data):
     ensemble = EnsembleModel([(w, inner), (Fraction(-2, 3), counted), (Fraction(5), user)])
     for positions in itertools.product(*(range(len(d)) for d in space.domains)):
         x = Instance(space, [d[k] for d, k in zip(space.domains, positions)])
-        want = inner.evaluate(x)
-        for model in (inner, counted, user):
+        for model, calls_made in ((inner, 0), (counted, 1), (user, 0), (ensemble, 1)):
+            want = _point_value(model, x)
             calls = counted.evaluate_calls
+            assert model.evaluate(x) == want
+            # a pair in lowest terms, its denominator positive
             assert model._evaluate_at(positions) == (want.numerator, want.denominator)
-            assert counted.evaluate_calls == calls + (model is counted)
-        calls = counted.evaluate_calls
-        value = ensemble.evaluate(x)
-        num, den = ensemble._evaluate_at(positions)
-        assert (num, den) == (value.numerator, value.denominator)  # reduced, den > 0
-        assert counted.evaluate_calls == calls + 2
+            assert counted.evaluate_calls == calls + 2 * calls_made
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +343,7 @@ def test_expected_values_checks_every_space(and2):
 
 
 # ---------------------------------------------------------------------------
-# the swap contract: expected_values_swapped equals the swapped batch
+# one feature's row swapped: the batch equals a loop over the swapped rows
 
 
 def _sparse_distribution(rng, space):
@@ -346,7 +361,7 @@ def _sparse_distribution(rng, space):
     st.sampled_from(MODEL_KINDS),
     st.integers(min_value=0, max_value=2**32),
 )
-def test_expected_values_swapped_equals_the_swapped_batch(kind, seed):
+def test_expected_values_of_swapped_rows_equal_the_loop(kind, seed):
     rng = random.Random(seed)
     space = random_space(rng, rng.randint(1, 5))
     model = random_model_of_kind(kind, rng, space)
@@ -364,8 +379,8 @@ def test_expected_values_swapped_equals_the_swapped_batch(kind, seed):
         else:
             row = random_distribution(rng, space).probs[i]
         swaps.append((i, row))
-    want = model.expected_values([dist.with_rows({i: row}) for i, row in swaps])
-    assert model.expected_values_swapped(dist, swaps) == want
+    swapped = [dist.with_rows({i: row}) for i, row in swaps]
+    assert model.expected_values(swapped) == [model.expected_value(d) for d in swapped]
 
 
 def test_swapping_a_feature_the_tree_never_reads_returns_its_expectation():
@@ -373,19 +388,10 @@ def test_swapping_a_feature_the_tree_never_reads_returns_its_expectation():
     tree = TreeModel(space, Split(0, (Leaf(Fraction(2)), Leaf(Fraction(5)))))
     dist = ProductDistribution.uniform(space)
     pin = (Fraction(1), Fraction(0))
-    assert tree.expected_values_swapped(dist, [(1, pin), (2, pin)]) == [Fraction(7, 2)] * 2
-    assert tree.expected_values_swapped(dist, [(0, pin), (1, pin)]) == [2, Fraction(7, 2)]
-
-
-def test_expected_values_swapped_checks_the_swaps(and2):
-    space, model, dist = and2
-    for m in (model, and_tree_model(space), AdditiveModel(space, Fraction(0), [[0, 1]] * 2)):
-        with pytest.raises(ValueError):
-            m.expected_values_swapped(dist, [(2, (Fraction(1), Fraction(0)))])
-        with pytest.raises(ValueError):
-            m.expected_values_swapped(dist, [(0, (Fraction(1),))])
-        with pytest.raises(SpaceMismatchError):
-            m.expected_values_swapped(ProductDistribution.uniform(and_space(3)), [])
+    swapped = [dist.with_rows({i: pin}) for i in (1, 2)]
+    assert tree.expected_values(swapped) == [Fraction(7, 2)] * 2
+    swapped = [dist.with_rows({i: pin}) for i in (0, 1)]
+    assert tree.expected_values(swapped) == [2, Fraction(7, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +482,7 @@ def test_pair_kernel_equals_the_fraction_recursion(kind, bound, seed):
         rows = list(dist.probs)  # the swap, by rebuilding the distribution
         rows[i] = row
         want.append(_reference(components, rows))
-    assert model.expected_values_swapped(dist, swaps) == want
+    assert model.expected_values([dist.with_rows({i: row}) for i, row in swaps]) == want
 
 
 def test_tree_root_is_rebuilt_equal():
@@ -508,7 +514,7 @@ def test_tree_depth_limit():
     dist = ProductDistribution.uniform(space)
     assert tree.expected_value(dist) == Fraction(1, 2**depth)
     pin = (Fraction(0), Fraction(1))
-    assert tree.expected_values_swapped(dist, [(depth - 1, pin)]) == [Fraction(1, 2 ** (depth - 1))]
+    assert tree.expected_value(dist.with_rows({depth - 1: pin})) == Fraction(1, 2 ** (depth - 1))
     assert tree.evaluate(ones_instance(space)) == 1
     # the gap-polynomial walk recurses once per level too; at the point
     # mass at e every gap is 0, so it stays cheap
