@@ -13,15 +13,18 @@ Three computation paths, all exact:
 Both paths that need expectations take a feature's derivative
 E[F | a pinned to e_a] - E[F | a free], the other features on their
 z-mixture rows (interpolation) or theta-mixture rows (bernoulli-direct),
-and read it in one form (``Reduced``): per member set A, polynomials
-Q_{A,L} over one denominator whose sum_L Q_{A,L}(z) (1+z)^(n-L) is the
-generating polynomial.  Every model gives them through
-``Model._gap_polynomials``: trees and additive models from one walk of
-their own, ensembles as the sum of their components' answers, and every
-other model through the batch reduction passed in.  That reduction
-requests the distributions of all targets (``_derivative``) at one node
-as one ``expected_values`` batch (``batched_node_sums``) and interpolates
-the node sums into Q_{A,n} (``_node_polynomials``).  An interaction set
+and read it in one form (``Reduced``): per member set A, the generating
+polynomial in powers of u = 1 + z, all over one denominator.  Every model
+gives it through ``Model._gap_polynomials``: trees and additive models
+from one walk of their own, ensembles as the sum of their components'
+answers, and every other model through the batch reduction passed in.
+That reduction requests the distributions of all targets
+(``_derivative``) at one node as one ``expected_values`` batch
+(``batched_node_sums``) and interpolates the node sums at the nodes
+u = 1 + z (``_node_polynomials``).  Each reader is one expression in the
+coefficients g_j: an index is sum_j g_j R_j with R_j = sum_k C(j, k) q_k,
+a Bernoulli derivative is sum_j g_j, and the coefficient sums come from
+Horner's rule in 1 + z.  An interaction set
 of two or more members takes it on the model itself.  Engine calls count
 requested expectations: 2n per feature, and 2^m for a derivative along m
 members.
@@ -32,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
+from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (
@@ -274,21 +278,21 @@ def _z_node_sums(
 
 
 def _node_polynomials(
-    keys: Iterable, nodes: Sequence[Fraction], node_sums, power: int, n: int
+    keys: Iterable, nodes: Sequence[Fraction], node_sums, power: int
 ) -> GapPolynomials:
-    """Per key, the polynomial through the points (z, (1+z)^power s(z)), read as Q_{A,n}.
+    """Per key, the polynomial through the points (u, u^power s(z)), u = 1 + z.
 
-    ``node_sums`` holds each key's sums s at the nodes.  With the power
-    n - m this is the generating polynomial of the key's member set A.
+    ``node_sums`` holds each key's sums s at the z-nodes.  With the power
+    n - m this is the generating polynomial of the key's member set A, in
+    powers of u.
     """
-    coeffs, den = _lagrange(nodes, node_sums, power)
-    return {key: {n: c} for key, c in zip(keys, coeffs)}, den
+    coeffs, den = _lagrange([1 + z for z in nodes], node_sums, power)
+    return dict(zip(keys, coeffs)), den
 
 
-# Per member set A, its polynomials Q_{A,L} by path length L, and their
-# one denominator: sum_L Q_{A,L}(z) (1+z)^(n-L) is the set's generating
-# polynomial.
-Reduced = tuple[list[dict[int, list[int]]], int]
+# Per member set A, its generating polynomial's coefficients in powers of
+# u = 1 + z, lowest first, times the one denominator, and that denominator.
+Reduced = tuple[list[list[int]], int]
 
 
 def _reduce(
@@ -313,41 +317,28 @@ def _reduce(
     else:
         keys = range(len(member_sets))
         polys, den = batches(model, keys)
-    return [polys.get(key, {}) for key in keys], den
+    return [polys.get(key, []) for key in keys], den
 
 
-def _walked_indices(reduced: Reduced, q: Sequence[Fraction], n: int) -> list[Fraction]:
-    # sum_k q_k [z^k] sum_L Q_L(z) (1+z)^(n-L) = sum_L sum_i Q_{L,i} W_{L,i}
-    # with W_{L,i} = sum_j q_{i+j} C(n-L, j): W_n = q, and Pascal's rule
-    # gives W_{L,i} = W_{L+1,i} + W_{L+1,i+1}
+def _walked_indices(reduced: Reduced, q: Sequence[Fraction]) -> list[Fraction]:
+    # sum_k q_k [z^k] sum_j g_j (1+z)^j = sum_j g_j R_j, R_j = sum_k C(j, k) q_k;
+    # no g has more entries than q
     by_set, den = reduced
     common = lcm(*(x.denominator for x in q))
     w = [x.numerator * (common // x.denominator) for x in q]
-    weights = {n: w}
-    shortest = min((length for polys in by_set for length in polys), default=n)
-    for length in range(n - 1, shortest - 1, -1):
-        w = [a + b for a, b in zip(w, w[1:])]
-        weights[length] = w
+    r = [sum(comb(j, k) * x for k, x in enumerate(w[: j + 1])) for j in range(len(w))]
     den *= common
-    values = []
-    for polys in by_set:
-        total = 0
-        for length, coeffs in polys.items():
-            total += sum(c * x for c, x in zip(coeffs, weights[length]))
-        values.append(Fraction(total, den))
-    return values
+    return [Fraction(sum(map(mul, g, r)), den) for g in by_set]
 
 
 def _walked_coefficients(reduced: Reduced, n: int) -> list[tuple[Fraction, ...]]:
-    # sum_L Q_L(z) (1+z)^(n-L) by Horner's rule in (1+z), shortest L first
+    # sum_j g_j (1+z)^j by Horner's rule in (1+z), from the top entry down
     by_set, den = reduced
     sums = []
-    for polys in by_set:
+    for g in by_set:
         c = [0] * n
-        for length in range(min(polys, default=n), n + 1):
-            c = c[:1] + [a + b for a, b in zip(c[1:], c)]  # times (1+z)
-            for k, x in enumerate(polys.get(length, ())):
-                c[k] += x
+        for x in reversed(g):
+            c = [c[0] + x] + [a + b for a, b in zip(c[1:], c)]  # c * (1+z) + x
         sums.append(tuple(Fraction(x, den) for x in c))
     return sums
 
@@ -360,11 +351,11 @@ def _z_reduction(
     n = space.n
 
     def batches(component, keys):
-        # the gaps at z = 0..n-1, scaled by (1+z)^(n-1), interpolate G_a
+        # the gaps at z = 0..n-1, scaled by (1+z)^(n-1), interpolate G_a in u = 1+z
         nodes = [Fraction(z) for z in range(n)]
         targets = [_derivative(space, dist, e, (a,)) for a in keys]
         sums = _z_node_sums(component, dist, e, nodes, targets)
-        return _node_polynomials(keys, nodes, sums, n - 1, n)
+        return _node_polynomials(keys, nodes, sums, n - 1)
 
     factors = _z_factors(dist.probs, e._positions)
     return _reduce(model, factors, [(a,) for a in features], batches)
@@ -412,7 +403,7 @@ def _interpolated_indices(
     n = dist.space.n
     reduced = _z_reduction(model, dist, e, features)
     sums = _walked_coefficients(reduced, n) if coefficient_sums else None
-    return _walked_indices(reduced, q, n), [2 * n] * len(features), sums
+    return _walked_indices(reduced, q), [2 * n] * len(features), sums
 
 
 def _bernoulli_indices(
@@ -434,12 +425,12 @@ def _bernoulli_indices(
     def batches(component, keys):
         targets = [_derivative(space, dist, e, members) for members in member_sets]
         sums = batched_node_sums(component, space, [mixed.probs], targets)
-        return _node_polynomials(keys, [Fraction(0)], sums, 0, space.n)
+        return _node_polynomials(keys, [Fraction(0)], sums, 0)
 
     factors = _fixed_factors(mixed.probs, dist.probs, e._positions)
     by_set, den = _reduce(model, factors, member_sets, batches)
-    # fixed rows: each Q_{A,L} is a constant, and the derivative is their sum
-    values = [Fraction(sum(q[0] for q in polys.values()), den) for polys in by_set]
+    # fixed rows: the derivative is the polynomial at u = 1
+    values = [Fraction(sum(g), den) for g in by_set]
     return values, [2 ** len(members) for members in member_sets]
 
 

@@ -203,7 +203,7 @@ def _interaction_simple(
         )
 
     # the y-weights sum the y-interpolant's coefficients with the signs
-    # (-1)^(m-k); the z-sums then interpolate into Q_{A,n}
+    # (-1)^(m-k); the z-sums then interpolate at the nodes 1 + z
     if prefactor == PREFACTOR_FACTORED:
         z_power, y_power = n - m, m
     else:
@@ -216,8 +216,8 @@ def _interaction_simple(
         for y, w in zip(grid.y_nodes, _signed_weights(grid.y_nodes))
     ]
     sums = _z_node_sums(model, dist, e, grid.z_nodes, [variants])
-    polys, den = _node_polynomials([0], grid.z_nodes, sums, z_power, n)
-    return _walked_indices(([polys[0]], den), row, n)[0], (n - m + 1) * (m + 1)
+    polys, den = _node_polynomials([0], grid.z_nodes, sums, z_power)
+    return _walked_indices(([polys[0]], den), row)[0], (n - m + 1) * (m + 1)
 
 
 def _signed_weights(nodes: Sequence[Fraction]) -> list[Fraction]:

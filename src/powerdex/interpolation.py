@@ -30,7 +30,7 @@ def vandermonde_solve(
 def _lagrange(
     nodes: Sequence[Fraction], rows: Sequence[Sequence[Fraction]], power: int = 0
 ) -> tuple[list[list[int]], int]:
-    """Per row of values v, the coefficients of the polynomial through (x, (1+x)^power v).
+    """Per row of values v, the coefficients of the polynomial through (x, x^power v).
 
     The coefficients of every row come as integers over one common
     denominator.  This is the Lagrange form in integers: with nodes X_i/S
@@ -56,7 +56,7 @@ def _lagrange(
             nxt[t] -= x * b
         master = nxt
     columns = [[0] * n for _ in range(n)]  # columns[k][i]: [t^k] M_i
-    ups, downs = [], []  # (1+x_i)^power / d_i
+    ups, downs = [], []  # x_i^power / d_i
     for i, x in enumerate(xs):
         # synthetic division of the master polynomial by (t - x), top down
         carry = 0
@@ -67,7 +67,7 @@ def _lagrange(
         for j, other in enumerate(xs):
             if j != i:
                 d *= x - other
-        ups.append((scale + x) ** power)
+        ups.append(x**power)
         downs.append(d)
     weighted = [
         [Fraction(v.numerator * u, v.denominator * d) for v, u, d in zip(row, ups, downs)]

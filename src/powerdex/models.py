@@ -8,12 +8,13 @@ may override to share work between the distributions of one batch.
 
 Every model answers the private hook ``Model._gap_polynomials``: every
 wanted feature's gap (pinned to e minus free) under given rows of the
-other features, as polynomials over one denominator.  Both reductions of
-``indices`` ask it, interpolation with the z-mixture rows and
-bernoulli-direct with the theta-mixture rows.  Trees and additive models
-answer from one walk of their own; every other model hands back the
-batch reduction that ``indices`` passes in, and an ensemble sums its
-components' answers, so its trees walk whatever their siblings are.
+other features, as one polynomial per feature in powers of u = 1 + z,
+all over one denominator.  Both reductions of ``indices`` ask it,
+interpolation with the z-mixture rows and bernoulli-direct with the
+theta-mixture rows.  Trees and additive models answer from one walk of
+their own; every other model hands back the batch reduction that
+``indices`` passes in, and an ensemble adds its components' answers, so
+its trees walk whatever their siblings are.
 Tree kernels read each row as integers over one denominator (``Row``),
 and trees and ensembles return reduced (numerator, denominator) integer
 pairs, building a Fraction only for each value they return.
@@ -95,14 +96,16 @@ class _RowCache:
 # A feature's walk factor over one denominator, (den, nums, hit, gaps).
 # Under a split on another feature, child c has the context factor
 # (nums[c] + z * den * [c == hit]) / den: the z-mixture row, hit being e's
-# position, or a fixed row with hit -1 (no z term).  Under a split on the
+# position, or a fixed row with hit -1 (no z term).  In u = 1 + z, e's
+# child has ((nums[c] - den) + u * den) / den.  Under a split on the
 # feature itself, child c has the own gap (delta_e - p)(c) on the input
 # row p, which is gaps[c] / den; on a z-mixture row p is the row itself.
 Factor = tuple[int, tuple[int, ...], int, tuple[int, ...]]
 
-# Gap polynomials (see ``Model._gap_polynomials``): per feature and path
-# length L, the integer coefficients of Q_L times the shared denominator.
-GapPolynomials = tuple[dict[int, dict[int, list[int]]], int]
+# Gap polynomials (see ``Model._gap_polynomials``): per feature, the
+# coefficients of its polynomial in powers of u = 1 + z, lowest first,
+# times the shared denominator, and that denominator.
+GapPolynomials = tuple[dict[int, list[int]], int]
 
 # The batch reduction of the caller: a model's gap polynomials from its
 # expected values, for a model without a walk of its own.
@@ -133,30 +136,27 @@ def _fixed_factors(
 
 
 def _times(poly: list[int], num: int, den: int, hit: bool) -> list[int]:
-    # poly * (num + z*den) on e's child, poly * num on any other
+    # poly * ((num - den) + u*den) on e's child, poly * num on any other
     if not hit:
         return [num * c for c in poly]
-    if not num:
+    if num == den:
         return [0] + [den * c for c in poly]
-    return [num * a + den * b for a, b in zip(poly + [0], [0] + poly)]
+    low = num - den
+    return [low * a + den * b for a, b in zip(poly + [0], [0] + poly)]
 
 
-def _accumulate(by_length: dict[int, list[int]], length: int, s: int, coeffs: list[int]) -> None:
-    # by_length[length] += s * coeffs
-    acc = by_length.get(length)
-    if acc is None:
-        by_length[length] = [s * c for c in coeffs]
-        return
-    if len(acc) < len(coeffs):
-        acc.extend([0] * (len(coeffs) - len(acc)))
-    for k, c in enumerate(coeffs):
+def _accumulate(acc: list[int], offset: int, s: int, coeffs: Sequence[int]) -> None:
+    # acc[offset + k] += s * coeffs[k], acc grown with zeros as needed
+    end = offset + len(coeffs)
+    if len(acc) < end:
+        acc.extend([0] * (end - len(acc)))
+    for k, c in enumerate(coeffs, offset):
         acc[k] += s * c
 
 
-def _rescale(polys: dict[int, dict[int, list[int]]], grow: int) -> None:
-    for by_length in polys.values():
-        for coeffs in by_length.values():
-            coeffs[:] = [grow * c for c in coeffs]
+def _rescale(polys: dict[int, list[int]], grow: int) -> None:
+    for coeffs in polys.values():
+        coeffs[:] = [grow * c for c in coeffs]
 
 
 def _fractions(values: Sequence[Pair]) -> list[Fraction]:
@@ -207,20 +207,19 @@ class Model(abc.ABC):
     def _gap_polynomials(
         self, factors: Sequence[Factor], wanted: int, batches: Batches
     ) -> GapPolynomials:
-        """Each wanted feature's gap polynomials.
+        """Each wanted feature's gap polynomial in powers of u = 1 + z.
 
         Feature a's gap is E[F] with a's row replaced by its own gap
         delta_{e_a} - p_a and every other feature j on its context row
         (see ``Factor``).  Under the z-mixture (z*delta_j + p_j)/(1+z), the
         gap times (1+z)^(n-1) is the generating polynomial
-        G_a(z) = sum_L Q_{a,L}(z) (1+z)^(n-L), each Q_{a,L} of degree below
-        L; under fixed rows every Q_{a,L} is a constant and the gap is
-        their sum.  The answer is ``(polys, den)``: ``polys[a][L]`` holds
-        den times the coefficients of Q_{a,L}, lowest first, for the
-        features of the bitmask ``wanted`` (a missing feature or length is
-        0).  ``factors`` holds every feature's factor.  The default has no
-        walk and answers ``batches(self)``, which requests the
-        expectations and interpolates them into Q_{a,n}.
+        G_a = g_0 + g_1 u + ... + g_{n-1} u^(n-1); under fixed rows the gap
+        is G_a at u = 1, the sum of the g_j.  The answer is
+        ``(polys, den)``: ``polys[a]`` holds den times g_0, g_1, ... for
+        the features of the bitmask ``wanted`` (a missing feature or
+        entry is 0).  ``factors`` holds every feature's factor.  The
+        default has no walk and answers ``batches(self)``, which requests
+        the expectations and interpolates them.
         """
         return batches(self)
 
@@ -328,8 +327,8 @@ class AdditiveModel(Model):
     def _gap_polynomials(
         self, factors: Sequence[Factor], wanted: int, batches: Batches
     ) -> GapPolynomials:
-        # feature a's gap is z-free, the path length 1 constant
-        # Q_{a,1} = sum_c (delta_e - p_a)(c) * t_a(c)
+        # feature a's gap is z-free: sum_c (delta_e - p_a)(c) * t_a(c), a
+        # path of length 1, so the constant times u^(n-1)
         values = {}
         for a, ((den, _, _, gaps), terms) in enumerate(zip(factors, self.terms)):
             if wanted >> a & 1:
@@ -337,7 +336,8 @@ class AdditiveModel(Model):
                 if total:
                     values[a] = total / den
         den = lcm(*(v.denominator for v in values.values()))
-        return {a: {1: [v.numerator * (den // v.denominator)]} for a, v in values.items()}, den
+        below = [0] * (len(factors) - 1)
+        return {a: below + [v.numerator * (den // v.denominator)] for a, v in values.items()}, den
 
 
 @dataclass(frozen=True)
@@ -498,19 +498,22 @@ class TreeModel(Model):
     def _gap_polynomials(
         self, factors: Sequence[Factor], wanted: int, batches: Batches
     ) -> GapPolynomials:
-        """One walk: a leaf of value v on a path P of length L adds to Q_{a,L}, a in P,
+        """One walk: a leaf of value v on a path P of length L adds to G_a, a in P,
 
-        v * (delta_a - p_a)(c_a) * prod_{j in P, j != a} f_j(c_j),
+        u^(n-L) * v * (delta_a - p_a)(c_a) * prod_{j in P, j != a} f_j(c_j),
 
         c_j being the path's child at feature j and f_j its context factor
-        (see ``Factor``).  The walk carries the product F of the path's
-        context factors and, per wanted feature a on the path,
+        (see ``Factor``), in powers of u = 1 + z.  The n - L features off
+        the path each sum to u, so u^(n-L) only shifts: the leaf adds into
+        a's one list at offset n - L.  The walk carries the product F of
+        the path's context factors and, per wanted feature a on the path,
         E_a = g_a * prod_{j != a} f_j, all over the product of the path's
         denominators.  A child whose context factor is 0 carries nothing
         and starts only its own gap, and F is 0 below it; subtrees without
         a wanted feature are skipped when no E_a is carried.
         """
-        polys: dict[int, dict[int, list[int]]] = {}
+        polys: dict[int, list[int]] = {}
+        n = len(factors)
         tree = self._tree
         if tree.__class__ is not tuple or not wanted & self._mask:
             return polys, 1
@@ -544,7 +547,7 @@ class TreeModel(Model):
                     elif gaps:
                         stack.append((child, length, None, gaps, rest))
                 elif gaps:
-                    # Q_{a,length} += child * E_a, over top * scale
+                    # G_a += u^(n - length) * child * E_a, over top * scale
                     vd = child.denominator
                     if scale % vd:
                         grow = vd // gcd(scale, vd)
@@ -552,7 +555,7 @@ class TreeModel(Model):
                         scale *= grow
                     s = rest * child.numerator * (scale // vd)
                     for a, gap in gaps:
-                        _accumulate(polys.setdefault(a, {}), length, s, gap)
+                        _accumulate(polys.setdefault(a, []), n - length, s, gap)
         return polys, top * scale
 
     def features_used(self) -> frozenset[int]:
@@ -630,7 +633,7 @@ class EnsembleModel(Model):
         self, factors: Sequence[Factor], wanted: int, batches: Batches
     ) -> GapPolynomials:
         # sum_j w_j * polys_j over one common denominator
-        total: dict[int, dict[int, list[int]]] = {}
+        total: dict[int, list[int]] = {}
         den = 1
         for w, model in self.components:
             if not w:
@@ -644,10 +647,8 @@ class EnsembleModel(Model):
                 _rescale(total, common // den)
                 den = common
             s = w.numerator * (den // d)
-            for a, by_length in polys.items():
-                into = total.setdefault(a, {})
-                for length, coeffs in by_length.items():
-                    _accumulate(into, length, s, coeffs)
+            for a, coeffs in polys.items():
+                _accumulate(total.setdefault(a, []), 0, s, coeffs)
         return total, den
 
 

@@ -511,6 +511,45 @@ def test_an_unwrapped_tree_makes_no_traversal_on_either_walk_path():
     assert bernoulli == bernoulli_indices(CountingModel(spy), dist, e, theta)
 
 
+def _deep_chain(rng, space, depth):
+    # a chain through features 0..depth-1: at each split one random child
+    # goes on down and every other child is a random leaf
+    def leaf():
+        return Leaf(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+
+    node = leaf()
+    for feature in reversed(range(depth)):
+        size = len(space.domains[feature])
+        on = rng.randrange(size)
+        node = Split(feature, tuple(node if k == on else leaf() for k in range(size)))
+    return TreeModel(space, node)
+
+
+@pytest.mark.parametrize("shape", ["chain", "ensemble"])
+def test_a_deep_walk_equals_the_node_reduction(shape):
+    # 40 interpolation nodes, and gap terms at every offset from u^39 to u^0
+    rng = random.Random(11)
+    n = 40
+    space = random_space(rng, n)
+    model = _deep_chain(rng, space, n)
+    if shape == "ensemble":
+        model = EnsembleModel([
+            (Fraction(2, 3), model),
+            (Fraction(-1, 2), random_tree_model(rng, space, max_depth=3)),
+            (Fraction(5), random_additive_model(rng, space)),
+        ])
+    dist = random_distribution(rng, space)
+    e = random_instance(rng, space)
+    counted = CountingModel(model)
+    shapley = attribute_all(model, dist, e, SimpleWeights.shapley(n), coefficient_sums=True)
+    assert shapley == attribute_all(counted, dist, e, SimpleWeights.shapley(n), coefficient_sums=True)
+    assert list(shapley.coefficient_sums) == all_coefficients(model, dist, e)
+    weights = random_simple_weights(rng, n)
+    assert simple_indices(model, dist, e, weights) == simple_indices(counted, dist, e, weights)
+    theta = BernoulliWeights([rng.choice(THETA_GRID) for _ in range(n)])
+    assert bernoulli_indices(model, dist, e, theta) == bernoulli_indices(counted, dist, e, theta)
+
+
 ROW_KINDS = ("random", "zero entry", "zero at e", "point mass at e", "point mass off e")
 PRESETS = ("shapley", "banzhaf", "dictatorial", "marginal", "binomial", "random")
 SHAPES = ("tree", "leaf", "ensemble", "nested", "with table", "with additive", "with counted tree")

@@ -44,10 +44,10 @@ def nodes_weights_values(draw):
     return nodes, weights, values
 
 
-@given(nodes_weights_values())
-@example((GRID_AXES[0], [Fraction(1), Fraction(-2), Fraction(3, 7)], [Fraction(5), Fraction(-1, 3), Fraction(2)]))
-@example((GRID_AXES[1], [Fraction(1), Fraction(-1), Fraction(1)], [Fraction(4, 9), Fraction(7), Fraction(-6)]))
-def test_the_integer_solve_equals_newton_and_passes_through_its_points(case):
+@given(nodes_weights_values(), st.integers(min_value=0, max_value=4))
+@example((GRID_AXES[0], [Fraction(1), Fraction(-2), Fraction(3, 7)], [Fraction(5), Fraction(-1, 3), Fraction(2)]), 0)
+@example((GRID_AXES[1], [Fraction(1), Fraction(-1), Fraction(1)], [Fraction(4, 9), Fraction(7), Fraction(-6)]), 3)
+def test_the_integer_solve_equals_newton_and_passes_through_its_points(case, power):
     nodes, weights, values = case
     coefficients = vandermonde_solve(nodes, values)
     assert coefficients == newton_solve(nodes, values)
@@ -59,6 +59,9 @@ def test_the_integer_solve_equals_newton_and_passes_through_its_points(case):
     ]
     for x, v in zip(nodes, values):
         assert sum((c * x**k for k, c in enumerate(coefficients)), Fraction(0)) == v
+    # with a power, through (x, x^power v)
+    (row,), den = _lagrange(nodes, [values], power)
+    assert tuple(Fraction(c, den) for c in row) == newton_solve(nodes, [x**power * v for x, v in zip(nodes, values)])
 
 
 @given(st.lists(st.fractions(min_value=0, max_value=20, max_denominator=12), min_size=1, max_size=8, unique=True))

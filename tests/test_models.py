@@ -1,12 +1,16 @@
 import itertools
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import powerdex
 from powerdex import (
     AdditiveModel,
     BernoulliWeights,
@@ -558,6 +562,47 @@ def test_the_walks_run_from_a_deep_caller():
     shallow = attribute_all(tree, dist, e, scheme)
     assert shallow.path == "bernoulli-direct"
     assert _from_depth(700, lambda: attribute_all(tree, dist, e, scheme)) == shallow
+
+
+# Shapley at all zeros on an OR chain of 192 binary features: x_f = 1 gives
+# 1, else the tree goes on to feature f + 1, and the last 0 gives 0.  Every
+# split has a nonzero leaf, so feature f's gap has a term for every path
+# length from its depth to n, and the path follows e, so each term's
+# degree grows with its length.  Prints the process's peak resident size.
+_DEEP_CHAIN_SHAPLEY = """
+import resource
+from fractions import Fraction
+from powerdex import FeatureSpace, Instance, ProductDistribution, SimpleWeights, TreeModel, attribute_all
+from powerdex.models import Leaf, Split
+
+n = 192
+space = FeatureSpace([("0", "1")] * n)
+node = Leaf(Fraction(0))
+for feature in reversed(range(n)):
+    node = Split(feature, (node, Leaf(Fraction(1))))
+e = Instance(space, ("0",) * n)
+report = attribute_all(TreeModel(space, node), ProductDistribution.uniform(space), e, SimpleWeights.shapley(n))
+assert sum(report.values) == Fraction(1, 2**n) - 1  # efficiency: F(e) - E[F]
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_a_deep_chain_walks_in_memory_bounded_by_its_answer():
+    # the walk keeps one polynomial per feature, so its peak stays under
+    # 100 MB; one per feature and path length holds about n^3/3 integers
+    src = str(Path(powerdex.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", _DEEP_CHAIN_SHAPLEY],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    peak = int(result.stdout)  # KiB on Linux, bytes on macOS
+    if sys.platform == "darwin":
+        peak //= 1024
+    assert peak < 100 * 1024
 
 
 @pytest.mark.parametrize("kind", ["tree", "ensemble", "table", "additive"])
