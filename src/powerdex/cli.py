@@ -67,9 +67,8 @@ from .models import (
 )
 from .oracle import (
     BudgetExceededError,
-    _bernoulli_sum,
+    _index_sum,
     _integer_table,
-    _simple_sum,
     brute_coalition_sums,
     brute_interaction_index,
     conditional_table,
@@ -776,10 +775,10 @@ def cmd_oracle_check(args) -> int:
     else:
         simple = isinstance(scheme, SimpleWeights)
         fast_all = (simple_indices if simple else bernoulli_indices)(model, dist, e, scheme)
-        brute = _simple_sum if simple else _bernoulli_sum
         nums, den = _integer_table(table)  # once, for every feature's sum
         for a, fast in enumerate(fast_all):
-            record(f"index[{named.names[a]}]", fast, brute(nums, den, named.space.n, a, scheme))
+            brute = _index_sum(nums, den, named.space.n, Coalition.singleton(a), scheme)
+            record(f"index[{named.names[a]}]", fast, brute)
     doc["scheme"] = scheme_descriptor(scheme)
     doc["checks"] = checks
     doc["all_equal"] = all(c["equal"] for c in checks)

@@ -5,7 +5,9 @@ computed under the z-mixture distribution gives one linear constraint on
 the size-partitioned sums of conditional expectations; n constraints at
 distinct positive nodes pin them all down, and the size-0 sum is E[F].
 The constraint polynomials are built from the signed weight differences
-beta_k = k*q_{k-1} - (n-k)*q_k.
+beta_k = k*q_{k-1} - (n-k)*q_k.  For l < n, P_l has degree l and top
+coefficient (l-n)*sum_{k<=l} C(l,k)*q_k < 0, so the system is Vandermonde
+times upper triangular: one interpolation, then back-substitution.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .core import (
     mixture_distribution,
 )
 from .indices import SimpleWeights, attribute_all
-from .interpolation import solve_linear_system
+from .interpolation import _lagrange
 from .models import Model
 
 
@@ -67,16 +69,12 @@ class ConverseSystem:
 
 
 def eval_P(system: ConverseSystem, ell: int, z: Fraction) -> Fraction:
-    """Evaluate the ell-th constraint polynomial at z."""
-    n = system.n
-    if not 0 <= ell <= n:
-        raise ValueError(f"polynomial index {ell} outside 0..{n}")
+    """Evaluate the ell-th constraint polynomial at z (Horner's rule)."""
+    coeffs = polynomial_coefficients(system, ell)
     z = as_rational(z)
     total = Fraction(0)
-    for k in range(ell + 1):
-        b = system.beta[k]
-        if b:
-            total += comb(ell, k) * b * (1 + z) ** k * z ** (ell - k)
+    for c in reversed(coeffs):
+        total = total * z + c
     return total
 
 
@@ -133,12 +131,19 @@ def recover_expectation_detailed(
         if len(indices) != n:
             raise ValueError(f"oracle returned {len(indices)} indices for n={n}")
         thetas.append(sum(indices, Fraction(0)))
-    matrix = [[eval_P(system, ell, z) for ell in range(n)] for z in system.nodes]
     rhs = [
         (1 + z) ** n * theta - c_n * eval_P(system, n, z)
         for z, theta in zip(system.nodes, thetas)
     ]
-    solved = solve_linear_system(matrix, rhs)
+    # rhs interpolates sum_{l<n} c_l P_l; peel off the P_l from the top
+    (row,), den = _lagrange(system.nodes, [rhs])
+    rest = [Fraction(r, den) for r in row]
+    solved = [Fraction(0)] * n
+    for ell in range(n - 1, -1, -1):
+        coeffs = polynomial_coefficients(system, ell)
+        c = solved[ell] = rest[ell] / coeffs[ell]  # coeffs[ell] < 0 as q_0 > 0
+        for k in range(ell):
+            rest[k] -= c * coeffs[k]
     return ConverseDiagnostics(
         expected_value=solved[0],
         coefficients=tuple(solved) + (c_n,),

@@ -34,6 +34,7 @@ from .indices import (
     _walked_indices,
     _z_node_sums,
 )
+from .interpolation import _lagrange
 from .models import Model, conditional_expectation
 
 PATH_BIVARIATE = "bivariate-interpolation"
@@ -227,14 +228,12 @@ def _signed_weights(nodes: Sequence[Fraction]) -> list[Fraction]:
     sum_j w_j * nodes[j]^k = (-1)^(m-k).
     """
     m = len(nodes) - 1
-    weights = []
-    for j, y in enumerate(nodes):
-        w = Fraction((-1) ** m)
-        for i, other in enumerate(nodes):
-            if i != j:
-                w *= (-1 - other) / (y - other)
-        weights.append(w)
-    return weights
+    units = [[int(i == j) for i in range(m + 1)] for j in range(m + 1)]
+    rows, den = _lagrange(nodes, units)  # row j: the coefficients of l_j
+    return [
+        Fraction(sum(-c if (m - k) % 2 else c for k, c in enumerate(row)), den)
+        for row in rows
+    ]
 
 
 def compute_interaction_bernoulli(

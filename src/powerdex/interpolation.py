@@ -1,8 +1,8 @@
-"""Exact polynomial interpolation and linear solving over rationals.
+"""Exact polynomial interpolation over rationals.
 
-Interpolation is one integer Lagrange solve (``_lagrange``), whose
-coefficients share one denominator; ``vandermonde_solve`` returns them as
-Fractions.
+Every polynomial solve is one integer Lagrange solve (``_lagrange``),
+whose coefficients share one denominator; ``vandermonde_solve`` returns
+them as Fractions.
 """
 
 from __future__ import annotations
@@ -84,7 +84,9 @@ def _lagrange(
 def solve_linear_system(
     matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
-    """Solve a square rational system exactly by Gaussian elimination."""
+    """Solve a square rational system exactly by Gaussian elimination.
+
+    No library path calls it; the tests check the converse against it."""
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("system is not square")

@@ -203,19 +203,7 @@ def brute_simple_index(
     space.check_feature(a)
     _check_scheme_size(weights, space.n)
     nums, den = _integer_table(_table_or_compute(model, dist, e, budget, table))
-    return _simple_sum(nums, den, space.n, a, weights)
-
-
-def _simple_sum(nums: dict, den: int, n: int, a: int, weights: SimpleWeights) -> Fraction:
-    # brute_simple_index's sum over the table nums / den (``_integer_table``)
-    q, q_den = _integer_row(weights.q)
-    bit = 1 << a
-    total = 0
-    for s in subsets(Coalition.singleton(a).complement(n)):
-        w = q[len(s)]
-        if w:
-            total += w * (nums[s.mask | bit] - nums[s.mask])
-    return Fraction(total, den * q_den)
+    return _index_sum(nums, den, space.n, Coalition.singleton(a), weights)
 
 
 def brute_bernoulli_index(
@@ -232,14 +220,28 @@ def brute_bernoulli_index(
     space.check_feature(a)
     _check_scheme_size(weights, space.n)
     nums, den = _integer_table(_table_or_compute(model, dist, e, budget, table))
-    return _bernoulli_sum(nums, den, space.n, a, weights)
+    return _index_sum(nums, den, space.n, Coalition.singleton(a), weights)
 
 
-def _bernoulli_sum(nums: dict, den: int, n: int, a: int, weights: BernoulliWeights) -> Fraction:
-    # brute_bernoulli_index's sum over the table nums / den (``_integer_table``)
-    probs, q_den = _coalition_probs(weights.theta, Coalition.singleton(a).complement(n))
-    bit = 1 << a
-    total = sum(q * (nums[mask | bit] - nums[mask]) for mask, q in probs)
+def _index_sum(nums: dict, den: int, n: int, a_set: Coalition, weights) -> Fraction:
+    """Sum over S in A^c of Q_A(S) * sum_{B in A} (-1)^(m-|B|) * nums[S u B] / den.
+
+    Q_A(S) is a feature's q_|S|, the set's interaction weight for |S|, or
+    S's Bernoulli probability, in integers over q_den; one division at the end.
+    """
+    m = len(a_set)
+    complement = a_set.complement(n)
+    if isinstance(weights, BernoulliWeights):
+        coalitions, q_den = _coalition_probs(weights.theta, complement)
+    else:
+        row = weights.row(m) if isinstance(weights, InteractionWeights) else weights.q
+        q, q_den = _integer_row(row)
+        coalitions = [(s.mask, q[len(s)]) for s in subsets(complement)]
+    total = 0
+    for b in subsets(a_set):
+        bits = b.mask
+        part = sum(w * nums[mask | bits] for mask, w in coalitions if w)
+        total += -part if (m - len(b)) % 2 else part
     return Fraction(total, den * q_den)
 
 
@@ -279,21 +281,7 @@ def brute_interaction_index(
         raise ValueError("the interaction set must be nonempty")
     _check_scheme_size(weights, space.n)
     nums, den = _integer_table(_table_or_compute(model, dist, e, budget, table))
-    n = space.n
-    m = len(a_set)
-    complement = a_set.complement(n)
-
-    if isinstance(weights, InteractionWeights):
-        row, q_den = _integer_row(weights.row(m))
-        coalitions = [(s.mask, row[len(s)]) for s in subsets(complement)]
-    else:
-        coalitions, q_den = _coalition_probs(weights.theta, complement)
-    signed = [(b.mask, -1 if (m - len(b)) % 2 else 1) for b in subsets(a_set)]
-    total = 0
-    for mask, q in coalitions:
-        if q:
-            total += q * sum(sign * nums[mask | b] for b, sign in signed)
-    return Fraction(total, den * q_den)
+    return _index_sum(nums, den, space.n, a_set, weights)
 
 
 def brute_coalition_sums(

@@ -16,6 +16,7 @@ from powerdex import (
     recover_expectation,
     recover_expectation_detailed,
 )
+from powerdex.interpolation import solve_linear_system
 
 from corpus import (
     and_space,
@@ -225,3 +226,38 @@ def test_oracle_length_validated():
         recover_expectation(
             ConverseSystem(w), lambda d: [Fraction(0)], dist, e, model.evaluate(e)
         )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_back_substitution_equals_the_gaussian_solve(seed):
+    # arbitrary theta sums, not those of any model: the recovery is the
+    # solution of the n x n system P_l(z_i) whatever the oracle answers
+    rng = random.Random(1000 + seed)
+    for n in range(1, 11):
+        w = random_simple_weights(rng, n, positive_q0=True)
+        nodes = None  # the default nodes 1..n, or n random distinct positive ones
+        if rng.random() < 0.5:
+            nodes = []
+            while len(nodes) < n:
+                z = Fraction(rng.randint(1, 40), rng.randint(1, 9))
+                if z not in nodes:
+                    nodes.append(z)
+        system = ConverseSystem(w, nodes=nodes)
+        thetas = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in system.nodes]
+        answers = iter(thetas)
+
+        def oracle(dist):
+            return [next(answers)] + [Fraction(0)] * (n - 1)
+
+        space = random_space(rng, n)
+        dist = random_distribution(rng, space)
+        e = random_instance(rng, space)
+        c_n = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+        diag = recover_expectation_detailed(system, oracle, dist, e, c_n)
+        matrix = [[eval_P(system, ell, z) for ell in range(n)] for z in system.nodes]
+        rhs = [
+            (1 + z) ** n * theta - c_n * eval_P(system, n, z)
+            for z, theta in zip(system.nodes, thetas)
+        ]
+        assert diag.coefficients == solve_linear_system(matrix, rhs) + (c_n,)
+        assert diag.theta_samples == tuple(thetas)

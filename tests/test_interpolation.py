@@ -1,10 +1,17 @@
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from powerdex.interaction import _signed_weights
-from powerdex.interpolation import _lagrange, vandermonde_solve
+from powerdex.interpolation import (
+    SingularSystemError,
+    _lagrange,
+    solve_linear_system,
+    vandermonde_solve,
+)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -73,3 +80,29 @@ def test_the_signed_weights_sum_each_power_to_its_sign(nodes):
     weights = _signed_weights(nodes)
     for k in range(m + 1):
         assert sum((w * y**k for w, y in zip(weights, nodes)), Fraction(0)) == (-1) ** (m - k)
+
+
+def test_the_gaussian_solve_satisfies_its_system():
+    rng = random.Random(71)
+    for n in range(1, 8):
+        matrix = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)]
+        for i in range(n):  # diagonally dominant, so nonsingular
+            matrix[i][i] = 1 + sum(abs(v) for v in matrix[i])
+        rhs = [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(n)]
+        solution = solve_linear_system(matrix, rhs)
+        assert len(solution) == n
+        for row, b in zip(matrix, rhs):
+            assert sum((a * x for a, x in zip(row, solution)), Fraction(0)) == b
+
+
+def test_the_gaussian_solve_rejects_a_singular_matrix():
+    matrix = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+    with pytest.raises(SingularSystemError, match="^matrix is singular$"):
+        solve_linear_system(matrix, [Fraction(1), Fraction(2)])
+
+
+def test_the_gaussian_solve_rejects_a_non_square_system():
+    with pytest.raises(ValueError, match="not square"):
+        solve_linear_system([[Fraction(1), Fraction(2)]], [Fraction(1)])
+    with pytest.raises(ValueError, match="not square"):
+        solve_linear_system([[Fraction(1)]], [Fraction(1), Fraction(2)])
