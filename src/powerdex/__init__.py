@@ -1,6 +1,7 @@
 """Exact power-index feature attribution over finite feature domains."""
 
 from .core import (
+    BudgetExceededError,
     Coalition,
     FeatureSpace,
     Instance,
@@ -62,7 +63,6 @@ from .interaction import (
     interaction_marginal,
 )
 from .oracle import (
-    BudgetExceededError,
     OracleBudget,
     brute_bernoulli_index,
     brute_coalition_sums,

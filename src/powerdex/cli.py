@@ -7,7 +7,8 @@ byte-identical output.
 
 Exit codes: 0 success (oracle-check: all equal; converse: round-trip
 matches), 1 comparison mismatch, 2 schema violation, 3 scheme or space
-mismatch, 4 oracle budget exceeded.
+mismatch, 4 a stated size bound exceeded (the oracle budget, the 2^m
+interaction-set limit, or a result of more than 4300 digits).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from itertools import chain
 from typing import Optional, Sequence, Union
 
 from .core import (
+    BudgetExceededError,
     Coalition,
     FeatureSpace,
     Instance,
@@ -66,7 +68,6 @@ from .models import (
     TreeModel,
 )
 from .oracle import (
-    BudgetExceededError,
     _index_sum,
     _integer_table,
     brute_coalition_sums,
@@ -506,8 +507,7 @@ def scheme_descriptor(scheme) -> dict:
     if isinstance(scheme, BernoulliWeights):
         return {"bernoulli": {"theta": [format_rational(t) for t in scheme.theta]}}
     if isinstance(scheme, InteractionWeights):
-        (m, row), = scheme.rows().items()
-        return {"q": {"m": m, "values": [format_rational(v) for v in row]}}
+        return {"q": {"m": scheme.m, "values": [format_rational(v) for v in scheme.q]}}
     raise TypeError(f"unsupported scheme {scheme!r}")
 
 
@@ -775,7 +775,7 @@ def cmd_oracle_check(args) -> int:
     else:
         simple = isinstance(scheme, SimpleWeights)
         fast_all = (simple_indices if simple else bernoulli_indices)(model, dist, e, scheme)
-        nums, den = _integer_table(table)  # once, for every feature's sum
+        nums, den = _integer_table(model, dist, e, table=table)  # once, for every feature
         for a, fast in enumerate(fast_all):
             brute = _index_sum(nums, den, named.space.n, Coalition.singleton(a), scheme)
             record(f"index[{named.names[a]}]", fast, brute)

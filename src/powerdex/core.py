@@ -30,12 +30,17 @@ class WeightError(PowerdexError):
     """A weight scheme violates its normalization or range constraints."""
 
 
+class BudgetExceededError(PowerdexError):
+    """A stated size bound would be exceeded; checked before the work it bounds."""
+
+
 # Most digits one run of a rational literal may hold (an integer part, a
 # decimal part, a numerator or a denominator), checked before any
 # conversion.  It equals CPython's default ``int_max_str_digits``, so every
 # literal the default interpreter converts is accepted, and the bound still
 # holds where that limit is raised or switched off.
 MAX_LITERAL_DIGITS = 4300
+_LITERAL_BOUND = 10**MAX_LITERAL_DIGITS  # the least integer with more digits
 
 _DIGIT_RUN = re.compile(r"[\d_]+")
 
@@ -100,7 +105,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """Format a rational as "p" or "p/q"; parse_rational(format_rational(x)) == x."""
+    """Format a rational as "p" or "p/q"; parse_rational(format_rational(x)) == x.
+
+    p or q of more than ``MAX_LITERAL_DIGITS`` digits is a BudgetExceededError.
+    """
+    if not -_LITERAL_BOUND < x.numerator < _LITERAL_BOUND or x.denominator >= _LITERAL_BOUND:
+        raise BudgetExceededError(
+            f"a result has more than {MAX_LITERAL_DIGITS} digits in its numerator or denominator"
+        )
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -354,9 +366,7 @@ class ProductDistribution:
 
     @classmethod
     def point_mass(cls, e: Instance) -> "ProductDistribution":
-        rows = []
-        for domain, pos in zip(e.space.domains, e._positions):
-            rows.append([Fraction(1) if k == pos else Fraction(0) for k in range(len(domain))])
+        rows = [point_mass_row(len(d), hit) for d, hit in zip(e.space.domains, e._positions)]
         return cls(e.space, rows)
 
     def prob(self, feature: int, value: Value) -> Fraction:
@@ -378,10 +388,9 @@ def check_shared_space(*objects) -> FeatureSpace:
     return first
 
 
-def point_mass_row(space: FeatureSpace, feature: int, value: Value) -> tuple[Fraction, ...]:
-    pos = space.position(feature, value)
-    size = len(space.domains[feature])
-    return tuple(Fraction(1) if k == pos else Fraction(0) for k in range(size))
+def point_mass_row(size: int, hit: int) -> tuple[Fraction, ...]:
+    # the point mass at position hit of a domain of this size
+    return tuple(Fraction(1) if k == hit else Fraction(0) for k in range(size))
 
 
 def mixture_row(
@@ -446,5 +455,5 @@ def condition(
     coalition.check_within(space)
     rows = list(dist.probs)
     for i in coalition:
-        rows[i] = point_mass_row(space, i, e[i])
+        rows[i] = point_mass_row(len(rows[i]), e._positions[i])
     return ProductDistribution._from_trusted_rows(space, tuple(rows))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 from operator import mul
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
 from .core import (
     Coalition,
@@ -89,6 +89,7 @@ class SimpleWeights:
     pick specialized computation paths.
     """
 
+    m: ClassVar[int] = 1  # the target-set size: these weigh a single feature
     n: int
     q: tuple[Fraction, ...]
     preset: Optional[str] = None
@@ -168,13 +169,20 @@ class BernoulliWeights:
 IndexScheme = Union[SimpleWeights, BernoulliWeights]
 
 
-def _check_scheme_size(weights, n: int) -> None:
-    """A WeightError unless the scheme is for n features (Bernoulli weights: one theta each)."""
+def _check_scheme(weights, kinds, n: int, m: int = 1) -> None:
+    """Fit a scheme to a call on n features and a target set of m members (1 for a feature).
+
+    A TypeError unless it is one of ``kinds``; a WeightError unless its
+    theta, or its n and set size m, match the call's."""
+    if not isinstance(weights, kinds):
+        raise TypeError(f"unsupported scheme {weights!r}")
     if isinstance(weights, BernoulliWeights):
         if len(weights.theta) != n:
             raise WeightError(f"theta has {len(weights.theta)} entries for n={n}")
     elif weights.n != n:
         raise WeightError(f"weights are for n={weights.n}, space has n={n}")
+    elif weights.m != m:
+        raise WeightError(f"weights are for |A|={weights.m}, the set has |A|={m}")
 
 
 @dataclass(frozen=True)
@@ -245,9 +253,7 @@ def batched_node_sums(
 _SIGNS = (Fraction(1), Fraction(-1))
 
 
-def _derivative(
-    space: FeatureSpace, dist: ProductDistribution, e: Instance, members: Sequence[int]
-) -> list[Variant]:
+def _derivative(dist: ProductDistribution, e: Instance, members: Sequence[int]) -> list[Variant]:
     """The discrete derivative along the members, one variant per subset B.
 
     B is pinned to e, the other members stay on their input marginals,
@@ -255,7 +261,7 @@ def _derivative(
     pinned-minus-free gap.
     """
     m = len(members)
-    pins = [point_mass_row(space, i, e[i]) for i in members]
+    pins = [point_mass_row(len(dist.probs[i]), e._positions[i]) for i in members]
     variants = []
     for mask in range((1 << m) - 1, -1, -1):
         rows = {i: pins[j] if mask >> j & 1 else dist.probs[i] for j, i in enumerate(members)}
@@ -347,13 +353,12 @@ def _z_reduction(
     model: Model, dist: ProductDistribution, e: Instance, features: Sequence[int]
 ) -> Reduced:
     """The features' gap polynomials under the z-mixture rows of the others."""
-    space = dist.space
-    n = space.n
+    n = dist.space.n
 
     def batches(component, keys):
         # the gaps at z = 0..n-1, scaled by (1+z)^(n-1), interpolate G_a in u = 1+z
         nodes = [Fraction(z) for z in range(n)]
-        targets = [_derivative(space, dist, e, (a,)) for a in keys]
+        targets = [_derivative(dist, e, (a,)) for a in keys]
         sums = _z_node_sums(component, dist, e, nodes, targets)
         return _node_polynomials(keys, nodes, sums, n - 1)
 
@@ -419,11 +424,11 @@ def _bernoulli_indices(
     for members in member_sets:
         for i in members:
             space.check_feature(i)
-    _check_scheme_size(weights, space.n)
+    _check_scheme(weights, BernoulliWeights, space.n)
     mixed = bernoulli_mixture(dist, e, weights.theta)
 
     def batches(component, keys):
-        targets = [_derivative(space, dist, e, members) for members in member_sets]
+        targets = [_derivative(dist, e, members) for members in member_sets]
         sums = batched_node_sums(component, space, [mixed.probs], targets)
         return _node_polynomials(keys, [Fraction(0)], sums, 0)
 
@@ -461,7 +466,7 @@ def _simple_indices(
     weights: SimpleWeights,
 ) -> list[Fraction]:
     space = check_shared_space(model, dist, e)
-    _check_scheme_size(weights, space.n)
+    _check_scheme(weights, SimpleWeights, space.n)
     if weights.preset == "marginal":
         return [marginal_index(model, dist, e, a) for a in features]
     for a in features:
@@ -547,13 +552,8 @@ def attribute_all(
     n = space.n
     features = range(n)
     sums = None
-    if isinstance(scheme, SimpleWeights):
-        _check_scheme_size(scheme, n)
-        direct = _bernoulli_equivalent(scheme)
-    elif isinstance(scheme, BernoulliWeights):
-        direct = scheme
-    else:
-        raise TypeError(f"unsupported scheme {scheme!r}")
+    _check_scheme(scheme, (SimpleWeights, BernoulliWeights), n)
+    direct = _bernoulli_equivalent(scheme) if isinstance(scheme, SimpleWeights) else scheme
     if direct is not None:
         path = PATH_BERNOULLI
         singles = [(a,) for a in features]

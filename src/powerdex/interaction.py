@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
+    BudgetExceededError,
     Coalition,
     Instance,
     ProductDistribution,
@@ -29,8 +30,9 @@ from .indices import (
     BernoulliWeights,
     _bernoulli_indices,
     _check_cardinality_row,
-    _check_scheme_size,
+    _check_scheme,
     _node_polynomials,
+    SimpleWeights,
     _walked_indices,
     _z_node_sums,
 )
@@ -51,53 +53,32 @@ INTERACTION_SET_LIMIT = 20
 
 
 class InteractionWeights:
-    """Coalition weights q(k, m) depending only on |S| = k and |A| = m.
+    """Coalition weights q(k, m) for target sets of one size m, k = |S|.
 
-    Stored per target-set size m as a row q(0,m)..q(n-m,m); each stored
-    row must satisfy q >= 0 and sum_k C(n-m,k) q(k,m) = 1 exactly.
+    One row ``q`` = q(0,m)..q(n-m,m), which must satisfy q >= 0 and
+    sum_k C(n-m,k) q(k,m) = 1 exactly.  A single feature's weights
+    (``SimpleWeights``) are the m = 1 case.
     """
 
-    def __init__(self, n: int, rows: Mapping[int, Sequence]):
+    def __init__(self, n: int, m: int, values: Sequence):
         if n < 1:
             raise WeightError("interaction weights need n >= 1")
-        self.n = n
-        table = {}
-        for m, values in rows.items():
-            if not 1 <= m <= n:
-                raise WeightError(f"target-set size {m} outside 1..{n}")
-            row = tuple(as_rational(v) for v in values)
-            if len(row) != n - m + 1:
-                raise WeightError(
-                    f"row for |A|={m} has {len(row)} weights, expected {n - m + 1}"
-                )
-            _check_cardinality_row(
-                row, n - m, lambda k: f"q({k},{m})", f"row for |A|={m} sums to"
-            )
-            table[m] = row
-        self._rows = table
-
-    def rows(self) -> dict[int, tuple[Fraction, ...]]:
-        return dict(self._rows)
-
-    def row(self, m: int, n: Optional[int] = None) -> tuple[Fraction, ...]:
-        if n is not None:
-            _check_scheme_size(self, n)
-        try:
-            return self._rows[m]
-        except KeyError:
-            raise WeightError(f"no weight row for target-set size {m}") from None
-
-    def q(self, k: int, m: int) -> Fraction:
-        return self.row(m)[k]
+        if not 1 <= m <= n:
+            raise WeightError(f"target-set size {m} outside 1..{n}")
+        q = tuple(as_rational(v) for v in values)
+        if len(q) != n - m + 1:
+            raise WeightError(f"row for |A|={m} has {len(q)} weights, expected {n - m + 1}")
+        _check_cardinality_row(q, n - m, lambda k: f"q({k},{m})", f"row for |A|={m} sums to")
+        self.n, self.m, self.q = n, m, q
 
     @classmethod
     def single(cls, n: int, m: int, values: Sequence) -> "InteractionWeights":
-        return cls(n, {m: values})
+        return cls(n, m, values)
 
     @classmethod
     def from_simple(cls, weights) -> "InteractionWeights":
         """Embed a single-feature weight vector as the m=1 interaction row."""
-        return cls(weights.n, {1: weights.q})
+        return cls(weights.n, 1, weights.q)
 
 
 # Interaction coalitions take the same per-feature inclusion probabilities;
@@ -172,7 +153,8 @@ def compute_interaction_simple(
     the target set's features mixed by the y-node and the rest by the
     z-node.  The scaled values interpolate the generating polynomial
     whose coefficients are the size-partitioned sums of E[F|S u B];
-    the index is their signed, weighted total.
+    the index is their signed, weighted total.  The weights are a row for
+    |A| = m; ``SimpleWeights`` fit a single feature.
     """
     return _interaction_simple(model, dist, e, a_set, weights, grid, prefactor)[0]
 
@@ -195,7 +177,7 @@ def _interaction_simple(
         raise ValueError(f"unknown prefactor variant {prefactor!r}")
     n = space.n
     m = len(a_set)
-    row = weights.row(m, n)
+    _check_scheme(weights, (InteractionWeights, SimpleWeights), n, m)
     if grid is None:
         grid = BivariateGrid.default(n, m)
     if len(grid.z_nodes) != n - m + 1 or len(grid.y_nodes) != m + 1:
@@ -218,7 +200,7 @@ def _interaction_simple(
     ]
     sums = _z_node_sums(model, dist, e, grid.z_nodes, [variants])
     polys, den = _node_polynomials([0], grid.z_nodes, sums, z_power)
-    return _walked_indices(([polys[0]], den), row)[0], (n - m + 1) * (m + 1)
+    return _walked_indices(([polys[0]], den), weights.q)[0], (n - m + 1) * (m + 1)
 
 
 def _signed_weights(nodes: Sequence[Fraction]) -> list[Fraction]:
@@ -268,7 +250,7 @@ def _interaction_bernoulli(
         raise ValueError("the interaction set must be nonempty")
     m = len(a_set)
     if m > INTERACTION_SET_LIMIT:
-        raise ValueError(
+        raise BudgetExceededError(
             f"interaction set of size {m} would need 2^{m} expectations "
             f"(limit {INTERACTION_SET_LIMIT})"
         )

@@ -18,20 +18,16 @@ from math import lcm, prod
 from typing import Optional, Sequence, Union
 
 from .core import (
+    BudgetExceededError,
     Coalition,
     Instance,
-    PowerdexError,
     ProductDistribution,
     check_shared_space,
     subsets,
 )
-from .indices import BernoulliWeights, SimpleWeights, _check_scheme_size
+from .indices import BernoulliWeights, SimpleWeights, _check_scheme
 from .interaction import InteractionWeights
 from .models import Model
-
-
-class BudgetExceededError(PowerdexError):
-    """The instance is too large for exhaustive enumeration."""
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,8 @@ def brute_expectation(
     """E[F]: F(omega) * P(Y = omega) summed over the outcomes, feature by feature."""
     budget.check(model)
     check_shared_space(model, dist)
-    return _contract(model, dist, None)[0]
+    nums, den = _contract(model, dist, None)
+    return Fraction(nums[0], den)
 
 
 def conditional_table(
@@ -82,10 +79,13 @@ def conditional_table(
     """
     budget.check(model)
     check_shared_space(model, dist, e)
-    return dict(enumerate(_contract(model, dist, e)))
+    nums, den = _contract(model, dist, e)
+    return {mask: Fraction(x, den) for mask, x in enumerate(nums)}
 
 
-def _contract(model: Model, dist: ProductDistribution, e: Optional[Instance]) -> list[Fraction]:
+def _contract(
+    model: Model, dist: ProductDistribution, e: Optional[Instance]
+) -> tuple[list[int], int]:
     """Sum F over the outcome grid one feature at a time, depth first, in integers.
 
     Row i is scaled to integers over the lcm L_i of its denominators, and
@@ -100,9 +100,10 @@ def _contract(model: Model, dist: ProductDistribution, e: Optional[Instance]) ->
     is brought to the lcm of the two first.  With ``e`` None nothing is
     pinned, only the weighted sum is taken and the vector is [E[F]].  F is
     read once per visited outcome, by ``Model._evaluate_at`` on its
-    positions.  That is at most n * |Omega| integer multiply-adds, and one
-    Fraction per coalition at the end; the walk holds one vector per level,
-    so memory stays O(2^n).
+    positions.  That is at most n * |Omega| integer multiply-adds; the walk
+    holds one vector per level, so memory stays O(2^n).  Entry S is then
+    scaled by the product of L_j over j in S: every E[F|S] is nums[S] / den
+    over one denominator, returned as ``(nums, den)``.
     """
     scales = [lcm(*(p.denominator for p in row)) for row in dist.probs]
     hits = [None] * len(scales) if e is None else e._positions
@@ -115,12 +116,11 @@ def _contract(model: Model, dist: ProductDistribution, e: Optional[Instance]) ->
         ))
     nums, den = _walk(model, visits, e is not None, [0] * len(visits), 0)
     if e is None:
-        return [Fraction(nums[0], den * prod(scales))]
-    # the denominator of coalition S is den * prod of L_i over i not in S
-    dens = [den]
+        return nums, den * prod(scales)
+    ups = [1]  # per coalition S, the product of L_i over i in S
     for scale in scales:
-        dens = [d * scale for d in dens] + dens
-    return [Fraction(x, d) for x, d in zip(nums, dens)]
+        ups += [up * scale for up in ups]
+    return [x * up for x, up in zip(nums, ups)], den * prod(scales)
 
 
 def _walk(
@@ -165,24 +165,18 @@ def _walk(
     return both, den
 
 
-def _table_or_compute(
-    model, dist, e, budget, table: Optional[ConditionalTable]
-) -> ConditionalTable:
-    if table is None:
-        return conditional_table(model, dist, e, budget)
-    return table
-
-
 def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Rationals as integer numerators over the lcm of their denominators."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _integer_table(table: ConditionalTable) -> tuple[dict[int, int], int]:
-    """The table's entries as integer numerators over one denominator, keyed by mask."""
-    nums, den = _integer_row(list(table.values()))
-    return dict(zip(table, nums)), den
+def _integer_table(model, dist, e, budget=DEFAULT_BUDGET, table=None) -> tuple[list[int], int]:
+    """Every E[F|S], by mask, in integers over one denominator; a given table converted once."""
+    if table is None:
+        budget.check(model)
+        return _contract(model, dist, e)
+    return _integer_row([table[mask] for mask in range(1 << model.space.n)])
 
 
 def brute_simple_index(
@@ -199,11 +193,8 @@ def brute_simple_index(
     The sum is taken in integers, the table and the weights each over one
     denominator, and divided once.
     """
-    space = check_shared_space(model, dist, e)
-    space.check_feature(a)
-    _check_scheme_size(weights, space.n)
-    nums, den = _integer_table(_table_or_compute(model, dist, e, budget, table))
-    return _index_sum(nums, den, space.n, Coalition.singleton(a), weights)
+    check_shared_space(model, dist, e).check_feature(a)
+    return _brute_index(model, dist, e, Coalition.singleton(a), weights, budget, table)
 
 
 def brute_bernoulli_index(
@@ -216,26 +207,47 @@ def brute_bernoulli_index(
     table: Optional[ConditionalTable] = None,
 ) -> Fraction:
     """The definitional sum with coalition probabilities from Bernoulli trials, in integers."""
-    space = check_shared_space(model, dist, e)
-    space.check_feature(a)
-    _check_scheme_size(weights, space.n)
-    nums, den = _integer_table(_table_or_compute(model, dist, e, budget, table))
-    return _index_sum(nums, den, space.n, Coalition.singleton(a), weights)
+    check_shared_space(model, dist, e).check_feature(a)
+    return _brute_index(model, dist, e, Coalition.singleton(a), weights, budget, table)
 
 
-def _index_sum(nums: dict, den: int, n: int, a_set: Coalition, weights) -> Fraction:
+def brute_interaction_index(
+    model: Model,
+    dist: ProductDistribution,
+    e: Instance,
+    a_set: Coalition,
+    weights: Union[InteractionWeights, BernoulliWeights],
+    budget: OracleBudget = DEFAULT_BUDGET,
+    table: Optional[ConditionalTable] = None,
+) -> Fraction:
+    """Sum of Q_A(S) times the alternating-sum marginal m(A;S) over S in A^c."""
+    a_set.check_within(check_shared_space(model, dist, e))
+    if not a_set:
+        raise ValueError("the interaction set must be nonempty")
+    return _brute_index(model, dist, e, a_set, weights, budget, table)
+
+
+def _brute_index(model, dist, e, a_set: Coalition, weights, budget, table) -> Fraction:
+    # the index of a checked, nonempty target set; a feature is a singleton
+    n = model.space.n
+    _check_scheme(weights, (SimpleWeights, InteractionWeights, BernoulliWeights), n, len(a_set))
+    nums, den = _integer_table(model, dist, e, budget, table)
+    return _index_sum(nums, den, n, a_set, weights)
+
+
+def _index_sum(nums: Sequence[int], den: int, n: int, a_set: Coalition, weights) -> Fraction:
     """Sum over S in A^c of Q_A(S) * sum_{B in A} (-1)^(m-|B|) * nums[S u B] / den.
 
-    Q_A(S) is a feature's q_|S|, the set's interaction weight for |S|, or
-    S's Bernoulli probability, in integers over q_den; one division at the end.
+    Q_A(S) is the cardinality weight q_|S| of the set's row (a feature's
+    for |A| = 1) or S's Bernoulli probability, in integers over q_den; one
+    division at the end.
     """
     m = len(a_set)
     complement = a_set.complement(n)
     if isinstance(weights, BernoulliWeights):
         coalitions, q_den = _coalition_probs(weights.theta, complement)
     else:
-        row = weights.row(m) if isinstance(weights, InteractionWeights) else weights.q
-        q, q_den = _integer_row(row)
+        q, q_den = _integer_row(weights.q)
         coalitions = [(s.mask, q[len(s)]) for s in subsets(complement)]
     total = 0
     for b in subsets(a_set):
@@ -265,25 +277,6 @@ def _coalition_probs(
     return probs, prod(theta[i].denominator for i in members)
 
 
-def brute_interaction_index(
-    model: Model,
-    dist: ProductDistribution,
-    e: Instance,
-    a_set: Coalition,
-    weights: Union[InteractionWeights, BernoulliWeights],
-    budget: OracleBudget = DEFAULT_BUDGET,
-    table: Optional[ConditionalTable] = None,
-) -> Fraction:
-    """Sum of Q_A(S) times the alternating-sum marginal m(A;S) over S in A^c."""
-    space = check_shared_space(model, dist, e)
-    a_set.check_within(space)
-    if not a_set:
-        raise ValueError("the interaction set must be nonempty")
-    _check_scheme_size(weights, space.n)
-    nums, den = _integer_table(_table_or_compute(model, dist, e, budget, table))
-    return _index_sum(nums, den, space.n, a_set, weights)
-
-
 def brute_coalition_sums(
     model: Model,
     dist: ProductDistribution,
@@ -293,9 +286,9 @@ def brute_coalition_sums(
 ) -> tuple[Fraction, ...]:
     """The n+1 sums of E[F|S] grouped by coalition size."""
     space = check_shared_space(model, dist, e)
-    nums, den = _integer_table(_table_or_compute(model, dist, e, budget, table))
+    nums, den = _integer_table(model, dist, e, budget, table)
     sums = [0] * (space.n + 1)
-    for mask, num in nums.items():
+    for mask, num in enumerate(nums):
         sums[mask.bit_count()] += num
     return tuple([Fraction(s, den) for s in sums])
 
@@ -311,7 +304,7 @@ def brute_coefficient_sums(
     """The n sums of m(a;S) grouped by |S|, for cross-checking interpolation."""
     space = check_shared_space(model, dist, e)
     space.check_feature(a)
-    nums, den = _integer_table(_table_or_compute(model, dist, e, budget, table))
+    nums, den = _integer_table(model, dist, e, budget, table)
     n = space.n
     bit = 1 << a
     sums = [0] * n

@@ -30,6 +30,8 @@ from powerdex.cli import (
     parse_model,
     parse_space,
 )
+from powerdex.core import MAX_LITERAL_DIGITS
+from powerdex.interaction import INTERACTION_SET_LIMIT
 from powerdex.models import TREE_DEPTH_LIMIT, TreeModel
 
 from corpus import csv_marginals
@@ -562,6 +564,32 @@ def test_interact_bernoulli_singleton_walks_the_tree_once(monkeypatch, capsys):
     assert calls == {"walk": 1, "traversal": 0}
 
 
+def test_interact_past_the_set_limit_is_exit_4(tmp_path, capsys):
+    n = INTERACTION_SET_LIMIT + 2
+    names = [f"x{i}" for i in range(n)]
+    doc = {
+        "space": {"features": [{"name": name, "values": ["0", "1"]} for name in names]},
+        "model": {"type": "tree", "root": {"leaf": "1"}},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, captured = run_cli(
+        "interact",
+        "--model", str(path),
+        "--dist", str(FIXTURES / "uniform_any.json"),
+        "--instance", json.dumps({name: "0" for name in names}),
+        "--set", ",".join(names[: n - 1]),
+        "--scheme", json.dumps({"bernoulli": {"theta": ["1/2"] * n}}),
+        capsys=capsys,
+    )
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: interaction set of size {n - 1} would need 2^{n - 1} expectations "
+        f"(limit {INTERACTION_SET_LIMIT})\n"
+    )
+
+
 def test_interact_diag_echoes_the_grid(capsys):
     code, captured = run_cli(
         "interact",
@@ -800,6 +828,44 @@ def test_expected_on_ensemble(capsys):
     doc = json.loads(captured.out)
     assert doc["value"] == "5/4"
     assert doc["decimal"] == "1.25"
+
+
+def test_expected_past_the_literal_bound_is_exit_4(tmp_path, capsys):
+    # E[F] of this valid additive model is exact, but its denominator, the
+    # lcm of 120 odd 41-digit denominators, has more digits than a literal
+    # may hold
+    rng = random.Random(41)
+    n = 120
+    names = [f"x{i}" for i in range(n)]
+    doc = {
+        "space": {"features": [{"name": name, "values": ["0", "1"]} for name in names]},
+        "model": {
+            "type": "additive",
+            "terms": [{"feature": name, "values": ["0", "1"]} for name in names],
+        },
+    }
+    marginals = []
+    want = Fraction(0)
+    for name in names:
+        den = rng.randrange(10**40, 10**41) | 1
+        p = Fraction(rng.randrange(1, den), den)
+        marginals.append({"feature": name, "probs": [format_rational(1 - p), format_rational(p)]})
+        want += p
+    assert want.denominator >= 10**MAX_LITERAL_DIGITS
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    (tmp_path / "dist.json").write_text(json.dumps({"marginals": marginals}))
+    code, captured = run_cli(
+        "expected",
+        "--model", str(tmp_path / "model.json"),
+        "--dist", str(tmp_path / "dist.json"),
+        capsys=capsys,
+    )
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: a result has more than {MAX_LITERAL_DIGITS} digits "
+        "in its numerator or denominator\n"
+    )
 
 
 def test_diag_is_rejected_where_it_would_be_ignored(capsys):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerdex import (
+    BudgetExceededError,
     Coalition,
     FeatureSpace,
     Instance,
@@ -65,6 +66,15 @@ def test_parse_rejects_a_longer_digit_run_in_a_short_message():
     with pytest.raises(ValueError, match=f"more than {MAX_LITERAL_DIGITS} digits") as info:
         parse_rational(text)
     assert len(str(info.value)) < 200
+
+
+def test_format_rational_refuses_more_digits_than_a_literal_may_hold():
+    top = 10**MAX_LITERAL_DIGITS - 1  # the largest integer of MAX_LITERAL_DIGITS digits
+    for x in (Fraction(top), Fraction(-top, 2), Fraction(1, top)):
+        assert parse_rational(format_rational(x)) == x
+    for x in (Fraction(top + 1), Fraction(-top - 1, 3), Fraction(1, top + 1)):
+        with pytest.raises(BudgetExceededError, match=f"more than {MAX_LITERAL_DIGITS} digits"):
+            format_rational(x)
 
 
 def _reference_parse_rational(text):

@@ -175,6 +175,19 @@ def test_simple_index_dimension_check(and2):
     with pytest.raises(WeightError):
         compute_simple_index(model, dist, e, 0, SimpleWeights.shapley(3))
 
+@pytest.mark.parametrize(
+    "index, scheme, kind",
+    [
+        (compute_simple_index, BernoulliWeights.constant(2, Fraction(1, 2)), "BernoulliWeights"),
+        (compute_bernoulli_index, SimpleWeights.shapley(2), "SimpleWeights"),
+    ],
+)
+def test_a_fast_path_refuses_the_other_kind_of_scheme(and2, index, scheme, kind):
+    space, model, dist, e = and2
+    with pytest.raises(TypeError, match=rf"^unsupported scheme {kind}\("):
+        index(model, dist, e, 0, scheme)
+
+
 def test_bernoulli_index_and_values(and2):
     space, model, dist, e = and2
     half = BernoulliWeights.constant(2, Fraction(1, 2))

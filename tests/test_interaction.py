@@ -8,6 +8,7 @@ from powerdex import (
     BernoulliInteractionWeights,
     BernoulliWeights,
     BivariateGrid,
+    BudgetExceededError,
     Coalition,
     CountingModel,
     InteractionWeights,
@@ -22,7 +23,7 @@ from powerdex import (
     interaction_marginal,
     marginal_contribution,
 )
-from powerdex.interaction import PREFACTOR_Z_ONLY
+from powerdex.interaction import INTERACTION_SET_LIMIT, PREFACTOR_Z_ONLY
 
 from corpus import (
     and_space,
@@ -52,7 +53,7 @@ BOTH = Coalition.from_members([0, 1])
 # weights and grids
 
 
-def test_interaction_weight_rows_validated():
+def test_interaction_weight_rows_validated(and2):
     InteractionWeights.single(3, 2, [Fraction(1, 2), Fraction(1, 2)])
     with pytest.raises(WeightError):
         InteractionWeights.single(3, 2, [Fraction(1), Fraction(1)])
@@ -60,8 +61,35 @@ def test_interaction_weight_rows_validated():
         InteractionWeights.single(3, 2, [Fraction(2), Fraction(-1, 2)])
     with pytest.raises(WeightError):
         InteractionWeights.single(3, 2, [Fraction(1)])  # wrong row length
-    with pytest.raises(WeightError):
-        InteractionWeights.single(3, 2, [Fraction(1), Fraction(0)]).row(1)
+    # a row for pairs does not fit a singleton
+    _, model, dist, e = and2
+    pair = InteractionWeights.single(2, 2, [Fraction(1)])
+    for index in (compute_interaction_simple, brute_interaction_index):
+        with pytest.raises(WeightError, match=r"weights are for \|A\|=2, the set has \|A\|=1"):
+            index(model, dist, e, Coalition.singleton(0), pair)
+
+
+def test_simple_weights_fit_a_singleton_on_the_fast_path():
+    rng = random.Random(20)
+    space = random_space(rng, 4)
+    model = random_tree_model(rng, space)
+    dist = random_distribution(rng, space)
+    e = random_instance(rng, space)
+    weights = SimpleWeights.shapley(4)
+    for a in range(4):
+        a_set = Coalition.singleton(a)
+        want = compute_interaction_simple(
+            model, dist, e, a_set, InteractionWeights.from_simple(weights)
+        )
+        assert compute_interaction_simple(model, dist, e, a_set, weights) == want
+
+
+def test_the_grid_path_refuses_bernoulli_weights(and2):
+    _, model, dist, e = and2
+    with pytest.raises(TypeError, match=r"^unsupported scheme BernoulliWeights\("):
+        compute_interaction_simple(
+            model, dist, e, BOTH, BernoulliInteractionWeights.constant(2, Fraction(1, 2))
+        )
 
 
 @pytest.mark.parametrize(
@@ -251,6 +279,18 @@ def test_interaction_bernoulli_call_count():
         counted, dist, e, a_set, BernoulliInteractionWeights.constant(6, Fraction(1, 3))
     )
     assert counted.expected_value_calls == 8
+
+
+def test_interaction_bernoulli_refuses_a_set_past_the_limit_before_any_call():
+    m = INTERACTION_SET_LIMIT + 1
+    space = and_space(m + 1)
+    counted = CountingModel(constant_model(space, Fraction(1)))
+    dist, e = ProductDistribution.uniform(space), ones_instance(space)
+    weights = BernoulliInteractionWeights.constant(m + 1, Fraction(1, 2))
+    message = f"interaction set of size {m} would need 2\\^{m} expectations \\(limit {m - 1}\\)"
+    with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+        compute_interaction_bernoulli(counted, dist, e, Coalition.full(m), weights)
+    assert counted.expected_value_calls == 0
 
 
 def test_interaction_bernoulli_ignores_inside_theta():

@@ -568,7 +568,9 @@ def test_the_walks_run_from_a_deep_caller():
 # 1, else the tree goes on to feature f + 1, and the last 0 gives 0.  Every
 # split has a nonzero leaf, so feature f's gap has a term for every path
 # length from its depth to n, and the path follows e, so each term's
-# degree grows with its length.  Prints the process's peak resident size.
+# degree grows with its length.  Prints the process's own peak resident
+# size: VmHWM, which starts afresh at exec, where Linux has it (ru_maxrss
+# keeps the peak of the process that spawned it), else ru_maxrss.
 _DEEP_CHAIN_SHAPLEY = """
 import resource
 from fractions import Fraction
@@ -583,7 +585,11 @@ for feature in reversed(range(n)):
 e = Instance(space, ("0",) * n)
 report = attribute_all(TreeModel(space, node), ProductDistribution.uniform(space), e, SimpleWeights.shapley(n))
 assert sum(report.values) == Fraction(1, 2**n) - 1  # efficiency: F(e) - E[F]
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+try:
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+except OSError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
@@ -599,7 +605,7 @@ def test_a_deep_chain_walks_in_memory_bounded_by_its_answer():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    peak = int(result.stdout)  # KiB on Linux, bytes on macOS
+    peak = int(result.stdout)  # KiB, but ru_maxrss is in bytes on macOS
     if sys.platform == "darwin":
         peak //= 1024
     assert peak < 100 * 1024

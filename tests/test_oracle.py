@@ -304,8 +304,7 @@ def test_integer_index_sums_equal_the_fraction_sums(case):
         for mask in range(1 << n)
         if not mask & a_set.mask
     }
-    row = pair.row(m)
-    want = sum(row[mask.bit_count()] * marginal for mask, marginal in marginals.items())
+    want = sum(pair.q[mask.bit_count()] * marginal for mask, marginal in marginals.items())
     assert brute_interaction_index(model, dist, e, a_set, pair, table=table) == want
     want = sum(
         _theta_product(theta, complement, mask) * marginal for mask, marginal in marginals.items()
@@ -433,6 +432,17 @@ def test_oracle_rejects_a_mis_sized_scheme_as_the_engine_does(and2, brute, weigh
     target = Coalition.singleton(0) if brute is brute_interaction_index else 0
     with pytest.raises(WeightError, match=message):
         brute(model, dist, e, target, weights)
+
+
+def test_the_oracle_fits_a_feature_scheme_to_singletons_only():
+    space = and_space(3)
+    model, dist, e = and_table_model(space), ProductDistribution.uniform(space), ones_instance(space)
+    shapley = SimpleWeights.shapley(3)
+    with pytest.raises(WeightError, match=r"weights are for \|A\|=1, the set has \|A\|=2"):
+        brute_interaction_index(model, dist, e, Coalition.from_members([0, 1]), shapley)
+    assert brute_interaction_index(
+        model, dist, e, Coalition.singleton(1), shapley
+    ) == brute_simple_index(model, dist, e, 1, shapley)
 
 
 def test_default_budget_limits():
