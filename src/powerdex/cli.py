@@ -147,6 +147,11 @@ def _parse_json(data, what: str):
         raise SchemaError(
             f"{what} is not valid {exc.encoding.upper()}: {exc.reason} at byte {exc.start}"
         ) from None
+    except ValueError:  # the only other ValueError json raises: an over-long integer
+        raise SchemaError(
+            f"{what} holds an integer longer than the limit of "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
     except RecursionError:
         # the json parser recurses once per nesting level
         raise SchemaError(f"{what} nests too deeply to parse") from None
@@ -524,7 +529,7 @@ def ingest_csv(path: str, named: NamedSpace) -> tuple[ProductDistribution, int]:
     error met after them is raised.
     """
     space = named.space
-    with _opened(path, "r", newline="", encoding="utf-8") as handle, _collector_paused():
+    with _opened(path, "r", newline="", encoding="utf-8-sig") as handle, _collector_paused():
         blocks = _csv_blocks(handle, path)
         first = next(blocks, None)
         if first is None:

@@ -78,6 +78,8 @@ class InteractionWeights:
     @classmethod
     def from_simple(cls, weights) -> "InteractionWeights":
         """Embed a single-feature weight vector as the m=1 interaction row."""
+        if not isinstance(weights, SimpleWeights):
+            raise TypeError(f"unsupported scheme {weights!r}")
         return cls(weights.n, 1, weights.q)
 
 

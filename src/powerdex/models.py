@@ -17,7 +17,11 @@ their own; every other model hands back the batch reduction that
 its trees walk whatever their siblings are.
 Tree kernels read each row as integers over one denominator (``Row``),
 and trees and ensembles return reduced (numerator, denominator) integer
-pairs, building a Fraction only for each value they return.
+pairs, building a Fraction only for each value they return.  A batch
+call keeps one dict from row object to its ``Row``, shared by all the
+components of an ensemble and filled only with the rows some tree reads;
+the tree's key for distributions it cannot tell apart, its read rows'
+identities, is the only other identity key.
 
 Every point read of F goes through the private ``Model._evaluate_at``,
 one domain position per feature: the public ``evaluate`` of each built-in
@@ -36,7 +40,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .core import (
     Coalition,
@@ -67,30 +71,6 @@ Row = tuple[int, tuple[int, ...]]
 def _row(probs: Sequence[Fraction]) -> Row:
     den = lcm(*[p.denominator for p in probs])
     return den, tuple([p.numerator * (den // p.denominator) for p in probs])
-
-
-class _RowCache:
-    """Probability rows as ``Row``s, each distinct row object converted once.
-
-    Lives for one engine call, during which every row it has seen stays
-    alive (the caller holds the distributions), so the rows' identities
-    are stable keys.  Nothing is stored on a distribution.
-    """
-
-    def __init__(self):
-        self._rows: dict[int, Row] = {}
-        self._tables: dict[int, list[Row]] = {}
-
-    def rows(self, probs: Sequence[Sequence[Fraction]]) -> list[Row]:
-        table = self._tables.get(id(probs))
-        if table is None:
-            table = self._tables[id(probs)] = []
-            for row in probs:
-                converted = self._rows.get(id(row))
-                if converted is None:
-                    converted = self._rows[id(row)] = _row(row)
-                table.append(converted)
-        return table
 
 
 # A feature's walk factor over one denominator, (den, nums, hit, gaps).
@@ -139,8 +119,6 @@ def _times(poly: list[int], num: int, den: int, hit: bool) -> list[int]:
     # poly * ((num - den) + u*den) on e's child, poly * num on any other
     if not hit:
         return [num * c for c in poly]
-    if num == den:
-        return [0] + [den * c for c in poly]
     low = num - den
     return [low * a + den * b for a, b in zip(poly + [0], [0] + poly)]
 
@@ -157,18 +135,6 @@ def _accumulate(acc: list[int], offset: int, s: int, coeffs: Sequence[int]) -> N
 def _rescale(polys: dict[int, list[int]], grow: int) -> None:
     for coeffs in polys.values():
         coeffs[:] = [grow * c for c in coeffs]
-
-
-def _fractions(values: Sequence[Pair]) -> list[Fraction]:
-    # one Fraction per distinct pair object
-    made: dict[int, Fraction] = {}
-    out = []
-    for value in values:
-        f = made.get(id(value))
-        if f is None:
-            f = made[id(value)] = Fraction(*value)
-        out.append(f)
-    return out
 
 
 class Model(abc.ABC):
@@ -196,11 +162,14 @@ class Model(abc.ABC):
         return [self.expected_value(d) for d in dists]
 
     # The same answers as pairs, for an ensemble that sums its components
-    # without a Fraction per term; ``cache`` converts rows once per call for
-    # all components.  This default goes through the public method.
+    # without a Fraction per term.  ``made`` is the call's one row dict,
+    # shared by all components: a row object's ``Row`` by the object's
+    # identity, stable since every distribution of the call is alive
+    # throughout, added when a tree first reads the row.  This default
+    # goes through the public method and leaves ``made`` alone.
 
     def _pair_values(
-        self, dists: Sequence[ProductDistribution], cache: _RowCache
+        self, dists: Sequence[ProductDistribution], made: dict[int, Row]
     ) -> list[Pair]:
         return [(v.numerator, v.denominator) for v in self.expected_values(dists)]
 
@@ -359,7 +328,7 @@ TreeNode = Union[Leaf, Split]
 Compiled = Union[tuple, Fraction]
 
 
-def _expect(node: tuple, rows: Sequence[Row]) -> Pair:
+def _expect(node: tuple, rows: Mapping[int, Row]) -> Pair:
     # E of a compiled split: sum_c nums[c] * v_c over the row's den and the
     # product of the children's denominators, reduced once
     row_den, nums = rows[node[0]]
@@ -463,9 +432,11 @@ class TreeModel(Model):
 
     def expected_value(self, dist: ProductDistribution) -> Fraction:
         check_shared_space(self, dist)
-        return Fraction(*self._value(_RowCache().rows(dist.probs)))
+        probs = dist.probs
+        return Fraction(*self._value({i: _row(probs[i]) for i in self._read}))
 
-    def _value(self, rows: Sequence[Row]) -> Pair:
+    def _value(self, rows: Mapping[int, Row]) -> Pair:
+        # ``rows`` holds the Row of every feature the tree reads
         tree = self._tree
         if tree.__class__ is tuple:
             return _expect(tree, rows)
@@ -473,15 +444,16 @@ class TreeModel(Model):
 
     def expected_values(self, dists: Sequence[ProductDistribution]) -> list[Fraction]:
         check_shared_space(self, *dists)
-        return _fractions(self._pair_values(dists, _RowCache()))
+        return [Fraction(*value) for value in self._pair_values(dists, {})]
 
-    def _pair_values(self, dists: Sequence[ProductDistribution], cache: _RowCache) -> list[Pair]:
+    def _pair_values(self, dists: Sequence[ProductDistribution], made: dict[int, Row]) -> list[Pair]:
         """One traversal per distinct tuple of the rows the tree reads.
 
         Distributions that share their row objects on every feature the
         tree splits on have the same expectation.  Every distribution of
         the batch is alive for the whole call, so the rows' identities
-        are stable keys.
+        are stable keys.  A traversal takes the rows it reads from
+        ``made``, converting and adding any that are not there yet.
         """
         read = self._read
         seen: dict[tuple[int, ...], Pair] = {}
@@ -491,7 +463,14 @@ class TreeModel(Model):
             key = tuple([id(probs[i]) for i in read])
             value = seen.get(key)
             if value is None:
-                value = seen[key] = self._value(cache.rows(probs))
+                rows = {}
+                for i in read:
+                    row = probs[i]
+                    converted = made.get(id(row))
+                    if converted is None:
+                        converted = made[id(row)] = _row(row)
+                    rows[i] = converted
+                value = seen[key] = self._value(rows)
             values.append(value)
         return values
 
@@ -566,7 +545,7 @@ class EnsembleModel(Model):
     """Weighted sum of component models sharing one space.
 
     Components answer batches in reduced pairs (``Model._pair_values``),
-    sharing one conversion of the rows.  The walk hook
+    sharing the call's one row dict.  The walk hook
     (``Model._gap_polynomials``) sums the components' own answers.
     """
 
@@ -606,25 +585,18 @@ class EnsembleModel(Model):
 
     def expected_values(self, dists: Sequence[ProductDistribution]) -> list[Fraction]:
         check_shared_space(self, *dists)
-        return _fractions(self._pair_values(dists, _RowCache()))
+        return [Fraction(*value) for value in self._pair_values(dists, {})]
 
-    def _pair_values(self, dists: Sequence[ProductDistribution], cache: _RowCache) -> list[Pair]:
-        # sum_j w_j * answer_j, entry by entry, one gcd per product and sum
+    def _pair_values(self, dists: Sequence[ProductDistribution], made: dict[int, Row]) -> list[Pair]:
+        # sum_j w_j * answer_j, entry by entry, each sum reduced once
         totals: list[Pair] = [(0, 1)] * len(dists)
         for w, model in self.components:
             wn, wd = w.numerator, w.denominator
-            # a component repeats one value object for the distributions
-            # it cannot tell apart, so weight each distinct object once
-            weighted: dict[int, Pair] = {}
-            for k, value in enumerate(model._pair_values(dists, cache)):
-                term = weighted.get(id(value))
-                if term is None:
-                    n, d = wn * value[0], wd * value[1]
-                    g = gcd(n, d)
-                    term = weighted[id(value)] = (n // g, d // g)
+            for k, (vn, vd) in enumerate(model._pair_values(dists, made)):
                 num, den = totals[k]
-                num = num * term[1] + term[0] * den
-                den *= term[1]
+                td = wd * vd
+                num = num * td + wn * vn * den
+                den *= td
                 g = gcd(num, den)
                 totals[k] = (num // g, den // g)
         return totals

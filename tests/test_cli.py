@@ -227,6 +227,112 @@ def test_interaction_scheme_must_name_exactly_one_kind(scheme, capsys):
     assert captured.err == "error: scheme must contain exactly one of: q, bernoulli\n"
 
 
+_X1 = {"name": "x1", "values": ["0", "1"]}
+_X2 = {"name": "x2", "values": ["0", "1"]}
+_TABLE = {"type": "table", "values": ["0"] * 4}
+_PAIR_Q = '{"q": {"m": 2, "values": ["1"]}}'
+
+
+def _model_doc(features=(_X1, _X2), model=_TABLE):
+    return {"space": {"features": list(features)}, "model": model}
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        pytest.param(
+            _model_doc(features=[_X1, _X1]),
+            "space.features contains duplicate feature names",
+            id="duplicate-names",
+        ),
+        pytest.param(
+            _model_doc(features=[{**_X1, "values": [0, 1]}, _X2]),
+            "space.features[0].values must be strings",
+            id="domain-not-strings",
+        ),
+        pytest.param(
+            _model_doc(features=[{**_X1, "values": ["0", "0"]}, _X2]),
+            "space.features[0].values contains duplicates",
+            id="domain-repeats",
+        ),
+        pytest.param(
+            _model_doc(model={"type": "table", "values": "0"}),
+            "model.values must be a list",
+            id="table-values-not-a-list",
+        ),
+        pytest.param(
+            _model_doc(model={"type": "table", "values": ["0"]}),
+            "model.values has 1 entries; the full domain has 4",
+            id="table-values-length",
+        ),
+        pytest.param(
+            _model_doc(model={"type": "ensemble", "components": []}),
+            "model.components must be a nonempty list",
+            id="no-components",
+        ),
+        pytest.param(
+            ["attribute", "--scheme", '{"preset": "shapley", "theta": "1/2"}'],
+            "scheme.theta is only valid with the binomial preset",
+            id="theta-beside-shapley",
+        ),
+        pytest.param(
+            ["interact", "--set", "x1,x2", "--scheme", '{"q": ["1"]}'],
+            "scheme.q must be an object with fields 'm' and 'values'",
+            id="interaction-q-not-an-object",
+        ),
+        pytest.param(
+            ["interact", "--set", " , ", "--scheme", _PAIR_Q],
+            "--set needs at least one feature name",
+            id="empty-set",
+        ),
+        pytest.param(
+            ["interact", "--set", "x1,x1", "--scheme", _PAIR_Q],
+            "--set contains duplicate feature names",
+            id="repeated-set",
+        ),
+    ],
+)
+def test_malformed_documents_and_arguments_exit_2(tmp_path, capsys, case, error):
+    """``expected`` on a malformed model file, or a subcommand with a malformed argument."""
+    if isinstance(case, dict):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(case))
+        args = ["expected", "--model", str(path), "--dist", UNIFORM2]
+    else:
+        command, *options = case
+        args = [command, "--model", AND_MODEL, "--dist", UNIFORM2, "--instance", AND_INSTANCE, *options]
+    code, captured = run_cli(*args, capsys=capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+_LONG_INTEGER = "7" * 5000
+
+
+@pytest.mark.parametrize("where", ["model", "dist", "scheme"])
+def test_a_json_integer_past_the_digit_limit_names_its_input(tmp_path, capsys, where):
+    model, dist, scheme = AND_MODEL, UNIFORM2, '{"preset": "shapley"}'
+    if where == "model":
+        model = what = str(tmp_path / "model.json")
+        table = {"type": "table", "values": ["@", "0", "0", "1"]}
+        Path(model).write_text(json.dumps(_model_doc(model=table)).replace('"@"', _LONG_INTEGER))
+    elif where == "dist":
+        dist = what = str(tmp_path / "dist.json")
+        Path(dist).write_text('{"uniform": true, "note": ' + _LONG_INTEGER + "}")
+    else:
+        scheme = '{"preset": "shapley", "x": ' + _LONG_INTEGER + "}"
+        what = "inline scheme"
+    code, captured = run_cli(*attribute_args(scheme, model=model, dist=dist), capsys=capsys)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {what} holds an integer longer than the limit of "
+        f"{sys.get_int_max_str_digits()} digits\n"
+    )
+    assert "set_int_max_str_digits" not in captured.err
+
+
 def test_overlong_literal_is_schema_error_without_the_interpreter_limit(tmp_path):
     # PYTHONINTMAXSTRDIGITS=0 lifts CPython's own int() limit, so only the
     # literal digit bound rejects this 5000-digit way of writing 1/2
@@ -813,6 +919,29 @@ def test_converse_bernoulli_scheme_rejected(capsys):
     assert code == 3
 
 
+def test_converse_past_the_oracle_budget_leaves_out_the_oracle_fields(tmp_path, capsys):
+    names = [f"x{i}" for i in range(13)]  # one feature over the oracle's 12
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "space": {"features": [{"name": name, "values": ["0", "1"]} for name in names]},
+        "model": {"type": "additive", "bias": "1/3", "terms": [
+            {"feature": name, "values": ["0", str(i + 1)]} for i, name in enumerate(names)
+        ]},
+    }))
+    code, captured = run_cli(
+        "converse",
+        "--model", str(model),
+        "--dist", str(FIXTURES / "uniform_any.json"),
+        "--instance", json.dumps({name: "1" for name in names}),
+        "--scheme", '{"preset":"shapley"}',
+        capsys=capsys,
+    )
+    assert code == 0
+    doc = json.loads(captured.out)
+    assert doc["recovery_matches_engine"] is True
+    assert "coalition_sums_oracle" not in doc and "coefficients_match_oracle" not in doc
+
+
 # ---------------------------------------------------------------------------
 # expected / ingest
 
@@ -971,6 +1100,32 @@ def test_csv_field_limit_and_bad_bytes_name_file_and_row(tmp_path, capsys, comma
     code, captured = run_cli(command, "--model", AND_MODEL, "--from-csv", str(path), capsys=capsys)
     assert code == 2
     assert captured.err == f"error: {path}: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"x1,x2\n1,0\n1,1\n0,1\n", b"x2,x1\r\n0,1\r\n1,1\r\n"],
+    ids=["lf", "crlf-reordered"],
+)
+def test_ingest_skips_a_byte_order_mark(tmp_path, capsys, content):
+    outputs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        path = tmp_path / "data.csv"
+        path.write_bytes(prefix + content)
+        code, captured = run_cli(
+            "ingest", "--model", AND_MODEL, "--from-csv", str(path), capsys=capsys
+        )
+        assert code == 0, captured.err
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+
+
+def test_a_bad_byte_after_a_byte_order_mark_keeps_its_row(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"\xef\xbb\xbfx1,x2\n0,1\n1,\xff\n")
+    code, captured = run_cli("ingest", "--model", AND_MODEL, "--from-csv", str(path), capsys=capsys)
+    assert code == 2
+    assert captured.err == f"error: {path}: row 3 is not valid UTF-8\n"
 
 
 def _space_model(path, domains):

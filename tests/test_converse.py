@@ -261,3 +261,10 @@ def test_back_substitution_equals_the_gaussian_solve(seed):
         ]
         assert diag.coefficients == solve_linear_system(matrix, rhs) + (c_n,)
         assert diag.theta_samples == tuple(thetas)
+
+
+@pytest.mark.parametrize("ell", [-1, 3])
+def test_polynomial_coefficients_reject_an_index_out_of_range(ell):
+    with pytest.raises(ValueError) as excinfo:
+        polynomial_coefficients(ConverseSystem(SimpleWeights.shapley(2)), ell)
+    assert str(excinfo.value) == f"polynomial index {ell} outside 0..2"

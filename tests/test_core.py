@@ -21,7 +21,7 @@ from powerdex import (
     parse_rational,
     subsets,
 )
-from powerdex.core import MAX_LITERAL_DIGITS, _quote
+from powerdex.core import MAX_LITERAL_DIGITS, _quote, as_rational
 
 from corpus import and_space, ones_instance
 
@@ -346,3 +346,45 @@ def test_condition_well_defined_at_zero_probability():
     e = Instance(space, ("1",))  # P(e) = 0; product substitution still works
     conditioned = condition(dist, e, Coalition.full(1))
     assert conditioned.prob(0, "1") == 1
+
+
+# ---------------------------------------------------------------------------
+# malformed arguments
+
+
+_HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s, d, e: ProductDistribution(s, [[_HALF] * 2]), "1 probability rows for 2 features"),
+        (
+            lambda s, d, e: ProductDistribution(s, [[_HALF] * 2, [Fraction(1)]]),
+            "feature 1: 1 probabilities for 2 values",
+        ),
+        (
+            lambda s, d, e: ProductDistribution(s, [[_HALF] * 2, [0.5, 0.5]]),
+            "feature 1: probabilities must be Fractions",
+        ),
+        (lambda s, d, e: bernoulli_mixture(d, e, [_HALF]), "1 mixing weights for 2 features"),
+        (lambda s, d, e: s.check_feature(2), "feature index 2 out of range for n=2"),
+        (lambda s, d, e: Coalition(-1), "coalition mask must be nonnegative"),
+        (lambda s, d, e: Coalition.from_members([-1]), "feature index -1 is negative"),
+        (lambda s, d, e: as_rational(1.5), "cannot interpret 1.5 as a rational"),
+    ],
+    ids=[
+        "row-count",
+        "row-length",
+        "not-fractions",
+        "theta-length",
+        "feature-range",
+        "negative-mask",
+        "negative-member",
+        "float",
+    ],
+)
+def test_core_constructors_reject_malformed_arguments(binary, call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call(*binary)
+    assert str(excinfo.value) == message

@@ -726,3 +726,14 @@ def test_the_walk_equals_the_node_reduction_and_the_oracle(
             assert bernoulli[a] == brute_bernoulli_index(model, dist, e, a, theta, table=table)
             for scheme, got in direct:
                 assert got[a] == brute_simple_index(model, dist, e, a, scheme, table=table)
+
+
+@pytest.mark.parametrize(
+    "n, q, message",
+    [(0, (), "weights need n >= 1"), (2, (Fraction(1),), "1 weights for n=2")],
+    ids=["n-0", "q-length"],
+)
+def test_simple_weights_reject_a_malformed_shape(n, q, message):
+    with pytest.raises(WeightError) as excinfo:
+        SimpleWeights(n, q)
+    assert str(excinfo.value) == message

@@ -362,3 +362,68 @@ def test_additive_models_have_no_interactions():
             assert compute_interaction_simple(model, dist, e, a_set, w) == 0
             bw = BernoulliInteractionWeights(random_grid_theta(rng, 4).theta)
             assert compute_interaction_bernoulli(model, dist, e, a_set, bw) == 0
+
+
+# ---------------------------------------------------------------------------
+# malformed arguments
+
+_PAIR_WEIGHTS = InteractionWeights.single(2, 2, [Fraction(1)])
+_HALVES = BernoulliWeights([Fraction(1, 2)] * 2)
+
+
+@pytest.mark.parametrize(
+    "call, kind, message",
+    [
+        (
+            lambda m, d, e: compute_interaction_simple(m, d, e, Coalition(), _PAIR_WEIGHTS),
+            ValueError,
+            "the interaction set must be nonempty",
+        ),
+        (
+            lambda m, d, e: compute_interaction_simple(m, d, e, BOTH, _PAIR_WEIGHTS, prefactor="x"),
+            ValueError,
+            "unknown prefactor variant 'x'",
+        ),
+        (
+            lambda m, d, e: compute_interaction_simple(
+                m, d, e, BOTH, _PAIR_WEIGHTS, grid=BivariateGrid([0, 1], [0, 1])
+            ),
+            ValueError,
+            "grid must be 1 z-nodes by 3 y-nodes for n=2, |A|=2",
+        ),
+        (
+            lambda m, d, e: compute_interaction_bernoulli(m, d, e, Coalition(), _HALVES),
+            ValueError,
+            "the interaction set must be nonempty",
+        ),
+        (
+            lambda m, d, e: brute_interaction_index(m, d, e, Coalition(), _HALVES),
+            ValueError,
+            "the interaction set must be nonempty",
+        ),
+        (lambda m, d, e: InteractionWeights(0, 1, []), WeightError, "interaction weights need n >= 1"),
+        (lambda m, d, e: InteractionWeights(2, 0, [1]), WeightError, "target-set size 0 outside 1..2"),
+        (lambda m, d, e: InteractionWeights(2, 3, [1]), WeightError, "target-set size 3 outside 1..2"),
+        (
+            lambda m, d, e: InteractionWeights.from_simple(_HALVES),
+            TypeError,
+            f"unsupported scheme {_HALVES!r}",
+        ),
+    ],
+    ids=[
+        "simple-empty-set",
+        "unknown-prefactor",
+        "grid-shape",
+        "bernoulli-empty-set",
+        "brute-empty-set",
+        "weights-n-0",
+        "weights-m-0",
+        "weights-m-above-n",
+        "from-simple-wrong-kind",
+    ],
+)
+def test_interaction_calls_reject_malformed_arguments(and2, call, kind, message):
+    _, model, dist, e = and2
+    with pytest.raises(kind) as excinfo:
+        call(model, dist, e)
+    assert str(excinfo.value) == message

@@ -106,3 +106,17 @@ def test_the_gaussian_solve_rejects_a_non_square_system():
         solve_linear_system([[Fraction(1), Fraction(2)]], [Fraction(1)])
     with pytest.raises(ValueError, match="not square"):
         solve_linear_system([[Fraction(1)]], [Fraction(1), Fraction(2)])
+
+
+@pytest.mark.parametrize(
+    "nodes, rows, message",
+    [
+        ([Fraction(0), Fraction(1)], [[Fraction(1)]], "node and value counts differ"),
+        ([Fraction(2), Fraction(2)], [[Fraction(1), Fraction(3)]], "interpolation nodes must be distinct"),
+    ],
+    ids=["counts", "repeated-node"],
+)
+def test_lagrange_rejects_a_malformed_system(nodes, rows, message):
+    with pytest.raises(ValueError) as excinfo:
+        _lagrange(nodes, rows)
+    assert str(excinfo.value) == message

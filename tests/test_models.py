@@ -26,8 +26,10 @@ from powerdex import (
     TreeModel,
     attribute_all,
     conditional_expectation,
+    mixture_distribution,
 )
 from powerdex.core import check_shared_space
+from powerdex.indices import _derivative, batched_node_sums
 from powerdex.models import TREE_DEPTH_LIMIT, Leaf, Model, Split
 
 from corpus import (
@@ -626,3 +628,70 @@ def test_a_gap_walk_leaves_no_reference_cycle(kind, scheme):
     )
     # nothing the call left behind needed the collector
     assert cycles_left_by(lambda: attribute_all(model, dist, e, weights)) == 0
+
+
+# ---------------------------------------------------------------------------
+# row conversion on the batch path
+
+
+def test_an_ensemble_batch_converts_each_row_a_tree_reads_once(monkeypatch):
+    """One node's batch: each row some tree reads is converted once, an unread one never."""
+    rng = random.Random(8)
+    space = random_space(rng, 4)
+
+    def tree(first, second):
+        leaves = lambda: tuple(Leaf(Fraction(rng.randint(-9, 9), 5)) for _ in space.domains[second])
+        return TreeModel(space, Split(first, tuple(Split(second, leaves()) for _ in space.domains[first])))
+
+    # feature 3 is read by no tree
+    ensemble = EnsembleModel(
+        [(Fraction(1, 2), tree(0, 1)), (Fraction(-2), tree(1, 2)), (Fraction(3), tree(2, 0))]
+    )
+    dist = random_distribution(rng, space)
+    e = random_instance(rng, space)
+    node = mixture_distribution(dist, e, Fraction(2)).probs  # one node, so one call
+    # the variants override features 0 and 1 with pinned and input rows, and 3
+    targets = [_derivative(dist, e, [0, 1]), _derivative(dist, e, [3])]
+    read = {}  # the row objects of features 0-2 over the batch, alive through the call
+    for variants in targets:
+        for _, extra in variants:
+            for i in range(3):
+                row = extra.get(i, node[i])
+                read[id(row)] = row
+    converted = []
+    original = powerdex.models._row
+    monkeypatch.setattr(powerdex.models, "_row", lambda row: converted.append(id(row)) or original(row))
+    batched_node_sums(ensemble, space, [node], targets)
+    assert sorted(converted) == sorted(read)
+
+
+# ---------------------------------------------------------------------------
+# constructor errors
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda s: TableModel(s, [0, 1]), "2 table values for 4 outcomes"),
+        (lambda s: AdditiveModel(s, 0, [[0, 1]]), "1 term rows for 2 features"),
+        (
+            lambda s: AdditiveModel(s, 0, [[0, 1], [0]]),
+            "feature 1: 1 term values for 2 domain values",
+        ),
+        (lambda s: EnsembleModel([]), "an ensemble needs at least one component"),
+        (lambda s: TreeModel(s, Leaf(1)), "leaf values must be Fractions"),
+        (lambda s: TreeModel(s, Split(0, (Leaf(Fraction(1)), "x"))), "unexpected tree node 'x'"),
+    ],
+    ids=["table-size", "term-rows", "term-row-length", "no-components", "leaf-value", "child-kind"],
+)
+def test_model_constructors_reject_malformed_parts(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build(and_space(2))
+    assert str(excinfo.value) == message
+
+
+def test_counting_model_counts_one_expected_value_call(and2):
+    space, model, dist = and2
+    counted = CountingModel(model)
+    assert counted.expected_value(dist) == Fraction(1, 4)
+    assert (counted.expected_value_calls, counted.evaluate_calls) == (1, 0)
