@@ -67,13 +67,7 @@ from .models import (
     TableModel,
     TreeModel,
 )
-from .oracle import (
-    _index_sum,
-    _integer_table,
-    brute_coalition_sums,
-    brute_interaction_index,
-    conditional_table,
-)
+from .oracle import _index_sum, _integer_table, brute_coalition_sums
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -766,24 +760,20 @@ def cmd_oracle_check(args) -> int:
             }
         )
 
-    table = conditional_table(model, dist, e)  # checks the budget before any engine work
-    record("expected-value", model.expected_value(dist), table[0])  # table[0] = E[F]
+    nums, den = _integer_table(model, dist, e)  # checks the budget before any engine work
+    record("expected-value", model.expected_value(dist), Fraction(nums[0], den))  # E[F|{}]
     doc = {"command": "oracle-check"}
     if a_set is not None:
         label = ",".join(named.names[i] for i in a_set)
-        record(
-            f"interaction-index[{label}]",
-            _interaction(model, dist, e, a_set, scheme)[0],
-            brute_interaction_index(model, dist, e, a_set, scheme, table=table),
-        )
+        fast_all = [_interaction(model, dist, e, a_set, scheme)[0]]
+        targets = [(f"interaction-index[{label}]", a_set)]
         doc["set"] = [named.names[i] for i in a_set]
     else:
         simple = isinstance(scheme, SimpleWeights)
         fast_all = (simple_indices if simple else bernoulli_indices)(model, dist, e, scheme)
-        nums, den = _integer_table(model, dist, e, table=table)  # once, for every feature
-        for a, fast in enumerate(fast_all):
-            brute = _index_sum(nums, den, named.space.n, Coalition.singleton(a), scheme)
-            record(f"index[{named.names[a]}]", fast, brute)
+        targets = [(f"index[{name}]", Coalition.singleton(a)) for a, name in enumerate(named.names)]
+    for fast, (quantity, target) in zip(fast_all, targets):  # the fast path checked them
+        record(quantity, fast, _index_sum(nums, den, named.space.n, target, scheme))
     doc["scheme"] = scheme_descriptor(scheme)
     doc["checks"] = checks
     doc["all_equal"] = all(c["equal"] for c in checks)

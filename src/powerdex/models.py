@@ -25,12 +25,18 @@ identities, is the only other identity key.
 
 Every point read of F goes through the private ``Model._evaluate_at``,
 one domain position per feature: the public ``evaluate`` of each built-in
-model, the brute-force oracle, the marginal closed form and
-``TableModel.tabulate``.  The built-in models answer it from their stored
-form; the default, which ``CountingModel`` and user models take, builds
-the instance and calls the public ``evaluate``, so they count and behave
-as through ``evaluate``.  A subclass of a built-in model that overrides
-``evaluate`` must also override ``_evaluate_at``.
+model and the marginal closed form.  The brute-force oracle and
+``TableModel.tabulate`` read F in bulk through the private
+``Model._tabulate``: F on a product grid of positions, one axis per
+feature, as integers over one denominator.  Trees and ensembles fill the
+grid from their stored form; the default, which tables, additive models,
+``CountingModel`` and user models take, reads ``_evaluate_at`` once per
+outcome.  The built-in models answer ``_evaluate_at`` from their stored
+form; its default builds the instance and calls the public ``evaluate``,
+so ``CountingModel`` and user models count and behave as through
+``evaluate``.  A subclass of a built-in model that overrides ``evaluate``
+must also override ``_evaluate_at`` and, for a tree or an ensemble,
+``_tabulate``.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import abc
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Callable, Mapping, Sequence, Union
 
 from .core import (
@@ -153,6 +159,15 @@ class Model(abc.ABC):
         value = self.evaluate(Instance._at(self.space, positions))
         return value.numerator, value.denominator
 
+    def _tabulate(self, axes: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+        # F on every outcome whose position of each feature i is in
+        # axes[i], last feature fastest, as integer numerators over one
+        # denominator.  The built-in trees and ensembles fill it from their
+        # stored form; this default reads ``_evaluate_at`` once per outcome
+        pairs = [self._evaluate_at(k) for k in itertools.product(*axes)]
+        den = lcm(*[d for _, d in pairs])
+        return [num * (den // d) for num, d in pairs], den
+
     @abc.abstractmethod
     def expected_value(self, dist: ProductDistribution) -> Fraction:
         """Exact expectation of the model under a product distribution."""
@@ -241,8 +256,8 @@ class TableModel(Model):
 
     @classmethod
     def tabulate(cls, model: "Model") -> "TableModel":
-        grid = itertools.product(*(range(len(d)) for d in model.space.domains))
-        return cls(model.space, [Fraction(*model._evaluate_at(k)) for k in grid])
+        nums, den = model._tabulate([range(len(d)) for d in model.space.domains])
+        return cls(model.space, [Fraction(num, den) for num in nums])
 
     def evaluate(self, instance: Instance) -> Fraction:
         check_shared_space(self, instance)
@@ -346,6 +361,33 @@ def _expect(node: tuple, rows: Mapping[int, Row]) -> Pair:
     return num // g, den // g
 
 
+def _fill(
+    grid: list[int], node: Compiled, j: int, offset: int, axes: Sequence[Sequence[int]],
+    runs: Sequence[int], fixed: list[int], den: int,
+) -> None:
+    # write F * den on the runs[j] outcomes of ``grid`` from ``offset``:
+    # those that agree with fixed[:j], each feature i >= j over axes[i].
+    # runs[j] is the product of the axis lengths of features j.., so
+    # feature j's stride is runs[j + 1].  A leaf fills the run with one
+    # slice assignment; a subtree that never splits on feature j fills the
+    # sub-run at its first position and copies it to the others; otherwise
+    # each position of feature j is filled in turn
+    while node.__class__ is tuple and node[0] < j:
+        node = node[1][fixed[node[0]]]
+    run = runs[j]
+    if node.__class__ is not tuple:
+        grid[offset : offset + run] = [node.numerator * (den // node.denominator)] * run
+        return
+    step = runs[j + 1]
+    if node[2] >> j & 1:
+        for k, start in zip(axes[j], range(offset, offset + run, step)):
+            fixed[j] = k
+            _fill(grid, node, j + 1, start, axes, runs, fixed, den)
+    else:
+        _fill(grid, node, j + 1, offset, axes, runs, fixed, den)
+        grid[offset + step : offset + run] = grid[offset : offset + step] * (run // step - 1)
+
+
 def _rebuild(node: Compiled) -> TreeNode:
     if node.__class__ is not tuple:
         return Leaf(node)
@@ -429,6 +471,23 @@ class TreeModel(Model):
         while node.__class__ is tuple:
             node = node[1][positions[node[0]]]
         return node.numerator, node.denominator
+
+    def _tabulate(self, axes: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+        # leaf blocks (see ``_fill``), over the lcm of the leaf denominators
+        den, stack = 1, [self._tree]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is tuple:
+                stack.extend(node[1])
+            else:
+                den = lcm(den, node.denominator)
+        runs = [1]
+        for axis in reversed(axes):
+            runs.append(runs[-1] * len(axis))
+        runs.reverse()
+        grid = [0] * runs[0]
+        _fill(grid, self._tree, 0, 0, axes, runs, [0] * len(axes), den)
+        return grid, den
 
     def expected_value(self, dist: ProductDistribution) -> Fraction:
         check_shared_space(self, dist)
@@ -579,6 +638,20 @@ class EnsembleModel(Model):
             num += tn * (den // td)
         g = gcd(num, den)
         return num // g, den // g
+
+    def _tabulate(self, axes: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+        # sum_j w_j * grid_j over the lcm of the terms' denominators
+        total, den = [0] * prod([len(axis) for axis in axes]), 1
+        for w, model in self.components:
+            if not w:
+                continue
+            grid, d = model._tabulate(axes)
+            d *= w.denominator
+            common = lcm(den, d)
+            up, s = common // den, w.numerator * (common // d)
+            total = [up * t + s * x for t, x in zip(total, grid)]
+            den = common
+        return total, den
 
     def expected_value(self, dist: ProductDistribution) -> Fraction:
         return self.expected_values([dist])[0]

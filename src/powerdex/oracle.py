@@ -3,15 +3,18 @@
 These are the ground truth the fast reductions are tested against.  They
 only ever evaluate the model on full assignments, never through its
 expected-value engine, so agreement between the two is a real check.
-F is read by domain positions through the private ``Model._evaluate_at``:
-the built-in models answer it from their stored form, and any other model
-is evaluated through its public ``evaluate`` on a full instance.
+F is tabulated through the private ``Model._tabulate``, at most
+``BLOCK_OUTCOMES`` outcomes at a time, and only on the outcomes that can
+count: trees and ensembles fill a block from their stored form, tables
+and additive models read it point by point, and any other model is
+evaluated through its public ``evaluate``, once per outcome.
 Shipped in the library (not test-only) so external index implementations
 can be validated via the CLI.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -52,6 +55,10 @@ class OracleBudget:
 
 DEFAULT_BUDGET = OracleBudget()
 
+# The most outcomes F is tabulated on at once: a block is every outcome of
+# the trailing features under one prefix of positions of the others.
+BLOCK_OUTCOMES = 1 << 16
+
 ConditionalTable = dict[int, Fraction]
 
 
@@ -74,8 +81,9 @@ def conditional_table(
     """All 2^n conditional expectations E[F|S], keyed by coalition mask.
 
     E[F|S] sums F(omega) times the probability of omega's features outside
-    S over the outcomes that agree with e on S.  Each outcome is evaluated
-    once and the sums are taken feature by feature (see ``_contract``).
+    S over the outcomes that agree with e on S.  F is tabulated in blocks,
+    each outcome at most once, and the sums are taken feature by feature
+    (see ``_contract``).
     """
     budget.check(model)
     check_shared_space(model, dist, e)
@@ -86,83 +94,94 @@ def conditional_table(
 def _contract(
     model: Model, dist: ProductDistribution, e: Optional[Instance]
 ) -> tuple[list[int], int]:
-    """Sum F over the outcome grid one feature at a time, depth first, in integers.
+    """Sum F over the outcome grid one feature at a time, in integers, block by block.
 
     Row i is scaled to integers over the lcm L_i of its denominators, and
-    feature i's visits are worked out once: the ``(position, weight,
-    pinned)`` triples of its values that have a nonzero weight or are e_i
-    (pinned).  ``_walk`` fixes the positions of features 0..i-1 and returns
-    ``(nums, den)``, a vector over the coalitions S of features i..n-1, bit
-    0 standing for feature i, whose entry S is nums[S] / (den * prod of L_j
-    over j >= i not in S).  Its even entries (i not in S) are the
-    row-weighted sums of the sub-vectors of i's values; its odd entries (i
-    in S) are the sub-vector at e_i.  A sub-vector over another denominator
-    is brought to the lcm of the two first.  With ``e`` None nothing is
-    pinned, only the weighted sum is taken and the vector is [E[F]].  F is
-    read once per visited outcome, by ``Model._evaluate_at`` on its
-    positions.  That is at most n * |Omega| integer multiply-adds; the walk
-    holds one vector per level, so memory stays O(2^n).  Entry S is then
-    scaled by the product of L_j over j in S: every E[F|S] is nums[S] / den
-    over one denominator, returned as ``(nums, den)``.
+    only feature i's kept positions are read: those of nonzero weight and
+    e_i's; the others would be summed with weight 0.  The trailing features
+    t..n-1 are the most whose kept outcomes number at most
+    ``BLOCK_OUTCOMES``.  Under each prefix of kept positions of features
+    0..t-1, in grid order, ``Model._tabulate`` gives F on the prefix's
+    block over one denominator, and ``_sweep`` contracts the block over
+    features t..n-1 to one entry per coalition of them.  The block results
+    are brought to the lcm of their denominators and stacked, and the same
+    sweep over features 0..t-1 contracts the stack: entry S is then
+    nums[S] / (den * prod of L_j over j not in S), the coalition of
+    features 0..t-1 outermost.  Reordered by mask and scaled by the
+    product of L_j over j in S, every E[F|S] is nums[S] / den over one
+    denominator, returned as ``(nums, den)``; with ``e`` None nothing is
+    pinned and the result is [E[F]].  Each kept outcome is read once, and
+    the sweeps cost at most n integer multiply-adds per kept outcome.
+    Memory holds one block and its sweep, and the stacked results: 2^(n-t)
+    entries per prefix (one with ``e`` None).
     """
     scales = [lcm(*(p.denominator for p in row)) for row in dist.probs]
     hits = [None] * len(scales) if e is None else e._positions
-    visits = []
-    for row, scale, hit in zip(dist.probs, scales, hits):
-        visits.append(tuple(
-            (k, p.numerator * (scale // p.denominator), k == hit)
-            for k, p in enumerate(row)
-            if p or k == hit
-        ))
-    nums, den = _walk(model, visits, e is not None, [0] * len(visits), 0)
+    kept = [[k for k, p in enumerate(row) if p or k == hit] for row, hit in zip(dist.probs, hits)]
+    rows = [
+        [row[k].numerator * (scale // row[k].denominator) for k in ks]
+        for row, scale, ks in zip(dist.probs, scales, kept)
+    ]
+    hits = [None if hit is None else ks.index(hit) for ks, hit in zip(kept, hits)]
+    t, block = len(kept), 1
+    while t and block * len(kept[t - 1]) <= BLOCK_OUTCOMES:
+        t -= 1
+        block *= len(kept[t])
+    parts = []
+    for prefix in itertools.product(*kept[:t]):
+        grid, den = model._tabulate([(k,) for k in prefix] + kept[t:])
+        parts.append((_sweep(grid, rows[t:], hits[t:]), den))
+    den = lcm(*[d for _, d in parts])
+    stacked: list[int] = []
+    for part, d in parts:
+        stacked += part if d == den else [x * (den // d) for x in part]
+    nums = _sweep(stacked, rows[:t], hits[:t])
+    den *= prod(scales)
     if e is None:
-        return nums, den * prod(scales)
+        return nums, den
+    width = len(nums) >> t  # entries per leading coalition, one per trailing one
+    nums = [x for low in range(width) for x in nums[low::width]]  # now by mask
     ups = [1]  # per coalition S, the product of L_i over i in S
     for scale in scales:
         ups += [up * scale for up in ups]
-    return [x * up for x, up in zip(nums, ups)], den * prod(scales)
+    return [x * up for x, up in zip(nums, ups)], den
 
 
-def _walk(
-    model: Model, visits: Sequence[tuple], pinning: bool, positions: list[int], i: int
-) -> tuple[list[int], int]:
-    # ``_contract``'s vector for the prefix fixed in positions[:i]; with
-    # ``pinning`` (e given) it also carries the sub-vector at e_i
-    if i == len(visits):
-        num, den = model._evaluate_at(positions)
-        return [num], den
-    free: Optional[list[int]] = None
-    pinned: list[int] = []
-    den = 0
-    for k, w, pin in visits[i]:
-        positions[i] = k
-        sub, d = _walk(model, visits, pinning, positions, i + 1)
-        if not den:
-            den = d
-        elif d != den:
-            common = lcm(den, d)
-            if common != den:
-                up = common // den
-                if free is not None:
-                    free = [x * up for x in free]
-                pinned = [x * up for x in pinned]
-                den = common
-            if common != d:
-                up = common // d
-                sub = [x * up for x in sub]
-        if pin:
-            pinned = sub
-        if w:
-            if free is None:
-                free = [w * x for x in sub]
-            else:
-                free = [f + w * x for f, x in zip(free, sub)]
-    if not pinning:  # no e: only the weighted sum
-        return free, den
-    both = free + pinned
-    both[0::2] = free
-    both[1::2] = pinned
-    return both, den
+def _sweep(
+    nums: list[int], rows: Sequence[Sequence[int]], hits: Sequence[Optional[int]]
+) -> list[int]:
+    """Contract the leading features of a flat vector, first to last, by whole slices.
+
+    ``nums`` holds, outermost first, one position per feature of ``rows``
+    and then a tail the sweep leaves alone.  It is cut into blocks, block c
+    standing for the coalition mask c of the features swept so far.  At
+    feature i each block is |D_i| contiguous sub-slices, one per position;
+    it becomes a free block, the sum of its sub-slices weighted by row i,
+    and, where e_i is given (``hits[i]``), a pinned block, its sub-slice at
+    e_i.  The free blocks come first and the pinned ones after them, so
+    block c of the result is still coalition mask c.
+    """
+    blocks = 1
+    for row, hit in zip(rows, hits):
+        width = len(nums) // blocks
+        step = width // len(row)
+        (first, w0), *rest = [(k * step, w) for k, w in enumerate(row) if w]
+        free: list[int] = []
+        pinned: list[int] = []
+        for start in range(0, len(nums), width):
+            at = start + first
+            acc = [w0 * x for x in nums[at : at + step]]
+            for at, w in rest:
+                at += start
+                acc = [a + w * x for a, x in zip(acc, nums[at : at + step])]
+            free += acc
+            if hit is not None:
+                at = start + hit * step
+                pinned += nums[at : at + step]
+        nums = free + pinned
+        if hit is not None:
+            blocks *= 2
+    return nums
 
 
 def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:

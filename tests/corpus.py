@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import csv
 import gc
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import powerdex
 from powerdex import (
     AdditiveModel,
     BernoulliWeights,
@@ -76,6 +81,34 @@ def csv_marginals(path, names, domains) -> list[list[Fraction]]:
         for cell, feature in zip(row, features):
             counts[feature][cell.strip()] += 1
     return [[Fraction(counts[f][v], len(rows)) for v in domain] for f, domain in enumerate(domains)]
+
+
+# Run after a child script: prints the process's own peak resident size in
+# KiB.  VmHWM starts afresh at exec, where Linux has it; ru_maxrss keeps the
+# peak of the process that spawned the child.
+_PRINT_PEAK = """
+import resource
+try:
+    with open("/proc/self/status") as status:
+        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+except OSError:
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def peak_kib_of(script: str, timeout: int = 120) -> int:
+    """Run ``script`` in a fresh interpreter on this package; its peak resident size in KiB."""
+    src = str(Path(powerdex.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script + _PRINT_PEAK],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=timeout,
+    )
+    assert result.returncode == 0, result.stderr
+    peak = int(result.stdout)
+    return peak // 1024 if sys.platform == "darwin" else peak  # ru_maxrss is in bytes there
 
 
 def cycles_left_by(call) -> int:

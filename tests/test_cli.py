@@ -855,11 +855,14 @@ def test_oracle_check_over_budget_makes_no_engine_call(tmp_path, monkeypatch, ca
 def test_oracle_check_mismatch_exit_1(monkeypatch, capsys):
     import powerdex.cli as cli_module
 
-    # the oracle's E[F] is the empty-coalition entry of the conditional table
-    real_table = cli_module.conditional_table
-    monkeypatch.setattr(
-        cli_module, "conditional_table", lambda *args: {**real_table(*args), 0: Fraction(999)}
-    )
+    # the oracle's E[F] is the empty-coalition entry of the integer table
+    real_table = cli_module._integer_table
+
+    def skewed(*args):
+        nums, den = real_table(*args)
+        return [nums[0] + 999 * den, *nums[1:]], den
+
+    monkeypatch.setattr(cli_module, "_integer_table", skewed)
     code, captured = run_cli(
         "oracle-check",
         "--model", AND_MODEL,

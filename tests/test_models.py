@@ -1,10 +1,7 @@
 import itertools
-import os
 import random
-import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -37,6 +34,7 @@ from corpus import (
     component_weights,
     cycles_left_by,
     models,
+    peak_kib_of,
     and_space,
     and_table_model,
     and_tree_model,
@@ -47,6 +45,7 @@ from corpus import (
     random_model_of_kind,
     random_space,
     random_tree_model,
+    rationals,
     small_spaces,
 )
 
@@ -311,6 +310,39 @@ def test_evaluate_at_positions_is_evaluate(data):
             assert counted.evaluate_calls == calls + 2 * calls_made
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@given(data=st.data())
+def test_tabulate_is_evaluate_at_on_every_outcome_of_its_axes(kind, data):
+    space = data.draw(small_spaces())  # one-value domains included
+    inner = random_model_of_kind(kind, random.Random(data.draw(st.integers(0, 2**32))), space)
+    drawn = data.draw(models(space))  # ensembles may hold tables and additive models
+    counted = CountingModel(inner)
+    leaf = TreeModel(space, Leaf(data.draw(rationals())))
+    ensemble = EnsembleModel([
+        (data.draw(component_weights()), inner),
+        (data.draw(component_weights()), drawn),
+        (Fraction(-2, 3), counted),
+        (Fraction(5), _PointModel(drawn)),
+        (Fraction(0), leaf),
+    ])
+    silent = EnsembleModel([(Fraction(0), counted)])
+    # one axis per feature: some of its positions in any order, a single
+    # one as the oracle's prefix has, or all of them
+    axes = [
+        data.draw(st.lists(st.integers(0, len(d) - 1), min_size=1, unique=True))
+        for d in space.domains
+    ]
+    outcomes = list(itertools.product(*axes))
+    for model, reads in ((inner, 0), (drawn, 0), (counted, 1), (leaf, 0), (ensemble, 1), (silent, 0)):
+        calls = counted.evaluate_calls
+        nums, den = model._tabulate(axes)
+        # each outcome is read once, through evaluate where the model is counted
+        assert counted.evaluate_calls == calls + reads * len(outcomes)
+        assert [Fraction(x, den) for x in nums] == [
+            Fraction(*model._evaluate_at(k)) for k in outcomes
+        ]
+
+
 # ---------------------------------------------------------------------------
 # the batch contract: expected_values equals a loop over expected_value
 
@@ -570,11 +602,8 @@ def test_the_walks_run_from_a_deep_caller():
 # 1, else the tree goes on to feature f + 1, and the last 0 gives 0.  Every
 # split has a nonzero leaf, so feature f's gap has a term for every path
 # length from its depth to n, and the path follows e, so each term's
-# degree grows with its length.  Prints the process's own peak resident
-# size: VmHWM, which starts afresh at exec, where Linux has it (ru_maxrss
-# keeps the peak of the process that spawned it), else ru_maxrss.
+# degree grows with its length.
 _DEEP_CHAIN_SHAPLEY = """
-import resource
 from fractions import Fraction
 from powerdex import FeatureSpace, Instance, ProductDistribution, SimpleWeights, TreeModel, attribute_all
 from powerdex.models import Leaf, Split
@@ -587,30 +616,13 @@ for feature in reversed(range(n)):
 e = Instance(space, ("0",) * n)
 report = attribute_all(TreeModel(space, node), ProductDistribution.uniform(space), e, SimpleWeights.shapley(n))
 assert sum(report.values) == Fraction(1, 2**n) - 1  # efficiency: F(e) - E[F]
-try:
-    with open("/proc/self/status") as status:
-        print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
-except OSError:
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
 def test_a_deep_chain_walks_in_memory_bounded_by_its_answer():
     # the walk keeps one polynomial per feature, so its peak stays under
     # 100 MB; one per feature and path length holds about n^3/3 integers
-    src = str(Path(powerdex.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", _DEEP_CHAIN_SHAPLEY],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    peak = int(result.stdout)  # KiB, but ru_maxrss is in bytes on macOS
-    if sys.platform == "darwin":
-        peak //= 1024
-    assert peak < 100 * 1024
+    assert peak_kib_of(_DEEP_CHAIN_SHAPLEY) < 100 * 1024
 
 
 @pytest.mark.parametrize("kind", ["tree", "ensemble", "table", "additive"])

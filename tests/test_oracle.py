@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +34,7 @@ from powerdex import (
     subsets,
 )
 
+from powerdex import oracle
 from powerdex.models import Leaf, Split
 
 from corpus import (
@@ -46,6 +47,7 @@ from corpus import (
     instances,
     models,
     ones_instance,
+    peak_kib_of,
     or_table_model,
     random_distribution,
     random_instance,
@@ -149,15 +151,22 @@ def test_conditional_table_matches_direct_conditioning(kind, n, sparse, seed):
 
 @pytest.mark.parametrize("kind", ["tree", "ensemble"])
 def test_oracle_calls_only_evaluate_once_per_outcome(kind):
+    # F is read on exactly the outcomes whose every position has a nonzero
+    # probability or is e's (conditional_table) or has a nonzero one
     model, dist, e = _oracle_case(kind, 5, True, 17)
-    for run in (
-        lambda counted: conditional_table(counted, dist, e),
-        lambda counted: brute_expectation(counted, dist),
+    for run, hits in (
+        (lambda counted: conditional_table(counted, dist, e), e._positions),
+        (lambda counted: brute_expectation(counted, dist), [None] * 5),
     ):
+        read = prod(
+            len([k for k, p in enumerate(row) if p or k == hit])
+            for row, hit in zip(dist.probs, hits)
+        )
+        assert read < model.space.outcome_count()  # the sparse case has outcomes to skip
         counted = CountingModel(model)
         run(counted)
         assert counted.expected_value_calls == 0
-        assert 0 < counted.evaluate_calls <= model.space.outcome_count()
+        assert counted.evaluate_calls == read
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -213,6 +222,67 @@ def test_integer_contraction_equals_the_sum_over_every_outcome(case):
     want = _definitional_table(model, dist, e)
     assert conditional_table(model, dist, e) == want
     assert brute_expectation(model, dist) == want[0]
+
+
+@given(_contraction_cases())
+@example(_mixed_case())
+@settings(deadline=None)
+def test_blocked_tabulation_equals_the_sum_over_every_outcome(case):
+    # a block of one outcome, of a few, and of every outcome of these cases
+    model, dist, e = case
+    want = _definitional_table(model, dist, e)
+    for block in (1, 4, 1 << 16):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "BLOCK_OUTCOMES", block)
+            assert conditional_table(model, dist, e) == want
+            assert brute_expectation(model, dist) == want[0]
+
+
+# A 12-feature, all-3-valued ensemble of 3 trees (531 441 outcomes, 9 blocks
+# of 59 049), every probability nonzero so that every outcome is read; the
+# oracle's table on a sample of masks against a conditioned walk of each
+# tree.
+_TWELVE_FEATURE_TABLE = """
+import random
+from fractions import Fraction
+from powerdex import EnsembleModel, FeatureSpace, Instance, ProductDistribution, TreeModel, conditional_table
+from powerdex.models import Leaf, Split
+
+rng = random.Random(12)
+n = 12
+space = FeatureSpace([("a", "b", "c")] * n)
+
+def tree(free, depth):
+    if not free or depth == 4 or rng.random() < 0.2:
+        return Leaf(Fraction(rng.randint(-9, 9), rng.randint(1, 8)))
+    f = rng.choice(sorted(free))
+    return Split(f, tuple(tree(free - {f}, depth + 1) for _ in range(3)))
+
+def expect(node, rows):
+    if isinstance(node, Leaf):
+        return node.value
+    return sum(p * expect(c, rows) for p, c in zip(rows[node.feature], node.children) if p)
+
+roots = [tree(frozenset(range(n)), 0) for _ in range(3)]
+weights = [Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2)]
+model = EnsembleModel([(w, TreeModel(space, r)) for w, r in zip(weights, roots)])
+rows = []
+for _ in range(n):
+    counts = [rng.randint(1, 4) for _ in range(3)]
+    rows.append([Fraction(c, sum(counts)) for c in counts])
+dist = ProductDistribution(space, rows)
+e = Instance(space, [rng.choice("abc") for _ in range(n)])
+table = conditional_table(model, dist, e)
+for mask in [0, (1 << n) - 1, *rng.sample(range(1, (1 << n) - 1), 30)]:
+    pinned = [[Fraction(int(k == e._positions[i])) for k in range(3)] if mask >> i & 1 else row
+              for i, row in enumerate(rows)]
+    assert table[mask] == sum(w * expect(r, pinned) for w, r in zip(weights, roots)), mask
+"""
+
+
+def test_a_twelve_feature_table_is_tabulated_in_bounded_memory():
+    # the whole grid as one block peaks near 67 MB, block by block under 30
+    assert peak_kib_of(_TWELVE_FEATURE_TABLE) < 30 * 1024
 
 
 def _theta_product(theta, members, mask):
