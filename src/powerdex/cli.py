@@ -48,6 +48,7 @@ from .indices import (
     PATH_BERNOULLI,
     BernoulliWeights,
     SimpleWeights,
+    _engine_calls,
     attribute_all,
     bernoulli_indices,
     simple_indices,
@@ -56,8 +57,8 @@ from .interaction import (
     BivariateGrid,
     InteractionWeights,
     PATH_BIVARIATE,
-    _interaction_bernoulli,
-    _interaction_simple,
+    compute_interaction_bernoulli,
+    compute_interaction_simple,
 )
 from .models import (
     AdditiveModel,
@@ -692,11 +693,11 @@ def cmd_attribute(args) -> int:
     return EXIT_OK
 
 
-def _interaction(model, dist, e, a_set, scheme) -> tuple[Fraction, int, str]:
-    """The interaction index of ``a_set``, its engine calls and the path that computed it."""
+def _interaction(model, dist, e, a_set, scheme) -> tuple[Fraction, str]:
+    """The interaction index of ``a_set`` and the path that computed it."""
     if isinstance(scheme, InteractionWeights):
-        return (*_interaction_simple(model, dist, e, a_set, scheme), PATH_BIVARIATE)
-    return (*_interaction_bernoulli(model, dist, e, a_set, scheme), PATH_BERNOULLI)
+        return compute_interaction_simple(model, dist, e, a_set, scheme), PATH_BIVARIATE
+    return compute_interaction_bernoulli(model, dist, e, a_set, scheme), PATH_BERNOULLI
 
 
 def cmd_interact(args) -> int:
@@ -705,7 +706,7 @@ def cmd_interact(args) -> int:
     scheme = parse_interaction_scheme(
         _load_inline_or_file(args.scheme, "scheme"), named.space.n
     )
-    value, calls, path = _interaction(model, dist, e, a_set, scheme)
+    value, path = _interaction(model, dist, e, a_set, scheme)
     doc = {
         "command": "interact",
         "features": list(named.names),
@@ -713,7 +714,7 @@ def cmd_interact(args) -> int:
         "set": [named.names[i] for i in a_set],
         "scheme": scheme_descriptor(scheme),
         "path": path,
-        "engine_calls": calls,
+        "engine_calls": _engine_calls(path, named.space.n, len(a_set)),
         "value": format_rational(value),
         "decimal": decimal_string(value),
     }

@@ -10,24 +10,24 @@ Three computation paths, all exact:
   distribution factors into independent per-feature inclusion trials.
 * closed-form -- the marginal preset, which needs no expectations at all.
 
-Both paths that need expectations take a feature's derivative
-E[F | a pinned to e_a] - E[F | a free], the other features on their
-z-mixture rows (interpolation) or theta-mixture rows (bernoulli-direct),
-and read it in one form (``Reduced``): per member set A, the generating
-polynomial in powers of u = 1 + z, all over one denominator.  Every model
-gives it through ``Model._gap_polynomials``: trees and additive models
-from one walk of their own, ensembles as the sum of their components'
-answers, and every other model through the batch reduction passed in.
-That reduction requests the distributions of all targets
-(``_derivative``) at one node as one ``expected_values`` batch
+Both paths that need expectations reduce a member set A (a feature is
+the one-member set) to one form (``Reduced``): its generating polynomial
+in powers of u = 1 + z, all over one denominator.  A one-member set gets
+it through ``Model._gap_polynomials``: trees and additive models from one
+walk of their own, ensembles as the sum of their components' answers,
+and every other model through the batch reduction passed in.  A set of
+two or more members takes the batch reduction on the model itself.  It
+requests, at each node, one ``expected_values`` batch
 (``batched_node_sums``) and interpolates the node sums at the nodes
-u = 1 + z (``_node_polynomials``).  Each reader is one expression in the
-coefficients g_j: an index is sum_j g_j R_j with R_j = sum_k C(j, k) q_k,
-a Bernoulli derivative is sum_j g_j, and the coefficient sums come from
-Horner's rule in 1 + z.  An interaction set
-of two or more members takes it on the model itself.  Engine calls count
-requested expectations: 2n per feature, and 2^m for a derivative along m
-members.
+u = 1 + z (``_node_polynomials``): on the z path (``_z_reduction``) each
+set's m+1 y-variants at each of the n-m+1 z-nodes, on the theta path
+the 2^m signed variants of its derivative (``_derivative``) at the one
+theta node.  Each reader is one expression in the coefficients g_j: an
+index is sum_j g_j R_j with R_j = sum_k C(j, k) q_k, a Bernoulli
+derivative is sum_j g_j, and the coefficient sums come from Horner's
+rule in 1 + z.  Engine calls count requested expectations whichever way
+a model answers (``_engine_calls``): (n-m+1)(m+1) on the z path, 2n for
+a feature, and 2^m on the theta path, 2 for a feature.
 """
 
 from __future__ import annotations
@@ -185,6 +185,26 @@ def _check_scheme(weights, kinds, n: int, m: int = 1) -> None:
         raise WeightError(f"weights are for |A|={weights.m}, the set has |A|={m}")
 
 
+def _check_target(a_set: Coalition, space: FeatureSpace) -> None:
+    """An interaction set within the space and nonempty, or a ValueError."""
+    a_set.check_within(space)
+    if not a_set:
+        raise ValueError("the interaction set must be nonempty")
+
+
+def _engine_calls(path: str, n: int, m: int = 1) -> int:
+    """The expectations one target of m members (1 for a feature) requests on a path.
+
+    2^m on bernoulli-direct, none in closed form, and one per grid point,
+    (n-m+1)(m+1), on the z path: 2 and 2n for a feature.
+    """
+    if path == PATH_BERNOULLI:
+        return 2**m
+    if path == PATH_CLOSED_FORM:
+        return 0
+    return (n - m + 1) * (m + 1)
+
+
 @dataclass(frozen=True)
 class AttributionReport:
     """Per-feature index values plus the provenance of the computation."""
@@ -269,20 +289,6 @@ def _derivative(dist: ProductDistribution, e: Instance, members: Sequence[int]) 
     return variants
 
 
-def _z_node_sums(
-    model: Model, dist: ProductDistribution, e: Instance, nodes: Sequence[Fraction], targets
-) -> list[list[Fraction]]:
-    """``batched_node_sums`` with every marginal blended toward e by each node's z-mixture."""
-    def rows(z):
-        if not z:
-            # the input rows themselves: nothing to build, and a tree's batch
-            # key (row identity) sees them as the input rows
-            return dist.probs
-        return tuple(mixture_row(row, hit, z) for row, hit in zip(dist.probs, e._positions))
-
-    return batched_node_sums(model, dist.space, (rows(z) for z in nodes), targets)
-
-
 def _node_polynomials(
     keys: Iterable, nodes: Sequence[Fraction], node_sums, power: int
 ) -> GapPolynomials:
@@ -303,22 +309,25 @@ Reduced = tuple[list[list[int]], int]
 
 def _reduce(
     model: Model,
-    factors: Sequence[Factor],
+    factors: Callable[[], Sequence[Factor]],
     member_sets: Sequence[Sequence[int]],
     batches: Callable[[Model, Sequence], GapPolynomials],
+    walk: bool = True,
 ) -> Reduced:
     """The member sets' polynomials: a feature's from the model's hook.
 
-    ``batches(component, keys)`` is the batch reduction keyed by ``keys``.
-    A set of two or more members takes it on the model itself.
+    ``factors()`` builds the hook's factors, and ``batches(component,
+    keys)`` is the batch reduction keyed by ``keys``.  A set of two or
+    more members, and any set with ``walk`` off, takes the batches on the
+    model itself, and no factors are built.
     """
-    if all(len(members) == 1 for members in member_sets):
+    if walk and all(len(members) == 1 for members in member_sets):
         keys = [a for (a,) in member_sets]
         wanted = 0
         for a in keys:
             wanted |= 1 << a
         polys, den = model._gap_polynomials(
-            factors, wanted, lambda component: batches(component, keys)
+            factors(), wanted, lambda component: batches(component, keys)
         )
     else:
         keys = range(len(member_sets))
@@ -350,20 +359,67 @@ def _walked_coefficients(reduced: Reduced, n: int) -> list[tuple[Fraction, ...]]
 
 
 def _z_reduction(
-    model: Model, dist: ProductDistribution, e: Instance, features: Sequence[int]
+    model: Model,
+    dist: ProductDistribution,
+    e: Instance,
+    member_sets: Sequence[Sequence[int]],
+    z_nodes: Optional[Sequence[Fraction]] = None,
+    y_nodes: Optional[Sequence[Fraction]] = None,
+    z_only: bool = False,
 ) -> Reduced:
-    """The features' gap polynomials under the z-mixture rows of the others."""
+    """The polynomials of member sets of one size m, the other features on z-mixture rows.
+
+    The batch requests, at each z-node (0..n-m by default), every set's
+    m+1 y-variants (y-nodes 0..m by default): its members on their
+    y-mixture rows, weighted by ``_signed_weights`` times (1+y)^m.  The
+    sums times (1+z)^(n-m) interpolate G_A in u = 1 + z.  ``z_only``
+    scales by (1+z)^n alone, wrong whenever y != z, so even a feature
+    takes the batches: no walk gives it.
+    """
     n = dist.space.n
+    m = len(member_sets[0])
+    if z_nodes is None:
+        z_nodes = range(n - m + 1)
+    if y_nodes is None:
+        y_nodes = range(m + 1)
+    z_power, y_power = (n, 0) if z_only else (n - m, m)
+    probs, hits = dist.probs, e._positions
 
     def batches(component, keys):
-        # the gaps at z = 0..n-1, scaled by (1+z)^(n-1), interpolate G_a in u = 1+z
-        nodes = [Fraction(z) for z in range(n)]
-        targets = [_derivative(dist, e, (a,)) for a in keys]
-        sums = _z_node_sums(component, dist, e, nodes, targets)
-        return _node_polynomials(keys, nodes, sums, n - 1)
+        # the rows are built only here, never on a call the walk answers
+        signed = _signed_weights(y_nodes)
+        targets = [
+            [
+                (w * (1 + y) ** y_power, {i: mixture_row(probs[i], hits[i], y) for i in members})
+                for y, w in zip(y_nodes, signed)
+            ]
+            for members in member_sets
+        ]
+        node_rows = (
+            # at z = 0 the input rows themselves: nothing to build, and a
+            # tree's batch key (row identity) sees them as the input rows
+            tuple(mixture_row(row, hit, z) for row, hit in zip(probs, hits)) if z else probs
+            for z in z_nodes
+        )
+        sums = batched_node_sums(component, dist.space, node_rows, targets)
+        return _node_polynomials(keys, z_nodes, sums, z_power)
 
-    factors = _z_factors(dist.probs, e._positions)
-    return _reduce(model, factors, [(a,) for a in features], batches)
+    return _reduce(model, lambda: _z_factors(probs, hits), member_sets, batches, not z_only)
+
+
+def _signed_weights(nodes: Sequence[Fraction]) -> list[Fraction]:
+    """(-1)^m l_j(-1) per node, l_j the Lagrange basis polynomial of node j.
+
+    For m + 1 distinct nodes and every k <= m these satisfy
+    sum_j w_j * nodes[j]^k = (-1)^(m-k).
+    """
+    m = len(nodes) - 1
+    units = [[int(i == j) for i in range(m + 1)] for j in range(m + 1)]
+    rows, den = _lagrange(nodes, units)  # row j: the coefficients of l_j
+    return [
+        Fraction(sum(-c if (m - k) % 2 else c for k, c in enumerate(row)), den)
+        for row in rows
+    ]
 
 
 def interpolate_coefficients(
@@ -375,40 +431,21 @@ def interpolate_coefficients(
     a.  Obtained from 2n expected values: at each node z in 0..n-1 the
     difference between pinning feature a to e_a and leaving it free,
     under the z-mixture of the remaining features, scaled by (1+z)^(n-1),
-    is the value of the generating polynomial at z.  A model with its own
-    walk gives that polynomial directly.
+    is the value of the generating polynomial at z; the batch reads it as
+    the signed sum of a's two y-variants.  A model with its own walk gives
+    that polynomial directly.
     """
     space = check_shared_space(model, dist, e)
     space.check_feature(a)
-    return _walked_coefficients(_z_reduction(model, dist, e, [a]), space.n)[0]
+    return _walked_coefficients(_z_reduction(model, dist, e, [(a,)]), space.n)[0]
 
 
 def all_coefficients(
     model: Model, dist: ProductDistribution, e: Instance
 ) -> list[tuple[Fraction, ...]]:
     """``interpolate_coefficients`` of every feature, from one batch per node."""
-    space = check_shared_space(model, dist, e)
-    return _walked_coefficients(_z_reduction(model, dist, e, range(space.n)), space.n)
-
-
-def _interpolated_indices(
-    model: Model,
-    dist: ProductDistribution,
-    e: Instance,
-    features: Sequence[int],
-    q: Sequence[Fraction],
-    coefficient_sums: bool = False,
-) -> tuple[list[Fraction], list[int], Optional[list[tuple[Fraction, ...]]]]:
-    """The features' indices, engine calls and, on request, coefficient sums.
-
-    The model's hook gives the gap polynomials; a model without a walk
-    interpolates its gaps at the nodes 0..n-1.  Either way the reduction
-    requests 2n expectations per feature.
-    """
-    n = dist.space.n
-    reduced = _z_reduction(model, dist, e, features)
-    sums = _walked_coefficients(reduced, n) if coefficient_sums else None
-    return _walked_indices(reduced, q), [2 * n] * len(features), sums
+    n = check_shared_space(model, dist, e).n
+    return _walked_coefficients(_z_reduction(model, dist, e, [(a,) for a in range(n)]), n)
 
 
 def _bernoulli_indices(
@@ -417,7 +454,7 @@ def _bernoulli_indices(
     e: Instance,
     member_sets: Sequence[Sequence[int]],
     weights: BernoulliWeights,
-) -> tuple[list[Fraction], list[int]]:
+) -> list[Fraction]:
     # per member tuple (a feature, or an interaction set), its derivative
     # under the theta-mixture; the members' own theta entries go unused
     space = dist.space
@@ -432,11 +469,11 @@ def _bernoulli_indices(
         sums = batched_node_sums(component, space, [mixed.probs], targets)
         return _node_polynomials(keys, [Fraction(0)], sums, 0)
 
-    factors = _fixed_factors(mixed.probs, dist.probs, e._positions)
-    by_set, den = _reduce(model, factors, member_sets, batches)
+    by_set, den = _reduce(
+        model, lambda: _fixed_factors(mixed.probs, dist.probs, e._positions), member_sets, batches
+    )
     # fixed rows: the derivative is the polynomial at u = 1
-    values = [Fraction(sum(g), den) for g in by_set]
-    return values, [2 ** len(members) for members in member_sets]
+    return [Fraction(sum(g), den) for g in by_set]
 
 
 def marginal_index(
@@ -471,7 +508,7 @@ def _simple_indices(
         return [marginal_index(model, dist, e, a) for a in features]
     for a in features:
         space.check_feature(a)
-    return _interpolated_indices(model, dist, e, features, weights.q)[0]
+    return _walked_indices(_z_reduction(model, dist, e, [(a,) for a in features]), weights.q)
 
 
 def compute_simple_index(
@@ -513,7 +550,7 @@ def compute_bernoulli_index(
     The input theta_a is ignored: the two expectations pin it to 1 and 0.
     """
     check_shared_space(model, dist, e)
-    return _bernoulli_indices(model, dist, e, [(a,)], weights)[0][0]
+    return _bernoulli_indices(model, dist, e, [(a,)], weights)[0]
 
 
 def bernoulli_indices(
@@ -521,7 +558,7 @@ def bernoulli_indices(
 ) -> list[Fraction]:
     """``compute_bernoulli_index`` of every feature, from one batch."""
     singles = [(a,) for a in range(check_shared_space(model, dist, e).n)]
-    return _bernoulli_indices(model, dist, e, singles, weights)[0]
+    return _bernoulli_indices(model, dist, e, singles, weights)
 
 
 def _bernoulli_equivalent(weights: SimpleWeights) -> Optional[BernoulliWeights]:
@@ -548,31 +585,27 @@ def attribute_all(
     ``coefficient_sums`` the interpolation path also reports every
     feature's ``interpolate_coefficients``, solved from the same values.
     """
-    space = check_shared_space(model, dist, e)
-    n = space.n
-    features = range(n)
+    n = check_shared_space(model, dist, e).n
+    singles = [(a,) for a in range(n)]
     sums = None
     _check_scheme(scheme, (SimpleWeights, BernoulliWeights), n)
     direct = _bernoulli_equivalent(scheme) if isinstance(scheme, SimpleWeights) else scheme
     if direct is not None:
         path = PATH_BERNOULLI
-        singles = [(a,) for a in features]
-        values, calls = _bernoulli_indices(model, dist, e, singles, direct)
+        values = _bernoulli_indices(model, dist, e, singles, direct)
     elif scheme.preset == "marginal":
         path = PATH_CLOSED_FORM
-        values = [marginal_index(model, dist, e, a) for a in features]
-        calls = [0] * n  # the closed form builds no distributions
+        values = [marginal_index(model, dist, e, a) for a in range(n)]
     else:
         path = PATH_INTERPOLATION
-        values, calls, sums = _interpolated_indices(
-            model, dist, e, features, scheme.q, coefficient_sums
-        )
-        if sums is not None:
-            sums = tuple(sums)
+        reduced = _z_reduction(model, dist, e, singles)
+        values = _walked_indices(reduced, scheme.q)
+        if coefficient_sums:
+            sums = tuple(_walked_coefficients(reduced, n))
     return AttributionReport(
         values=tuple(values),
         scheme=scheme,
         path=path,
-        engine_calls=tuple(calls),
+        engine_calls=(_engine_calls(path, n),) * n,
         coefficient_sums=sums,
     )

@@ -2,11 +2,12 @@
 
 The marginal contribution of a set A is the alternating sum of
 conditional expectations over its subsets (a discrete mixed derivative).
-Cardinality-based interaction weights are handled by bivariate
-interpolation on a (n-m+1) x (m+1) grid of scaled expected values;
-Bernoulli interaction weights need only 2^|A| expected values.  Both
-run on the reductions of ``indices``, where a single feature is the
-|A| = 1 case.
+Both index kinds are the feature reductions of ``indices`` for a set of
+m members, a feature being the m = 1 case: cardinality-based interaction
+weights read the z-reduction, whose batch interpolates a (n-m+1) x (m+1)
+grid of scaled expected values, and Bernoulli interaction weights the
+theta-reduction's 2^m expected values.  A one-member set takes the
+model's walk where the model has one, as a feature does.
 """
 
 from __future__ import annotations
@@ -23,20 +24,19 @@ from .core import (
     WeightError,
     as_rational,
     check_shared_space,
-    mixture_row,
     subsets,
 )
+from .core import mixture_row  # noqa: F401 -- unused: perfbench's self-test names this import site
 from .indices import (
     BernoulliWeights,
+    SimpleWeights,
     _bernoulli_indices,
     _check_cardinality_row,
     _check_scheme,
-    _node_polynomials,
-    SimpleWeights,
+    _check_target,
     _walked_indices,
-    _z_node_sums,
+    _z_reduction,
 )
-from .interpolation import _lagrange
 from .models import Model, conditional_expectation
 
 PATH_BIVARIATE = "bivariate-interpolation"
@@ -126,10 +126,8 @@ def interaction_marginal(
 ) -> Fraction:
     """Alternating sum of E[F|S u B] over the subsets B of the target set."""
     space = check_shared_space(model, dist, e)
-    a_set.check_within(space)
+    _check_target(a_set, space)
     coalition.check_within(space)
-    if not a_set:
-        raise ValueError("the interaction set must be nonempty")
     if a_set & coalition:
         raise ValueError("the interaction set and the coalition must be disjoint")
     m = len(a_set)
@@ -151,30 +149,16 @@ def compute_interaction_simple(
 ) -> Fraction:
     """Cardinality-based interaction index via bivariate interpolation.
 
-    Exactly (n-m+1)(m+1) expected-value calls: one per grid point, with
-    the target set's features mixed by the y-node and the rest by the
-    z-node.  The scaled values interpolate the generating polynomial
-    whose coefficients are the size-partitioned sums of E[F|S u B];
-    the index is their signed, weighted total.  The weights are a row for
-    |A| = m; ``SimpleWeights`` fit a single feature.
+    (n-m+1)(m+1) expectations: one per grid point, with the target set's
+    features mixed by the y-node and the rest by the z-node.  The scaled
+    values interpolate the generating polynomial whose coefficients are
+    the size-partitioned sums of E[F|S u B]; the index is their signed,
+    weighted total.  A one-member set is a feature: a model with its own
+    walk answers it from the walk instead, and the grid goes unused.  The
+    weights are a row for |A| = m; ``SimpleWeights`` fit a single feature.
     """
-    return _interaction_simple(model, dist, e, a_set, weights, grid, prefactor)[0]
-
-
-def _interaction_simple(
-    model: Model,
-    dist: ProductDistribution,
-    e: Instance,
-    a_set: Coalition,
-    weights: InteractionWeights,
-    grid: Optional[BivariateGrid] = None,
-    prefactor: str = PREFACTOR_FACTORED,
-) -> tuple[Fraction, int]:
-    # the index and the number of expectations it requested
     space = check_shared_space(model, dist, e)
-    a_set.check_within(space)
-    if not a_set:
-        raise ValueError("the interaction set must be nonempty")
+    _check_target(a_set, space)
     if prefactor not in (PREFACTOR_FACTORED, PREFACTOR_Z_ONLY):
         raise ValueError(f"unknown prefactor variant {prefactor!r}")
     n = space.n
@@ -186,38 +170,9 @@ def _interaction_simple(
         raise ValueError(
             f"grid must be {n - m + 1} z-nodes by {m + 1} y-nodes for n={n}, |A|={m}"
         )
-
-    # the y-weights sum the y-interpolant's coefficients with the signs
-    # (-1)^(m-k); the z-sums then interpolate at the nodes 1 + z
-    if prefactor == PREFACTOR_FACTORED:
-        z_power, y_power = n - m, m
-    else:
-        z_power, y_power = n, 0
-    variants = [
-        (
-            w * (1 + y) ** y_power,
-            {i: mixture_row(dist.probs[i], e._positions[i], y) for i in a_set},
-        )
-        for y, w in zip(grid.y_nodes, _signed_weights(grid.y_nodes))
-    ]
-    sums = _z_node_sums(model, dist, e, grid.z_nodes, [variants])
-    polys, den = _node_polynomials([0], grid.z_nodes, sums, z_power)
-    return _walked_indices(([polys[0]], den), weights.q)[0], (n - m + 1) * (m + 1)
-
-
-def _signed_weights(nodes: Sequence[Fraction]) -> list[Fraction]:
-    """(-1)^m l_j(-1) per node, l_j the Lagrange basis polynomial of node j.
-
-    For m + 1 distinct nodes and every k <= m these satisfy
-    sum_j w_j * nodes[j]^k = (-1)^(m-k).
-    """
-    m = len(nodes) - 1
-    units = [[int(i == j) for i in range(m + 1)] for j in range(m + 1)]
-    rows, den = _lagrange(nodes, units)  # row j: the coefficients of l_j
-    return [
-        Fraction(sum(-c if (m - k) % 2 else c for k, c in enumerate(row)), den)
-        for row in rows
-    ]
+    z_only = prefactor == PREFACTOR_Z_ONLY
+    reduced = _z_reduction(model, dist, e, [a_set.members()], grid.z_nodes, grid.y_nodes, z_only)
+    return _walked_indices(reduced, weights.q)[0]
 
 
 def compute_interaction_bernoulli(
@@ -235,26 +190,11 @@ def compute_interaction_bernoulli(
     inside the target set are ignored.  This is the reduction of
     ``compute_bernoulli_index``, whose feature is the |A| = 1 case.
     """
-    return _interaction_bernoulli(model, dist, e, a_set, weights)[0]
-
-
-def _interaction_bernoulli(
-    model: Model,
-    dist: ProductDistribution,
-    e: Instance,
-    a_set: Coalition,
-    weights: BernoulliWeights,
-) -> tuple[Fraction, int]:
-    # the index and the number of expectations it requested
-    space = check_shared_space(model, dist, e)
-    a_set.check_within(space)
-    if not a_set:
-        raise ValueError("the interaction set must be nonempty")
+    _check_target(a_set, check_shared_space(model, dist, e))
     m = len(a_set)
     if m > INTERACTION_SET_LIMIT:
         raise BudgetExceededError(
             f"interaction set of size {m} would need 2^{m} expectations "
             f"(limit {INTERACTION_SET_LIMIT})"
         )
-    values, calls = _bernoulli_indices(model, dist, e, [a_set.members()], weights)
-    return values[0], calls[0]
+    return _bernoulli_indices(model, dist, e, [a_set.members()], weights)[0]

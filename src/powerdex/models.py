@@ -231,6 +231,14 @@ def _table_sum(
     return total
 
 
+def _check_table_size(space: FeatureSpace) -> int:
+    # the space's outcome count, or a ValueError above TABLE_SIZE_LIMIT
+    size = space.outcome_count()
+    if size > TABLE_SIZE_LIMIT:
+        raise ValueError(f"table would need {size} entries, above the 2^24 limit")
+    return size
+
+
 class TableModel(Model):
     """The model as an explicit table over the full product domain.
 
@@ -239,9 +247,7 @@ class TableModel(Model):
     """
 
     def __init__(self, space: FeatureSpace, values: Sequence[Fraction]):
-        size = space.outcome_count()
-        if size > TABLE_SIZE_LIMIT:
-            raise ValueError(f"table would need {size} entries, above the 2^24 limit")
+        size = _check_table_size(space)
         vals = tuple(as_rational(v) for v in values)
         if len(vals) != size:
             raise ValueError(f"{len(vals)} table values for {size} outcomes")
@@ -256,6 +262,7 @@ class TableModel(Model):
 
     @classmethod
     def tabulate(cls, model: "Model") -> "TableModel":
+        _check_table_size(model.space)  # before any point read
         nums, den = model._tabulate([range(len(d)) for d in model.space.domains])
         return cls(model.space, [Fraction(num, den) for num in nums])
 

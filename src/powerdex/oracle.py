@@ -28,7 +28,7 @@ from .core import (
     check_shared_space,
     subsets,
 )
-from .indices import BernoulliWeights, SimpleWeights, _check_scheme
+from .indices import BernoulliWeights, SimpleWeights, _check_scheme, _check_target
 from .interaction import InteractionWeights
 from .models import Model
 
@@ -240,9 +240,7 @@ def brute_interaction_index(
     table: Optional[ConditionalTable] = None,
 ) -> Fraction:
     """Sum of Q_A(S) times the alternating-sum marginal m(A;S) over S in A^c."""
-    a_set.check_within(check_shared_space(model, dist, e))
-    if not a_set:
-        raise ValueError("the interaction set must be nonempty")
+    _check_target(a_set, check_shared_space(model, dist, e))
     return _brute_index(model, dist, e, a_set, weights, budget, table)
 
 

@@ -670,6 +670,33 @@ def test_interact_bernoulli_singleton_walks_the_tree_once(monkeypatch, capsys):
     assert calls == {"walk": 1, "traversal": 0}
 
 
+@pytest.mark.parametrize(
+    "members, scheme, calls, path, value",
+    [
+        ("x3", {"q": {"m": 1, "values": ["1/2048"] * 12}}, 24, "bivariate-interpolation", "537/7168"),
+        ("x2,x8", {"q": {"m": 2, "values": ["1/1024"] * 11}}, 33, "bivariate-interpolation", "-1593/1280"),
+        ("x2,x8", {"bernoulli": {"theta": ["1/3"] * 12}}, 4, "bernoulli-direct", "-265/243"),
+    ],
+    ids=["one-member", "pair", "bernoulli-pair"],
+)
+def test_interact_engine_calls_are_the_contract_whichever_way_the_tree_answers(
+    members, scheme, calls, path, value, capsys
+):
+    # a one-member set walks the tree, yet reports the 2n of its grid
+    code, captured = run_cli(
+        "interact",
+        "--model", str(FIXTURES / "tree12_model.json"),
+        "--dist", str(FIXTURES / "uniform_any.json"),
+        "--instance", str(FIXTURES / "tree12_instance.json"),
+        "--set", members,
+        "--scheme", json.dumps(scheme),
+        capsys=capsys,
+    )
+    assert code == 0
+    doc = json.loads(captured.out)
+    assert (doc["path"], doc["engine_calls"], doc["value"]) == (path, calls, value)
+
+
 def test_interact_past_the_set_limit_is_exit_4(tmp_path, capsys):
     n = INTERACTION_SET_LIMIT + 2
     names = [f"x{i}" for i in range(n)]

@@ -4,21 +4,28 @@ from fractions import Fraction
 
 import pytest
 
+import powerdex.indices
 from powerdex import (
+    AdditiveModel,
     BernoulliInteractionWeights,
     BernoulliWeights,
     BivariateGrid,
     BudgetExceededError,
     Coalition,
     CountingModel,
+    EnsembleModel,
     InteractionWeights,
     ProductDistribution,
     SimpleWeights,
+    TableModel,
+    TreeModel,
     WeightError,
+    attribute_all,
     brute_interaction_index,
     compute_bernoulli_index,
     compute_interaction_bernoulli,
     compute_interaction_simple,
+    compute_simple_index,
     conditional_table,
     interaction_marginal,
     marginal_contribution,
@@ -35,6 +42,8 @@ from corpus import (
     random_grid_theta,
     random_instance,
     random_interaction_row,
+    random_model_of_kind,
+    random_simple_weights,
     random_space,
     random_tree_model,
 )
@@ -239,6 +248,72 @@ def test_z_only_prefactor_fails_oracle_equality():
     assert compute_interaction_simple(model, dist, e, a_set, w) == reference
     wrong = compute_interaction_simple(model, dist, e, a_set, w, prefactor=PREFACTOR_Z_ONLY)
     assert wrong != reference
+
+
+def _refuse_requests(patch):
+    # every built-in model fails an expected-value request, so a call that
+    # answers made none
+    def refuse(self, *args):
+        raise AssertionError("an expected-value request")
+
+    for cls in (TableModel, AdditiveModel, TreeModel, EnsembleModel):
+        for name in ("expected_value", "expected_values"):
+            patch.setattr(cls, name, refuse)
+
+
+def _four_feature_case(seed: int, kind: str = "tree"):
+    rng = random.Random(seed)
+    space = random_space(rng, 4)
+    model = random_model_of_kind(kind, rng, space)
+    return rng, model, random_distribution(rng, space), random_instance(rng, space)
+
+
+@pytest.mark.parametrize("kind", ["tree", "additive", "ensemble"])
+def test_a_one_member_set_walks_as_its_feature_does(kind, monkeypatch):
+    rng, model, dist, e = _four_feature_case(37, kind)
+    simple = random_simple_weights(rng, 4)
+    weights = InteractionWeights.from_simple(simple)
+    for a in range(4):
+        a_set = Coalition.singleton(a)
+        with monkeypatch.context() as patch:
+            _refuse_requests(patch)
+            value = compute_interaction_simple(model, dist, e, a_set, weights)
+        assert value == compute_simple_index(model, dist, e, a, simple)
+        assert value == brute_interaction_index(model, dist, e, a_set, weights)
+        counted = CountingModel(model)  # the wrapper has no walk: the grid's 2n
+        assert compute_interaction_simple(counted, dist, e, a_set, weights) == value
+        assert counted.expected_value_calls == 2 * 4
+
+
+def test_a_walk_builds_no_mixture_rows(monkeypatch):
+    _, model, dist, e = _four_feature_case(41, "ensemble")
+    built = []
+    row = powerdex.indices.mixture_row
+    monkeypatch.setattr(powerdex.indices, "mixture_row", lambda *args: built.append(args) or row(*args))
+    attribute_all(model, dist, e, SimpleWeights.shapley(4))
+    weights = InteractionWeights.from_simple(SimpleWeights.shapley(4))
+    compute_interaction_simple(model, dist, e, Coalition.singleton(2), weights)
+    assert built == []
+    # a pair takes the batches: 3 y-variants of 2 members, and 3 z-nodes
+    # past z = 0 of 4 rows
+    pair = InteractionWeights.single(4, 2, random_interaction_row(random.Random(3), 4, 2))
+    compute_interaction_simple(model, dist, e, BOTH, pair)
+    assert len(built) == 3 * 2 + 2 * 4
+
+
+def test_z_only_prefactor_takes_the_batches_for_a_one_member_set():
+    _, tree, dist, e = _four_feature_case(43)
+    weights = InteractionWeights.from_simple(SimpleWeights.shapley(4))
+    for model in (tree, TableModel.tabulate(tree)):
+        for a in range(4):
+            a_set = Coalition.singleton(a)
+            wrong = compute_interaction_simple(model, dist, e, a_set, weights, prefactor=PREFACTOR_Z_ONLY)
+            assert wrong != brute_interaction_index(model, dist, e, a_set, weights)
+            counted = CountingModel(model)
+            assert compute_interaction_simple(
+                counted, dist, e, a_set, weights, prefactor=PREFACTOR_Z_ONLY
+            ) == wrong
+            assert counted.expected_value_calls == 2 * 4
 
 
 # ---------------------------------------------------------------------------

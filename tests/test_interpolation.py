@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from powerdex.interaction import _signed_weights
+from powerdex.indices import _signed_weights
 from powerdex.interpolation import (
     SingularSystemError,
     _lagrange,

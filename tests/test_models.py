@@ -310,6 +310,14 @@ def test_evaluate_at_positions_is_evaluate(data):
             assert counted.evaluate_calls == calls + 2 * calls_made
 
 
+def test_tabulate_refuses_an_oversized_table_before_reading_the_model(monkeypatch):
+    counted = CountingModel(and_table_model(and_space(4)))
+    monkeypatch.setattr(powerdex.models, "TABLE_SIZE_LIMIT", 8)
+    with pytest.raises(ValueError, match=r"^table would need 16 entries, above the 2\^24 limit$"):
+        TableModel.tabulate(counted)
+    assert counted.evaluate_calls == 0
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 @given(data=st.data())
 def test_tabulate_is_evaluate_at_on_every_outcome_of_its_axes(kind, data):
