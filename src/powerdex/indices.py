@@ -13,11 +13,11 @@ Three computation paths, all exact:
 Both paths that need expectations reduce a member set A (a feature is
 the one-member set) to one form (``Reduced``): its generating polynomial
 in powers of u = 1 + z, all over one denominator.  A one-member set gets
-it through ``Model._gap_polynomials``: trees and additive models from one
-walk of their own, ensembles as the sum of their components' answers,
-and every other model through the batch reduction passed in.  A set of
-two or more members takes the batch reduction on the model itself.  It
-requests, at each node, one ``expected_values`` batch
+it through ``Model._gap_polynomials``: trees from one walk of their own,
+ensembles (additive models among them) as the sum of their components'
+answers, and every other model through the batch reduction passed in.
+A set of two or more members takes the batch reduction on the model
+itself.  It requests, at each node, one ``expected_values`` batch
 (``batched_node_sums``) and interpolates the node sums at the nodes
 u = 1 + z (``_node_polynomials``): on the z path (``_z_reduction``) each
 set's m+1 y-variants at each of the n-m+1 z-nodes, on the theta path

@@ -6,15 +6,19 @@ engine is the workhorse that all attribution reductions call; they
 submit their calls in batches through ``expected_values``, which models
 may override to share work between the distributions of one batch.
 
+Trees walk, ensembles sum their components, and a table reads its
+values.  An additive model is an ensemble of a leaf holding its bias and
+one single-split tree per feature, and runs their code.
+
 Every model answers the private hook ``Model._gap_polynomials``: every
 wanted feature's gap (pinned to e minus free) under given rows of the
 other features, as one polynomial per feature in powers of u = 1 + z,
 all over one denominator.  Both reductions of ``indices`` ask it,
 interpolation with the z-mixture rows and bernoulli-direct with the
-theta-mixture rows.  Trees and additive models answer from one walk of
-their own; every other model hands back the batch reduction that
-``indices`` passes in, and an ensemble adds its components' answers, so
-its trees walk whatever their siblings are.
+theta-mixture rows.  A tree answers from one walk of its own, an
+ensemble adds its components' answers, so its trees walk whatever their
+siblings are, and every other model hands back the batch reduction that
+``indices`` passes in.
 Tree kernels read each row as integers over one denominator (``Row``),
 and trees and ensembles return reduced (numerator, denominator) integer
 pairs, building a Fraction only for each value they return.  A batch
@@ -29,14 +33,14 @@ model and the marginal closed form.  The brute-force oracle and
 ``TableModel.tabulate`` read F in bulk through the private
 ``Model._tabulate``: F on a product grid of positions, one axis per
 feature, as integers over one denominator.  Trees and ensembles fill the
-grid from their stored form; the default, which tables, additive models,
-``CountingModel`` and user models take, reads ``_evaluate_at`` once per
-outcome.  The built-in models answer ``_evaluate_at`` from their stored
-form; its default builds the instance and calls the public ``evaluate``,
-so ``CountingModel`` and user models count and behave as through
+grid from their stored form; the default, which tables, ``CountingModel``
+and user models take, reads ``_evaluate_at`` once per outcome.  Tables,
+trees and ensembles answer ``_evaluate_at`` from their stored form; its
+default builds the instance and calls the public ``evaluate``, so
+``CountingModel`` and user models count and behave as through
 ``evaluate``.  A subclass of a built-in model that overrides ``evaluate``
-must also override ``_evaluate_at`` and, for a tree or an ensemble,
-``_tabulate``.
+must also override ``_evaluate_at`` and, for a tree or an ensemble
+(an additive model included), ``_tabulate``.
 """
 
 from __future__ import annotations
@@ -201,9 +205,11 @@ class Model(abc.ABC):
         is G_a at u = 1, the sum of the g_j.  The answer is
         ``(polys, den)``: ``polys[a]`` holds den times g_0, g_1, ... for
         the features of the bitmask ``wanted`` (a missing feature or
-        entry is 0).  ``factors`` holds every feature's factor.  The
-        default has no walk and answers ``batches(self)``, which requests
-        the expectations and interpolates them.
+        entry is 0).  ``factors`` holds every feature's factor.  Trees
+        walk and ensembles, additive models included, sum their
+        components' answers; the default, which tables, ``CountingModel``
+        and user models take, has no walk and answers ``batches(self)``,
+        which requests the expectations and interpolates them.
         """
         return batches(self)
 
@@ -277,58 +283,6 @@ class TableModel(Model):
     def expected_value(self, dist: ProductDistribution) -> Fraction:
         check_shared_space(self, dist)
         return _table_sum(self.values, self._strides, dist.probs, 0, Fraction(1), 0, Fraction(0))
-
-
-class AdditiveModel(Model):
-    """bias + sum of one per-feature term, each a value-to-rational map."""
-
-    def __init__(
-        self,
-        space: FeatureSpace,
-        bias: Fraction,
-        terms: Sequence[Sequence[Fraction]],
-    ):
-        self.space = space
-        self.bias = as_rational(bias)
-        rows = tuple(tuple(as_rational(v) for v in row) for row in terms)
-        if len(rows) != space.n:
-            raise ValueError(f"{len(rows)} term rows for {space.n} features")
-        for i, (row, domain) in enumerate(zip(rows, space.domains)):
-            if len(row) != len(domain):
-                raise ValueError(f"feature {i}: {len(row)} term values for {len(domain)} domain values")
-        self.terms = rows
-
-    def evaluate(self, instance: Instance) -> Fraction:
-        check_shared_space(self, instance)
-        return Fraction(*self._evaluate_at(instance._positions))
-
-    def _evaluate_at(self, positions: Sequence[int]) -> Pair:
-        value = sum([row[k] for row, k in zip(self.terms, positions)], self.bias)
-        return value.numerator, value.denominator
-
-    def expected_value(self, dist: ProductDistribution) -> Fraction:
-        check_shared_space(self, dist)
-        total = self.bias
-        for row, probs in zip(self.terms, dist.probs):
-            for v, p in zip(row, probs):
-                if p:
-                    total += v * p
-        return total
-
-    def _gap_polynomials(
-        self, factors: Sequence[Factor], wanted: int, batches: Batches
-    ) -> GapPolynomials:
-        # feature a's gap is z-free: sum_c (delta_e - p_a)(c) * t_a(c), a
-        # path of length 1, so the constant times u^(n-1)
-        values = {}
-        for a, ((den, _, _, gaps), terms) in enumerate(zip(factors, self.terms)):
-            if wanted >> a & 1:
-                total = sum((g * t for g, t in zip(gaps, terms) if g), Fraction(0))
-                if total:
-                    values[a] = total / den
-        den = lcm(*(v.denominator for v in values.values()))
-        below = [0] * (len(factors) - 1)
-        return {a: below + [v.numerator * (den // v.denominator)] for a, v in values.items()}, den
 
 
 @dataclass(frozen=True)
@@ -702,6 +656,40 @@ class EnsembleModel(Model):
             for a, coeffs in polys.items():
                 _accumulate(total.setdefault(a, []), 0, s, coeffs)
         return total, den
+
+
+class AdditiveModel(EnsembleModel):
+    """bias + sum of one per-feature term, each a value-to-rational map.
+
+    Stored as the ensemble, every weight 1, of a leaf holding the bias and
+    one single-split tree per feature, whose children are the feature's
+    term values: every point read, expectation, tabulation and gap walk
+    is the trees' and the ensemble's.
+    """
+
+    def __init__(
+        self,
+        space: FeatureSpace,
+        bias: Fraction,
+        terms: Sequence[Sequence[Fraction]],
+    ):
+        self.bias = as_rational(bias)
+        rows = tuple(tuple(as_rational(v) for v in row) for row in terms)
+        if len(rows) != space.n:
+            raise ValueError(f"{len(rows)} term rows for {space.n} features")
+        for i, (row, domain) in enumerate(zip(rows, space.domains)):
+            if len(row) != len(domain):
+                raise ValueError(f"feature {i}: {len(row)} term values for {len(domain)} domain values")
+        self.terms = rows
+        trees = [(i, row, 1 << i) for i, row in enumerate(rows)]
+        super().__init__(
+            [(Fraction(1), TreeModel._from_compiled(space, t)) for t in [self.bias, *trees]]
+        )
+
+    # Entries of the class's own namespace, for tools that wrap methods per
+    # class: perfbench's tracer reads them from ``AdditiveModel.__dict__``.
+    evaluate = EnsembleModel.evaluate  # traced as models.evaluate
+    expected_value = EnsembleModel.expected_value  # traced as models.additive.expected_value
 
 
 class CountingModel(Model):

@@ -5,9 +5,10 @@ only ever evaluate the model on full assignments, never through its
 expected-value engine, so agreement between the two is a real check.
 F is tabulated through the private ``Model._tabulate``, at most
 ``BLOCK_OUTCOMES`` outcomes at a time, and only on the outcomes that can
-count: trees and ensembles fill a block from their stored form, tables
-and additive models read it point by point, and any other model is
-evaluated through its public ``evaluate``, once per outcome.
+count: trees and ensembles fill a block from their stored form (an
+additive model from its single-split trees), tables read it point by
+point, and any other model is evaluated through its public ``evaluate``,
+once per outcome.
 Shipped in the library (not test-only) so external index implementations
 can be validated via the CLI.
 """
@@ -213,7 +214,8 @@ def brute_simple_index(
     denominator, and divided once.
     """
     check_shared_space(model, dist, e).check_feature(a)
-    return _brute_index(model, dist, e, Coalition.singleton(a), weights, budget, table)
+    a_set = Coalition.singleton(a)
+    return _brute_index(model, dist, e, a_set, weights, SimpleWeights, budget, table)
 
 
 def brute_bernoulli_index(
@@ -227,7 +229,8 @@ def brute_bernoulli_index(
 ) -> Fraction:
     """The definitional sum with coalition probabilities from Bernoulli trials, in integers."""
     check_shared_space(model, dist, e).check_feature(a)
-    return _brute_index(model, dist, e, Coalition.singleton(a), weights, budget, table)
+    a_set = Coalition.singleton(a)
+    return _brute_index(model, dist, e, a_set, weights, BernoulliWeights, budget, table)
 
 
 def brute_interaction_index(
@@ -241,13 +244,15 @@ def brute_interaction_index(
 ) -> Fraction:
     """Sum of Q_A(S) times the alternating-sum marginal m(A;S) over S in A^c."""
     _check_target(a_set, check_shared_space(model, dist, e))
-    return _brute_index(model, dist, e, a_set, weights, budget, table)
+    kinds = (SimpleWeights, InteractionWeights, BernoulliWeights)
+    return _brute_index(model, dist, e, a_set, weights, kinds, budget, table)
 
 
-def _brute_index(model, dist, e, a_set: Coalition, weights, budget, table) -> Fraction:
-    # the index of a checked, nonempty target set; a feature is a singleton
+def _brute_index(model, dist, e, a_set: Coalition, weights, kinds, budget, table) -> Fraction:
+    # the index of a checked, nonempty target set (a feature is a
+    # singleton) under a scheme of one of ``kinds``, as its fast path takes
     n = model.space.n
-    _check_scheme(weights, (SimpleWeights, InteractionWeights, BernoulliWeights), n, len(a_set))
+    _check_scheme(weights, kinds, n, len(a_set))
     nums, den = _integer_table(model, dist, e, budget, table)
     return _index_sum(nums, den, n, a_set, weights)
 

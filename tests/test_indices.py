@@ -617,7 +617,7 @@ def _bare_trees(model, live=True):
         return [(model, live)]
     if isinstance(model, EnsembleModel):
         return [pair for w, m in model.components for pair in _bare_trees(m, live and w != 0)]
-    return []  # tables, additive models and wrapped trees
+    return []  # tables and wrapped trees; an additive model is an ensemble of trees
 
 
 @contextlib.contextmanager

@@ -22,6 +22,8 @@ from powerdex import (
     TableModel,
     TreeModel,
     attribute_all,
+    compute_interaction_bernoulli,
+    compute_interaction_simple,
     conditional_expectation,
     mixture_distribution,
 )
@@ -38,6 +40,7 @@ from corpus import (
     and_space,
     and_table_model,
     and_tree_model,
+    instances,
     ones_instance,
     random_additive_model,
     random_distribution,
@@ -47,6 +50,7 @@ from corpus import (
     random_tree_model,
     rationals,
     small_spaces,
+    sparse_distributions,
 )
 
 
@@ -686,6 +690,101 @@ def test_an_ensemble_batch_converts_each_row_a_tree_reads_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# an additive model is the ensemble of a bias leaf and one stump per feature
+
+
+def _stump_ensemble(space, bias, terms):
+    # the same model built by hand from the public tree nodes
+    stumps = [TreeModel(space, Split(i, tuple(Leaf(t) for t in row))) for i, row in enumerate(terms)]
+    return EnsembleModel([(1, TreeModel(space, Leaf(bias)))] + [(1, s) for s in stumps])
+
+
+def _check_additive_is_its_trees(space, bias, terms, dist, e):
+    model = AdditiveModel(space, bias, terms)
+    stumps = _stump_ensemble(space, bias, terms)
+    n = space.n
+    assert isinstance(model, EnsembleModel)
+    assert (model.bias, model.terms) == (bias, tuple(tuple(row) for row in terms))
+    assert [w for w, _ in model.components] == [1] * (n + 1)
+    assert all(type(m) is TreeModel for _, m in model.components)
+    assert [m.root for _, m in model.components] == [m.root for _, m in stumps.components]
+
+    # the definitional sum bias + sum_i t_i(x_i), and its expectation
+    def value(positions):
+        return bias + sum((row[k] for row, k in zip(terms, positions)), Fraction(0))
+
+    means = [
+        sum((p * t for p, t in zip(probs, row)), Fraction(0)) for probs, row in zip(dist.probs, terms)
+    ]
+    positions = list(itertools.product(*(range(len(d)) for d in space.domains)))
+    for k in positions:
+        x = Instance._at(space, k)
+        assert model.evaluate(x) == stumps.evaluate(x) == value(k)
+    mean = bias + sum(means, Fraction(0))
+    assert model.expected_value(dist) == stumps.expected_value(dist) == mean
+    axes = [range(len(d)) for d in space.domains]
+    nums, den = model._tabulate(axes)
+    assert (nums, den) == stumps._tabulate(axes)
+    assert [Fraction(num, den) for num in nums] == [value(k) for k in positions]
+
+    # every index of feature a is t_a(e_a) - E[t_a], and every pair interacts by 0
+    own = [row[k] - mean for row, k, mean in zip(terms, e._positions, means)]
+    schemes = [
+        SimpleWeights.shapley(n),
+        SimpleWeights.banzhaf(n),
+        SimpleWeights.marginal(n),
+        BernoulliWeights([Fraction(k + 1, n + 2) for k in range(n)]),
+    ]
+    for scheme in schemes:
+        report = attribute_all(model, dist, e, scheme)
+        assert report == attribute_all(stumps, dist, e, scheme)
+        assert list(report.values) == own
+    if n >= 2:
+        pair = Coalition.from_members([0, n - 1])
+        simple = powerdex.InteractionWeights(n, 2, [Fraction(1, 2 ** (n - 2))] * (n - 1))
+        bernoulli = BernoulliWeights.constant(n, Fraction(1, 3))
+        for reference in (model, stumps):
+            assert compute_interaction_simple(reference, dist, e, pair, simple) == 0
+            assert compute_interaction_bernoulli(reference, dist, e, pair, bernoulli) == 0
+
+    # nested beside a counted tree: the same values and the same counts
+    tree = TreeModel(space, Split(0, tuple(Leaf(Fraction(k, 3)) for k, _ in enumerate(space.domains[0]))))
+    answers = []
+    for inner in (model, stumps):
+        counted = CountingModel(tree)
+        nested = EnsembleModel([(Fraction(2, 3), inner), (Fraction(-1, 2), counted)])
+        report = attribute_all(nested, dist, e, SimpleWeights.shapley(n))
+        value = nested.expected_value(dist)
+        answers.append((report, value, counted.expected_value_calls, counted.evaluate_calls))
+    assert answers[0] == answers[1]
+
+
+@given(st.data())
+def test_an_additive_model_is_the_ensemble_of_its_stumps(data):
+    space = data.draw(small_spaces())
+    bias = data.draw(component_weights())  # zero or not
+    terms = [
+        data.draw(st.lists(component_weights(), min_size=len(d), max_size=len(d)))
+        for d in space.domains
+    ]
+    dist = data.draw(sparse_distributions(space))  # zero entries and point masses
+    _check_additive_is_its_trees(space, bias, terms, dist, data.draw(instances(space)))
+
+
+def test_an_additive_model_with_zero_parts_on_a_zero_probability_value_is_its_stumps():
+    # one-value domains, a zero bias, zero terms, and e where its row is 0
+    space = FeatureSpace([("a",), ("0", "1", "2"), ("x",), ("0", "1")])
+    terms = [[Fraction(0)], [Fraction(0), Fraction(5, 2), Fraction(-1, 3)], [Fraction(7)], [Fraction(0)] * 2]
+    half = Fraction(1, 2)
+    rows = [[Fraction(1)], [half, Fraction(0), half], [Fraction(1)], [Fraction(0), Fraction(1)]]
+    dist = ProductDistribution(space, rows)
+    e = Instance(space, ("a", "1", "x", "0"))
+    assert dist.probs[1][1] == dist.probs[3][0] == 0
+    _check_additive_is_its_trees(space, Fraction(0), terms, dist, e)
+    _check_additive_is_its_trees(space, Fraction(-3, 4), terms, dist, e)
+
+
+# ---------------------------------------------------------------------------
 # constructor errors
 
 
@@ -698,11 +797,18 @@ def test_an_ensemble_batch_converts_each_row_a_tree_reads_once(monkeypatch):
             lambda s: AdditiveModel(s, 0, [[0, 1], [0]]),
             "feature 1: 1 term values for 2 domain values",
         ),
+        # the checks run in order: bias, term values, row count, row lengths
+        (lambda s: AdditiveModel(s, 0.5, [[0, 1.5]]), "cannot interpret 0.5 as a rational"),
+        (lambda s: AdditiveModel(s, 0, [[0, 1.5]]), "cannot interpret 1.5 as a rational"),
+        (lambda s: AdditiveModel(s, 0, [[0], [0]]), "feature 0: 1 term values for 2 domain values"),
         (lambda s: EnsembleModel([]), "an ensemble needs at least one component"),
         (lambda s: TreeModel(s, Leaf(1)), "leaf values must be Fractions"),
         (lambda s: TreeModel(s, Split(0, (Leaf(Fraction(1)), "x"))), "unexpected tree node 'x'"),
     ],
-    ids=["table-size", "term-rows", "term-row-length", "no-components", "leaf-value", "child-kind"],
+    ids=[
+        "table-size", "term-rows", "term-row-length", "bias-value", "term-value",
+        "first-term-row-length", "no-components", "leaf-value", "child-kind",
+    ],
 )
 def test_model_constructors_reject_malformed_parts(build, message):
     with pytest.raises(ValueError) as excinfo:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import comb, prod
 
@@ -29,6 +30,8 @@ from powerdex import (
     brute_expectation,
     brute_interaction_index,
     brute_simple_index,
+    compute_bernoulli_index,
+    compute_simple_index,
     conditional_expectation,
     conditional_table,
     subsets,
@@ -502,6 +505,33 @@ def test_oracle_rejects_a_mis_sized_scheme_as_the_engine_does(and2, brute, weigh
     target = Coalition.singleton(0) if brute is brute_interaction_index else 0
     with pytest.raises(WeightError, match=message):
         brute(model, dist, e, target, weights)
+
+
+_SHAPLEY3 = SimpleWeights.shapley(3)
+
+
+@pytest.mark.parametrize(
+    "brute, fast, weights",
+    [
+        (brute_simple_index, compute_simple_index, BernoulliWeights.constant(3, Fraction(1, 2))),
+        (brute_simple_index, compute_simple_index, InteractionWeights.from_simple(_SHAPLEY3)),
+        (brute_bernoulli_index, compute_bernoulli_index, _SHAPLEY3),
+        (brute_bernoulli_index, compute_bernoulli_index, InteractionWeights.from_simple(_SHAPLEY3)),
+    ],
+)
+def test_the_per_feature_oracles_reject_a_scheme_of_the_other_kind_as_the_engine_does(
+    brute, fast, weights
+):
+    space = and_space(3)
+    model, dist, e = and_table_model(space), ProductDistribution.uniform(space), ones_instance(space)
+    message = "^" + re.escape(f"unsupported scheme {weights!r}") + "$"
+    with pytest.raises(TypeError, match=message):
+        fast(model, dist, e, 0, weights)
+    with pytest.raises(TypeError, match=message):
+        brute(model, dist, e, 0, weights)
+    table = conditional_table(model, dist, e)
+    with pytest.raises(TypeError, match=message):
+        brute(model, dist, e, 0, weights, table=table)
 
 
 def test_the_oracle_fits_a_feature_scheme_to_singletons_only():
