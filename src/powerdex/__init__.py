@@ -63,6 +63,7 @@ from .interaction import (
     interaction_marginal,
 )
 from .oracle import (
+    ConditionalTable,
     OracleBudget,
     brute_bernoulli_index,
     brute_coalition_sums,

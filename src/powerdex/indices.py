@@ -462,15 +462,16 @@ def _bernoulli_indices(
         for i in members:
             space.check_feature(i)
     _check_scheme(weights, BernoulliWeights, space.n)
-    mixed = bernoulli_mixture(dist, e, weights.theta)
 
     def batches(component, keys):
+        # the rows are built only here, never on a call the walk answers
+        mixed = bernoulli_mixture(dist, e, weights.theta)
         targets = [_derivative(dist, e, members) for members in member_sets]
         sums = batched_node_sums(component, space, [mixed.probs], targets)
         return _node_polynomials(keys, [Fraction(0)], sums, 0)
 
     by_set, den = _reduce(
-        model, lambda: _fixed_factors(mixed.probs, dist.probs, e._positions), member_sets, batches
+        model, lambda: _fixed_factors(weights.theta, dist.probs, e._positions), member_sets, batches
     )
     # fixed rows: the derivative is the polynomial at u = 1
     return [Fraction(sum(g), den) for g in by_set]

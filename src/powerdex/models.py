@@ -113,15 +113,19 @@ def _z_factors(probs: Sequence[Sequence[Fraction]], hits: Sequence[int]) -> list
 
 
 def _fixed_factors(
-    context: Sequence[Sequence[Fraction]],
-    probs: Sequence[Sequence[Fraction]],
-    hits: Sequence[int],
+    theta: Sequence[Fraction], probs: Sequence[Sequence[Fraction]], hits: Sequence[int]
 ) -> list[Factor]:
-    # every feature on its context row, its own gap on its input row
+    # every feature on its theta-mixture theta*delta_e + (1-theta)*p, its own
+    # gap delta_e - p on its input row p; for theta = a/b and p = nums/den
+    # both are over b*den: ((b-a)*nums + a*den*delta_e) and b*(den*delta_e - nums)
     factors = []
-    for fixed, row, hit in zip(context, probs, hits):
-        den, nums = _row((*fixed, *row))
-        factors.append((den, nums[: len(fixed)], -1, _gaps(den, nums[len(fixed) :], hit)))
+    for t, row, hit in zip(theta, probs, hits):
+        den, nums = _row(row)
+        a, b = t.numerator, t.denominator
+        context = [(b - a) * num for num in nums]
+        context[hit] += a * den
+        gaps = tuple([b * g for g in _gaps(den, nums, hit)])
+        factors.append((b * den, tuple(context), -1, gaps))
     return factors
 
 

@@ -16,6 +16,7 @@ can be validated via the CLI.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -27,7 +28,6 @@ from .core import (
     Instance,
     ProductDistribution,
     check_shared_space,
-    subsets,
 )
 from .indices import BernoulliWeights, SimpleWeights, _check_scheme, _check_target
 from .interaction import InteractionWeights
@@ -60,7 +60,35 @@ DEFAULT_BUDGET = OracleBudget()
 # the trailing features under one prefix of positions of the others.
 BLOCK_OUTCOMES = 1 << 16
 
-ConditionalTable = dict[int, Fraction]
+
+class ConditionalTable(Mapping):
+    """The 2^n conditional expectations E[F|S], keyed by coalition mask, read-only.
+
+    Held as integer numerators over one denominator, as ``_contract``
+    returns them; ``table[mask]`` builds the ``Fraction`` when read.  The
+    keys are exactly ``range(2**n)``: any other key raises ``KeyError``.
+    It compares equal to the dict of its entries.
+    """
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: Sequence[int], den: int):
+        self._nums = tuple(nums)
+        self._den = den
+
+    def __getitem__(self, mask: int) -> Fraction:
+        if not isinstance(mask, int) or not 0 <= mask < len(self._nums):
+            raise KeyError(mask)
+        return Fraction(self._nums[mask], self._den)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self._nums)))
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
 
 
 def brute_expectation(
@@ -84,12 +112,12 @@ def conditional_table(
     E[F|S] sums F(omega) times the probability of omega's features outside
     S over the outcomes that agree with e on S.  F is tabulated in blocks,
     each outcome at most once, and the sums are taken feature by feature
-    (see ``_contract``).
+    (see ``_contract``).  The table keeps their integer numerators over one
+    denominator, which every ``brute_*`` function given it reads directly.
     """
     budget.check(model)
     check_shared_space(model, dist, e)
-    nums, den = _contract(model, dist, e)
-    return {mask: Fraction(x, den) for mask, x in enumerate(nums)}
+    return ConditionalTable(*_contract(model, dist, e))
 
 
 def _contract(
@@ -103,16 +131,17 @@ def _contract(
     t..n-1 are the most whose kept outcomes number at most
     ``BLOCK_OUTCOMES``.  Under each prefix of kept positions of features
     0..t-1, in grid order, ``Model._tabulate`` gives F on the prefix's
-    block over one denominator, and ``_sweep`` contracts the block over
-    features t..n-1 to one entry per coalition of them.  The block results
-    are brought to the lcm of their denominators and stacked, and the same
-    sweep over features 0..t-1 contracts the stack: entry S is then
-    nums[S] / (den * prod of L_j over j not in S), the coalition of
-    features 0..t-1 outermost.  Reordered by mask and scaled by the
-    product of L_j over j in S, every E[F|S] is nums[S] / den over one
-    denominator, returned as ``(nums, den)``; with ``e`` None nothing is
-    pinned and the result is [E[F]].  Each kept outcome is read once, and
-    the sweeps cost at most n integer multiply-adds per kept outcome.
+    block over one denominator, and ``_sweep`` contracts the block to one
+    entry per coalition of features t..n-1.  The block results are brought
+    to the lcm of their denominators and stacked with the prefix axis
+    innermost, so the same sweep contracts features 0..t-1 of the stack.
+    Entry r of the result is then nums[r] / (den * prod of L_j over j not
+    in S), where r is S's mask read with feature 0 as the most significant
+    bit; one permutation reorders the entries by mask and scales each by
+    the product of L_j over j in S, so every E[F|S] is nums[S] / den over
+    one denominator, returned as ``(nums, den)``.  With ``e`` None nothing
+    is pinned and the result is [E[F]].  Each kept outcome is read once,
+    and the sweeps cost at most n integer multiply-adds per kept outcome.
     Memory holds one block and its sweep, and the stacked results: 2^(n-t)
     entries per prefix (one with ``e`` None).
     """
@@ -133,55 +162,43 @@ def _contract(
         grid, den = model._tabulate([(k,) for k in prefix] + kept[t:])
         parts.append((_sweep(grid, rows[t:], hits[t:]), den))
     den = lcm(*[d for _, d in parts])
-    stacked: list[int] = []
-    for part, d in parts:
-        stacked += part if d == den else [x * (den // d) for x in part]
+    parts = [part if d == den else [x * (den // d) for x in part] for part, d in parts]
+    stacked = [part[s] for s in range(len(parts[0])) for part in parts]  # prefix innermost
     nums = _sweep(stacked, rows[:t], hits[:t])
     den *= prod(scales)
     if e is None:
         return nums, den
-    width = len(nums) >> t  # entries per leading coalition, one per trailing one
-    nums = [x for low in range(width) for x in nums[low::width]]  # now by mask
-    ups = [1]  # per coalition S, the product of L_i over i in S
-    for scale in scales:
-        ups += [up * scale for up in ups]
-    return [x * up for x, up in zip(nums, ups)], den
+    n = len(scales)
+    order = [(0, 1)]  # per mask S: S's entry in nums, and the product of L_i over i in S
+    for i, scale in enumerate(scales):
+        bit = 1 << (n - 1 - i)
+        order += [(at | bit, up * scale) for at, up in order]
+    return [nums[at] * up for at, up in order], den
 
 
 def _sweep(
     nums: list[int], rows: Sequence[Sequence[int]], hits: Sequence[Optional[int]]
 ) -> list[int]:
-    """Contract the leading features of a flat vector, first to last, by whole slices.
+    """Contract the innermost features of a flat vector, last to first, by strided slices.
 
-    ``nums`` holds, outermost first, one position per feature of ``rows``
-    and then a tail the sweep leaves alone.  It is cut into blocks, block c
-    standing for the coalition mask c of the features swept so far.  At
-    feature i each block is |D_i| contiguous sub-slices, one per position;
-    it becomes a free block, the sum of its sub-slices weighted by row i,
-    and, where e_i is given (``hits[i]``), a pinned block, its sub-slice at
-    e_i.  The free blocks come first and the pinned ones after them, so
-    block c of the result is still coalition mask c.
+    ``nums`` holds outer axes the sweep leaves alone and then one axis per
+    feature of ``rows``, the last innermost.  The innermost feature i, of
+    d = |D_i| positions, holds its position k in the slice ``nums[k::d]``.
+    It is contracted to a free half, the row-weighted sum of those slices,
+    followed, where e_i is given (``hits[i]``), by a pinned half, the
+    slice at e_i.  So each pinned feature adds a coalition bit as the new
+    outermost axis: the result holds one bit per pinned feature, the first
+    feature outermost, and then the outer axes.
     """
-    blocks = 1
-    for row, hit in zip(rows, hits):
-        width = len(nums) // blocks
-        step = width // len(row)
-        (first, w0), *rest = [(k * step, w) for k, w in enumerate(row) if w]
-        free: list[int] = []
-        pinned: list[int] = []
-        for start in range(0, len(nums), width):
-            at = start + first
-            acc = [w0 * x for x in nums[at : at + step]]
-            for at, w in rest:
-                at += start
-                acc = [a + w * x for a, x in zip(acc, nums[at : at + step])]
-            free += acc
-            if hit is not None:
-                at = start + hit * step
-                pinned += nums[at : at + step]
-        nums = free + pinned
+    for row, hit in zip(reversed(rows), reversed(hits)):
+        d = len(row)
+        (k, w), *rest = [(k, w) for k, w in enumerate(row) if w]
+        acc = nums[k::d] if w == 1 else [w * x for x in nums[k::d]]
+        for k, w in rest:
+            acc = [a + w * x for a, x in zip(acc, nums[k::d])]
         if hit is not None:
-            blocks *= 2
+            acc += nums[hit::d]
+        nums = acc
     return nums
 
 
@@ -191,12 +208,21 @@ def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _integer_table(model, dist, e, budget=DEFAULT_BUDGET, table=None) -> tuple[list[int], int]:
-    """Every E[F|S], by mask, in integers over one denominator; a given table converted once."""
+def _integer_table(
+    model, dist, e, budget=DEFAULT_BUDGET, table=None
+) -> tuple[Sequence[int], int]:
+    """Every E[F|S], by mask, in integers over one denominator.
+
+    A ``ConditionalTable`` of the model's size gives its own integers; any
+    other given table is converted once.
+    """
     if table is None:
         budget.check(model)
         return _contract(model, dist, e)
-    return _integer_row([table[mask] for mask in range(1 << model.space.n)])
+    size = 1 << model.space.n
+    if isinstance(table, ConditionalTable) and len(table) == size:
+        return table._nums, table._den
+    return _integer_row([table[mask] for mask in range(size)])
 
 
 def brute_simple_index(
@@ -206,7 +232,7 @@ def brute_simple_index(
     a: int,
     weights: SimpleWeights,
     budget: OracleBudget = DEFAULT_BUDGET,
-    table: Optional[ConditionalTable] = None,
+    table: Optional[Mapping[int, Fraction]] = None,
 ) -> Fraction:
     """The definitional sum over all 2^(n-1) coalitions avoiding feature a.
 
@@ -225,7 +251,7 @@ def brute_bernoulli_index(
     a: int,
     weights: BernoulliWeights,
     budget: OracleBudget = DEFAULT_BUDGET,
-    table: Optional[ConditionalTable] = None,
+    table: Optional[Mapping[int, Fraction]] = None,
 ) -> Fraction:
     """The definitional sum with coalition probabilities from Bernoulli trials, in integers."""
     check_shared_space(model, dist, e).check_feature(a)
@@ -240,7 +266,7 @@ def brute_interaction_index(
     a_set: Coalition,
     weights: Union[InteractionWeights, BernoulliWeights],
     budget: OracleBudget = DEFAULT_BUDGET,
-    table: Optional[ConditionalTable] = None,
+    table: Optional[Mapping[int, Fraction]] = None,
 ) -> Fraction:
     """Sum of Q_A(S) times the alternating-sum marginal m(A;S) over S in A^c."""
     _check_target(a_set, check_shared_space(model, dist, e))
@@ -261,8 +287,9 @@ def _index_sum(nums: Sequence[int], den: int, n: int, a_set: Coalition, weights)
     """Sum over S in A^c of Q_A(S) * sum_{B in A} (-1)^(m-|B|) * nums[S u B] / den.
 
     Q_A(S) is the cardinality weight q_|S| of the set's row (a feature's
-    for |A| = 1) or S's Bernoulli probability, in integers over q_den; one
-    division at the end.
+    for |A| = 1) or S's Bernoulli probability, in integers over q_den;
+    only the coalitions of nonzero weight are summed, S and B as int
+    masks, and there is one division at the end.
     """
     m = len(a_set)
     complement = a_set.complement(n)
@@ -270,13 +297,22 @@ def _index_sum(nums: Sequence[int], den: int, n: int, a_set: Coalition, weights)
         coalitions, q_den = _coalition_probs(weights.theta, complement)
     else:
         q, q_den = _integer_row(weights.q)
-        coalitions = [(s.mask, q[len(s)]) for s in subsets(complement)]
+        coalitions = [(s, w) for s in _submasks(complement.mask) if (w := q[s.bit_count()])]
     total = 0
-    for b in subsets(a_set):
-        bits = b.mask
-        part = sum(w * nums[mask | bits] for mask, w in coalitions if w)
-        total += -part if (m - len(b)) % 2 else part
+    for b in _submasks(a_set.mask):
+        part = sum([w * nums[s | b] for s, w in coalitions])
+        total += -part if (m - b.bit_count()) % 2 else part
     return Fraction(total, den * q_den)
+
+
+def _submasks(mask: int) -> list[int]:
+    """Every submask of ``mask``, as ints."""
+    subs = [0]
+    while mask:
+        bit = mask & -mask
+        subs += [s | bit for s in subs]
+        mask ^= bit
+    return subs
 
 
 def _coalition_probs(
@@ -304,7 +340,7 @@ def brute_coalition_sums(
     dist: ProductDistribution,
     e: Instance,
     budget: OracleBudget = DEFAULT_BUDGET,
-    table: Optional[ConditionalTable] = None,
+    table: Optional[Mapping[int, Fraction]] = None,
 ) -> tuple[Fraction, ...]:
     """The n+1 sums of E[F|S] grouped by coalition size."""
     space = check_shared_space(model, dist, e)
@@ -321,7 +357,7 @@ def brute_coefficient_sums(
     e: Instance,
     a: int,
     budget: OracleBudget = DEFAULT_BUDGET,
-    table: Optional[ConditionalTable] = None,
+    table: Optional[Mapping[int, Fraction]] = None,
 ) -> tuple[Fraction, ...]:
     """The n sums of m(a;S) grouped by |S|, for cross-checking interpolation."""
     space = check_shared_space(model, dist, e)
@@ -330,6 +366,6 @@ def brute_coefficient_sums(
     n = space.n
     bit = 1 << a
     sums = [0] * n
-    for s in subsets(Coalition.singleton(a).complement(n)):
-        sums[len(s)] += nums[s.mask | bit] - nums[s.mask]
+    for s in _submasks(((1 << n) - 1) ^ bit):
+        sums[s.bit_count()] += nums[s | bit] - nums[s]
     return tuple([Fraction(s, den) for s in sums])

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from powerdex import (
+    AdditiveModel,
     BernoulliInteractionWeights,
     BernoulliWeights,
     Coalition,
@@ -23,6 +24,7 @@ from powerdex import (
     all_coefficients,
     attribute_all,
     bernoulli_indices,
+    bernoulli_mixture,
     brute_bernoulli_index,
     brute_coefficient_sums,
     brute_simple_index,
@@ -37,7 +39,8 @@ from powerdex import (
     simple_indices,
 )
 
-from powerdex.models import Leaf, Split
+from powerdex.core import point_mass_row
+from powerdex.models import Leaf, Split, _fixed_factors
 
 from corpus import (
     THETA_GRID,
@@ -737,3 +740,92 @@ def test_simple_weights_reject_a_malformed_shape(n, q, message):
     with pytest.raises(WeightError) as excinfo:
         SimpleWeights(n, q)
     assert str(excinfo.value) == message
+
+
+class _RecordingModel(CountingModel):
+    """A ``CountingModel`` that also keeps the rows of each distribution it is asked for."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.requested = []
+
+    def expected_value(self, dist):
+        self.requested.append(dist.probs)
+        return super().expected_value(dist)
+
+    def expected_values(self, dists):
+        self.requested += [d.probs for d in dists]
+        return super().expected_values(dists)
+
+
+@st.composite
+def _theta_cases(draw):
+    space = draw(small_spaces())
+    thetas = draw(st.lists(st.sampled_from(THETA_GRID), min_size=space.n, max_size=space.n))
+    return draw(models(space)), draw(sparse_distributions(space)), draw(instances(space)), thetas
+
+
+def _unread_feature_case():
+    # one tree reads feature 0 only: feature 1 has zero probability at e
+    # and theta 1, feature 2 is a point mass off e with theta 0
+    space = FeatureSpace([("a", "b"), ("x", "y", "z"), ("u", "v")])
+    model = EnsembleModel([
+        (Fraction(2, 3), TreeModel(space, Split(0, (Leaf(Fraction(1, 3)), Leaf(Fraction(-2)))))),
+        (Fraction(-1, 2), TreeModel(space, Leaf(Fraction(5, 7)))),
+    ])
+    dist = ProductDistribution(space, [
+        [Fraction(1, 3), Fraction(2, 3)],
+        [Fraction(1, 2), Fraction(0), Fraction(1, 2)],
+        [Fraction(1), Fraction(0)],
+    ])
+    return model, dist, Instance(space, ("b", "y", "v")), [Fraction(1, 2), Fraction(1), Fraction(0)]
+
+
+def _zero_at_e_case():
+    # e on a zero-probability value under theta 0 and theta 1, a table and
+    # an additive model beside a tree that reads every feature
+    space = FeatureSpace([("a", "b"), ("x", "y")])
+    tree = TreeModel(space, Split(1, (
+        Split(0, (Leaf(Fraction(1)), Leaf(Fraction(-3, 4)))),
+        Leaf(Fraction(2, 5)),
+    )))
+    terms = [[Fraction(1), Fraction(0)], [Fraction(-1, 2), Fraction(3)]]
+    additive = AdditiveModel(space, Fraction(1, 9), terms)
+    table = TableModel(space, [Fraction(k, 3) for k in range(4)])
+    model = EnsembleModel([(Fraction(1), tree), (Fraction(1, 4), additive), (Fraction(-2), table)])
+    dist = ProductDistribution(space, [[Fraction(0), Fraction(1)], [Fraction(3, 5), Fraction(2, 5)]])
+    return model, dist, Instance(space, ("a", "x")), [Fraction(0), Fraction(1)]
+
+
+@given(_theta_cases())
+@example(_unread_feature_case())
+@example(_zero_at_e_case())
+@settings(deadline=None)
+def test_the_theta_factor_hook_equals_the_batches_and_the_oracle(case):
+    model, dist, e, thetas = case
+    n = model.space.n
+    theta = BernoulliWeights(thetas)
+    mixed = bernoulli_mixture(dist, e, thetas).probs
+    # each feature's factor is its theta-mixture and its own gap over one denominator
+    factors = _fixed_factors(theta.theta, dist.probs, e._positions)
+    for (den, context, hit, gaps), fixed, row, at in zip(factors, mixed, dist.probs, e._positions):
+        assert hit == -1
+        assert tuple(Fraction(c, den) for c in context) == fixed
+        assert [Fraction(g, den) for g in gaps] == [int(k == at) - p for k, p in enumerate(row)]
+    hooked = bernoulli_indices(model, dist, e, theta)
+    recorder = _RecordingModel(model)
+    assert bernoulli_indices(recorder, dist, e, theta) == hooked
+    # the fallback's batch: per feature a, a pinned to e_a and then a free,
+    # every other feature on its theta-mixture
+    requested = []
+    for a, at in enumerate(e._positions):
+        for own in (point_mass_row(len(dist.probs[a]), at), dist.probs[a]):
+            requested.append((*mixed[:a], own, *mixed[a + 1 :]))
+    assert recorder.expected_value_calls == 2 * n
+    assert recorder.requested == requested
+    table = conditional_table(model, dist, e)
+    assert hooked == [brute_bernoulli_index(model, dist, e, a, theta, table=table) for a in range(n)]
+    assert hooked == [
+        compute_interaction_bernoulli(model, dist, e, Coalition.singleton(a), theta)
+        for a in range(n)
+    ]

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from math import comb, prod
 
@@ -14,6 +15,7 @@ from powerdex import (
     BernoulliWeights,
     BudgetExceededError,
     Coalition,
+    ConditionalTable,
     CountingModel,
     EnsembleModel,
     FeatureSpace,
@@ -27,6 +29,7 @@ from powerdex import (
     WeightError,
     brute_bernoulli_index,
     brute_coalition_sums,
+    brute_coefficient_sums,
     brute_expectation,
     brute_interaction_index,
     brute_simple_index,
@@ -239,6 +242,91 @@ def test_blocked_tabulation_equals_the_sum_over_every_outcome(case):
             patch.setattr(oracle, "BLOCK_OUTCOMES", block)
             assert conditional_table(model, dist, e) == want
             assert brute_expectation(model, dist) == want[0]
+
+
+@given(_contraction_cases())
+@example(_mixed_case())
+@settings(deadline=None)
+def test_a_conditional_table_is_the_read_only_dict_of_its_fractions(case):
+    model, dist, e = case
+    n = model.space.n
+    table = conditional_table(model, dist, e)
+    assert isinstance(table, ConditionalTable) and isinstance(table, Mapping)
+    plain = {mask: table[mask] for mask in range(1 << n)}
+    assert table == plain and plain == table and dict(table) == plain
+    assert table == _definitional_table(model, dist, e)
+    assert list(table) == list(range(1 << n)) and len(table) == 1 << n
+    assert all(isinstance(table[mask], Fraction) for mask in table)
+    for key in (-1, 1 << n, 0.0, "0", None, (0,)):
+        with pytest.raises(KeyError):
+            table[key]
+        assert key not in table and table.get(key) is None
+    with pytest.raises(TypeError):
+        table[0] = Fraction(0)
+    with pytest.raises(TypeError):
+        del table[0]
+    with pytest.raises(AttributeError):
+        table.extra = 1
+    assert table == plain  # unchanged by the attempts
+
+
+def _every_brute_value(model, dist, e, table, theta, a_set, pair):
+    """Each brute_* function's value on the case, read from ``table``."""
+    n = model.space.n
+    shapley, bernoulli = SimpleWeights.shapley(n), BernoulliWeights(theta)
+    return (
+        [brute_simple_index(model, dist, e, a, shapley, table=table) for a in range(n)],
+        [brute_bernoulli_index(model, dist, e, a, bernoulli, table=table) for a in range(n)],
+        [brute_coefficient_sums(model, dist, e, a, table=table) for a in range(n)],
+        brute_coalition_sums(model, dist, e, table=table),
+        brute_interaction_index(model, dist, e, a_set, pair, table=table),
+        brute_interaction_index(model, dist, e, a_set, BernoulliInteractionWeights(theta), table=table),
+    )
+
+
+@given(_contraction_cases(), st.data())
+@example(_mixed_case(), None)
+@settings(deadline=None)
+def test_every_brute_function_reads_a_conditional_table_as_its_dict(case, data):
+    model, dist, e = case
+    n = model.space.n
+    if data is None:  # the mixed case, drawn by hand
+        theta, members = [Fraction(0), Fraction(1), Fraction(1, 2)], [0, 2]
+    else:
+        theta = data.draw(st.lists(st.sampled_from(THETA_GRID), min_size=n, max_size=n))
+        members = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    a_set = Coalition.from_members(members)
+    m = len(a_set)
+    total = sum(comb(n - m, k) * (k + 1) for k in range(n - m + 1))
+    pair = InteractionWeights.single(n, m, [Fraction(k + 1, total) for k in range(n - m + 1)])
+    args = (model, dist, e)
+    want = _every_brute_value(*args, None, theta, a_set, pair)
+    for block in (1, 4, 1 << 16):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "BLOCK_OUTCOMES", block)
+            table = conditional_table(*args)
+            assert _every_brute_value(*args, None, theta, a_set, pair) == want
+        assert _every_brute_value(*args, table, theta, a_set, pair) == want
+        assert _every_brute_value(*args, dict(table), theta, a_set, pair) == want
+
+
+def _uniform_and_ones(n):
+    space = and_space(n)
+    return ProductDistribution.uniform(space), ones_instance(space)
+
+
+def test_a_table_of_the_wrong_size_is_read_as_its_dict():
+    # a smaller table misses a mask either way; a larger one gives its first
+    # 2^n entries either way
+    model, (dist, e) = and_table_model(and_space(2)), _uniform_and_ones(2)
+    small = conditional_table(and_table_model(and_space(1)), *_uniform_and_ones(1))
+    for given_table in (small, dict(small)):
+        with pytest.raises(KeyError):
+            brute_coalition_sums(model, dist, e, table=given_table)
+    large = conditional_table(and_table_model(and_space(3)), *_uniform_and_ones(3))
+    want = brute_coalition_sums(model, dist, e, table={mask: large[mask] for mask in range(4)})
+    assert brute_coalition_sums(model, dist, e, table=large) == want
+    assert brute_coalition_sums(model, dist, e, table=dict(large)) == want
 
 
 # A 12-feature, all-3-valued ensemble of 3 trees (531 441 outcomes, 9 blocks
