@@ -8,13 +8,19 @@ The constraint polynomials are built from the signed weight differences
 beta_k = k*q_{k-1} - (n-k)*q_k.  For l < n, P_l has degree l and top
 coefficient (l-n)*sum_{k<=l} C(l,k)*q_k < 0, so the system is Vandermonde
 times upper triangular: one interpolation, then back-substitution.
+
+The upper-triangular matrix C of the coefficients of P_0..P_n depends
+only on the weights, so a system builds it once, as integers over one
+denominator.  The recovery then runs in integers: the theta sums, the
+right-hand side at each node, and a fraction-free back-substitution, with
+one Fraction per unknown at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -38,7 +44,11 @@ IndexOracle = Callable[[ProductDistribution], Sequence[Fraction]]
 
 @dataclass(frozen=True)
 class ConverseSystem:
-    """The recovery system for one weight vector: betas and query nodes."""
+    """The recovery system for one weight vector: betas and query nodes.
+
+    The matrix C of the constraint polynomials' coefficients is built once,
+    here, and read by ``eval_P``, ``polynomial_coefficients`` and the
+    recovery."""
 
     weights: SimpleWeights
     nodes: tuple[Fraction, ...]
@@ -62,37 +72,72 @@ class ConverseSystem:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "nodes", node_values)
         object.__setattr__(self, "beta", beta)
+        # C as integer rows over one denominator; not fields, so equality,
+        # hashing and repr see weights, nodes and beta alone
+        rows, den = _constraint_table(beta)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_den", den)
 
     @property
     def n(self) -> int:
         return self.weights.n
 
 
-def eval_P(system: ConverseSystem, ell: int, z: Fraction) -> Fraction:
-    """Evaluate the ell-th constraint polynomial at z (Horner's rule)."""
-    coeffs = polynomial_coefficients(system, ell)
-    z = as_rational(z)
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * z + c
-    return total
+def _constraint_table(
+    beta: Sequence[Fraction],
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The power-basis coefficients of P_0..P_n as integers over one denominator.
+
+    P_l(z) = sum_{k<=l} C(l,k) beta_k (1+z)^k z^(l-k); with beta_k = B_k/D
+    over the lcm D of their denominators, row l holds D times the
+    coefficients of P_l, degree 0..l.
+    """
+    den = lcm(*(b.denominator for b in beta))
+    scaled = [b.numerator * (den // b.denominator) for b in beta]
+    rows = []
+    for ell in range(len(beta)):
+        coeffs = [0] * (ell + 1)
+        for k in range(ell + 1):
+            b = scaled[k]
+            if not b:
+                continue
+            c = comb(ell, k) * b
+            # (1+z)^k z^(ell-k) contributes to degrees ell-k .. ell
+            for t in range(k + 1):
+                coeffs[ell - k + t] += c * comb(k, t)
+        rows.append(tuple(coeffs))
+    return tuple(rows), den
 
 
-def polynomial_coefficients(system: ConverseSystem, ell: int) -> tuple[Fraction, ...]:
-    """Power-basis coefficients of the ell-th constraint polynomial (degree index 0..ell)."""
+def _table_row(system: ConverseSystem, ell: int) -> tuple[int, ...]:
     n = system.n
     if not 0 <= ell <= n:
         raise ValueError(f"polynomial index {ell} outside 0..{n}")
-    coeffs = [Fraction(0)] * (ell + 1)
-    for k in range(ell + 1):
-        b = system.beta[k]
-        if not b:
-            continue
-        c = comb(ell, k) * b
-        # (1+z)^k z^(ell-k) contributes to degrees ell-k .. ell
-        for t in range(k + 1):
-            coeffs[ell - k + t] += c * comb(k, t)
-    return tuple(coeffs)
+    return system._rows[ell]
+
+
+def _homogeneous(coeffs: Sequence[int], a: int, b: int) -> int:
+    # b^deg * p(a/b) for the integer coefficients of p, by Horner's rule
+    total, scale = 0, 1
+    for c in reversed(coeffs):
+        total = total * a + c * scale
+        scale *= b
+    return total
+
+
+def eval_P(system: ConverseSystem, ell: int, z: Fraction) -> Fraction:
+    """Evaluate the ell-th constraint polynomial at z, from the system's integer table."""
+    coeffs = _table_row(system, ell)
+    z = as_rational(z)
+    a, b = z.numerator, z.denominator
+    return Fraction(_homogeneous(coeffs, a, b), b**ell * system._den)
+
+
+def polynomial_coefficients(system: ConverseSystem, ell: int) -> tuple[Fraction, ...]:
+    """Power-basis coefficients of the ell-th constraint polynomial (degree index 0..ell).
+
+    Read from the integer table the system builds once."""
+    return tuple(Fraction(c, system._den) for c in _table_row(system, ell))
 
 
 @dataclass(frozen=True)
@@ -116,7 +161,8 @@ def recover_expectation_detailed(
 
     ``model_at_e`` supplies the known top coefficient (the prediction at
     the explained instance); the oracle must compute indices under the
-    same weight vector as the system.
+    same weight vector as the system, and each of its n answers must be a
+    rational (``as_rational``), or ValueError names it.
     """
     weights = system.weights
     if weights.q[0] <= 0:
@@ -124,26 +170,41 @@ def recover_expectation_detailed(
             "converse reduction inapplicable: it requires q_0 > 0"
         )
     n = system.n
+    rows, den = system._rows, system._den
     c_n = as_rational(model_at_e)
-    thetas = []
+    c_num, c_den = c_n.numerator, c_n.denominator
+    thetas, rhs = [], []
     for z in system.nodes:
-        indices = list(oracle(mixture_distribution(dist, e, z)))
-        if len(indices) != n:
-            raise ValueError(f"oracle returned {len(indices)} indices for n={n}")
-        thetas.append(sum(indices, Fraction(0)))
-    rhs = [
-        (1 + z) ** n * theta - c_n * eval_P(system, n, z)
-        for z, theta in zip(system.nodes, thetas)
-    ]
-    # rhs interpolates sum_{l<n} c_l P_l; peel off the P_l from the top
-    (row,), den = _lagrange(system.nodes, [rhs])
-    rest = [Fraction(r, den) for r in row]
+        answers = list(oracle(mixture_distribution(dist, e, z)))
+        if len(answers) != n:
+            raise ValueError(f"oracle returned {len(answers)} indices for n={n}")
+        answers = [as_rational(v) for v in answers]  # ValueError names a non-rational
+        common = lcm(*(v.denominator for v in answers))
+        theta = sum(v.numerator * (common // v.denominator) for v in answers)
+        thetas.append(Fraction(theta, common))
+        # (1+z)^n * theta - c_n * P_n(z) with z = a/b, over b^n * common * c_den * den
+        a, b = z.numerator, z.denominator
+        rhs.append(
+            Fraction(
+                (a + b) ** n * theta * c_den * den - c_num * _homogeneous(rows[n], a, b) * common,
+                b**n * common * c_den * den,
+            )
+        )
+    # rhs interpolates sum_{l<n} c_l P_l; peel off the P_l from the top.
+    # With P_l = rows[l] / den, the rest after each step is rest / scale:
+    # c_l = rest[l] / (scale * pivot), and the other entries are multiplied
+    # by the pivot rather than divided, so they stay integers.
+    (rest,), scale = _lagrange(system.nodes, [rhs])
+    rest = [r * den for r in rest]
     solved = [Fraction(0)] * n
     for ell in range(n - 1, -1, -1):
-        coeffs = polynomial_coefficients(system, ell)
-        c = solved[ell] = rest[ell] / coeffs[ell]  # coeffs[ell] < 0 as q_0 > 0
+        coeffs = rows[ell]
+        pivot = coeffs[ell]  # < 0 as q_0 > 0
+        top = rest[ell]
+        solved[ell] = Fraction(top, scale * pivot)
         for k in range(ell):
-            rest[k] -= c * coeffs[k]
+            rest[k] = rest[k] * pivot - top * coeffs[k]
+        scale *= pivot
     return ConverseDiagnostics(
         expected_value=solved[0],
         coefficients=tuple(solved) + (c_n,),

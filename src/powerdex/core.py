@@ -12,6 +12,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 Rational = Fraction
@@ -396,9 +397,16 @@ def point_mass_row(size: int, hit: int) -> tuple[Fraction, ...]:
 def mixture_row(
     row: Sequence[Fraction], hit: int, z: Fraction
 ) -> tuple[Fraction, ...]:
-    # blend (z*delta + p) / (1+z); hit is the position of e_i in the domain
-    denom = 1 + z
-    return tuple((z + p) / denom if k == hit else p / denom for k, p in enumerate(row))
+    # blend (z*delta + p) / (1+z); hit is the position of e_i in the domain.
+    # In integers: with z = a/b and the row nums/den over its lcm, entry k
+    # is (b*nums[k] + a*den*[k == hit]) / ((a+b)*den), one Fraction each.
+    a, b = z.numerator, z.denominator
+    den = lcm(*[p.denominator for p in row])
+    out = (a + b) * den
+    nums = [b * p.numerator * (den // p.denominator) for p in row]
+    if 0 <= hit < len(nums):
+        nums[hit] += a * den
+    return tuple([Fraction(v, out) for v in nums])
 
 
 def bernoulli_row(

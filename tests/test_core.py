@@ -21,9 +21,9 @@ from powerdex import (
     parse_rational,
     subsets,
 )
-from powerdex.core import MAX_LITERAL_DIGITS, _quote, as_rational
+from powerdex.core import MAX_LITERAL_DIGITS, _quote, as_rational, mixture_row
 
-from corpus import and_space, ones_instance
+from corpus import and_space, instances, ones_instance, small_spaces, sparse_distributions
 
 
 @pytest.fixture
@@ -290,6 +290,49 @@ def test_mixture_rows_stay_normalized(z):
     mixed = mixture_distribution(dist, e, z)
     for row in mixed.probs:
         assert sum(row) == 1
+
+
+def _blend(row, hit, z):
+    # the definition: (z*delta + p) / (1+z), delta the point mass at position hit
+    return tuple((z * (k == hit) + p) / (1 + z) for k, p in enumerate(row))
+
+
+@st.composite
+def _mixture_cases(draw):
+    space = draw(small_spaces())
+    z = draw(st.integers(0, 20) | st.fractions(min_value=0, max_value=20, max_denominator=12))
+    return draw(sparse_distributions(space)), draw(instances(space)), z
+
+
+_POINT_MASS_SPACE = FeatureSpace([("a", "b", "c"), ("x", "y")])
+_POINT_MASS = ProductDistribution(
+    _POINT_MASS_SPACE, [[Fraction(0), Fraction(1), Fraction(0)], [Fraction(1, 3), Fraction(2, 3)]]
+)
+
+
+@given(_mixture_cases())
+@example((_POINT_MASS, Instance(_POINT_MASS_SPACE, ("c", "x")), Fraction(5, 2)))
+@example((_POINT_MASS, Instance(_POINT_MASS_SPACE, ("a", "y")), 0))
+@example((_POINT_MASS, Instance(_POINT_MASS_SPACE, ("b", "x")), 3))
+def test_mixture_rows_are_the_definitional_blend(case):
+    dist, e, z = case
+    expected = tuple(_blend(row, hit, z) for row, hit in zip(dist.probs, e._positions))
+    for row, hit, blend in zip(dist.probs, e._positions, expected):
+        mixed_row = mixture_row(row, hit, z)
+        assert mixed_row == blend
+        assert all(type(p) is Fraction for p in mixed_row)
+    mixed = mixture_distribution(dist, e, z)
+    assert mixed.probs == expected
+    if z == 0:
+        assert mixed.probs == dist.probs
+
+
+@given(_mixture_cases())
+def test_a_negative_mixture_parameter_is_refused(case):
+    dist, e, z = case
+    z = -z - Fraction(1, 3) if isinstance(z, Fraction) else -z - 1
+    with pytest.raises(ValueError, match=re.escape(f"mixture parameter must be >= 0, got {z}")):
+        mixture_distribution(dist, e, z)
 
 
 def test_bernoulli_mixture_extremes(binary):
