@@ -56,7 +56,6 @@ from .converse import (
 )
 from .interaction import (
     BernoulliInteractionWeights,
-    BivariateGrid,
     InteractionWeights,
     compute_interaction_bernoulli,
     compute_interaction_simple,

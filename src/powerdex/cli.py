@@ -54,7 +54,6 @@ from .indices import (
     simple_indices,
 )
 from .interaction import (
-    BivariateGrid,
     InteractionWeights,
     PATH_BIVARIATE,
     compute_interaction_bernoulli,
@@ -719,11 +718,8 @@ def cmd_interact(args) -> int:
         "decimal": decimal_string(value),
     }
     if args.diag and isinstance(scheme, InteractionWeights):
-        grid = BivariateGrid.default(named.space.n, len(a_set))
-        doc["grid"] = {
-            "z": _fmt_all(grid.z_nodes),
-            "y": _fmt_all(grid.y_nodes),
-        }
+        m = len(a_set)
+        doc["grid"] = {"z": _fmt_all(range(named.space.n - m + 1)), "y": _fmt_all(range(m + 1))}
     _emit(doc, args.out)
     return EXIT_OK
 

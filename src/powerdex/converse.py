@@ -4,6 +4,7 @@ For any cardinality-based scheme with q_0 > 0, summing the n indices
 computed under the z-mixture distribution gives one linear constraint on
 the size-partitioned sums of conditional expectations; n constraints at
 distinct positive nodes pin them all down, and the size-0 sum is E[F].
+Which nodes does not change the answer, so they are fixed: z = 1..n.
 The constraint polynomials are built from the signed weight differences
 beta_k = k*q_{k-1} - (n-k)*q_k.  For l < n, P_l has degree l and top
 coefficient (l-n)*sum_{k<=l} C(l,k)*q_k < 0, so the system is Vandermonde
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     Instance,
@@ -44,33 +45,24 @@ IndexOracle = Callable[[ProductDistribution], Sequence[Fraction]]
 
 @dataclass(frozen=True)
 class ConverseSystem:
-    """The recovery system for one weight vector: betas and query nodes.
+    """The recovery system for one weight vector: betas and the query nodes 1..n.
 
-    The matrix C of the constraint polynomials' coefficients is built once,
-    here, and read by ``eval_P``, ``polynomial_coefficients`` and the
-    recovery."""
+    ``nodes`` holds 1..n as Fractions.  The matrix C of the constraint
+    polynomials' coefficients is built once, here, and read by ``eval_P``,
+    ``polynomial_coefficients`` and the recovery."""
 
     weights: SimpleWeights
     nodes: tuple[Fraction, ...]
     beta: tuple[Fraction, ...]
 
-    def __init__(self, weights: SimpleWeights, nodes: Optional[Sequence] = None):
+    def __init__(self, weights: SimpleWeights):
         n = weights.n
-        if nodes is None:
-            nodes = range(1, n + 1)
-        node_values = tuple(as_rational(z) for z in nodes)
-        if len(node_values) != n:
-            raise ValueError(f"{len(node_values)} nodes for n={n}")
-        if any(z <= 0 for z in node_values):
-            raise ValueError("nodes must be strictly positive")
-        if len(set(node_values)) != n:
-            raise ValueError("nodes must be distinct")
         q = (Fraction(0),) + weights.q + (Fraction(0),)  # pad q_{-1} and q_n
         beta = tuple(
             k * q[k] - (n - k) * q[k + 1] for k in range(n + 1)
         )  # q[k] is q_{k-1} after the pad
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "nodes", node_values)
+        object.__setattr__(self, "nodes", tuple(Fraction(z) for z in range(1, n + 1)))
         object.__setattr__(self, "beta", beta)
         # C as integer rows over one denominator; not fields, so equality,
         # hashing and repr see weights, nodes and beta alone
@@ -174,7 +166,7 @@ def recover_expectation_detailed(
     c_n = as_rational(model_at_e)
     c_num, c_den = c_n.numerator, c_n.denominator
     thetas, rhs = [], []
-    for z in system.nodes:
+    for z in range(1, n + 1):
         answers = list(oracle(mixture_distribution(dist, e, z)))
         if len(answers) != n:
             raise ValueError(f"oracle returned {len(answers)} indices for n={n}")
@@ -182,12 +174,11 @@ def recover_expectation_detailed(
         common = lcm(*(v.denominator for v in answers))
         theta = sum(v.numerator * (common // v.denominator) for v in answers)
         thetas.append(Fraction(theta, common))
-        # (1+z)^n * theta - c_n * P_n(z) with z = a/b, over b^n * common * c_den * den
-        a, b = z.numerator, z.denominator
+        # (1+z)^n * theta - c_n * P_n(z), over common * c_den * den
         rhs.append(
             Fraction(
-                (a + b) ** n * theta * c_den * den - c_num * _homogeneous(rows[n], a, b) * common,
-                b**n * common * c_den * den,
+                (1 + z) ** n * theta * c_den * den - c_num * _homogeneous(rows[n], z, 1) * common,
+                common * c_den * den,
             )
         )
     # rhs interpolates sum_{l<n} c_l P_l; peel off the P_l from the top.

@@ -289,16 +289,14 @@ def _derivative(dist: ProductDistribution, e: Instance, members: Sequence[int]) 
     return variants
 
 
-def _node_polynomials(
-    keys: Iterable, nodes: Sequence[Fraction], node_sums, power: int
-) -> GapPolynomials:
+def _node_polynomials(keys: Iterable, node_sums, power: int) -> GapPolynomials:
     """Per key, the polynomial through the points (u, u^power s(z)), u = 1 + z.
 
-    ``node_sums`` holds each key's sums s at the z-nodes.  With the power
-    n - m this is the generating polynomial of the key's member set A, in
-    powers of u.
+    ``node_sums`` holds each key's sums s at the z-nodes 0, 1, 2, ...  With
+    the power n - m this is the generating polynomial of the key's member
+    set A, in powers of u.
     """
-    coeffs, den = _lagrange([1 + z for z in nodes], node_sums, power)
+    coeffs, den = _lagrange(range(1, len(node_sums[0]) + 1), node_sums, power)
     return dict(zip(keys, coeffs)), den
 
 
@@ -363,35 +361,34 @@ def _z_reduction(
     dist: ProductDistribution,
     e: Instance,
     member_sets: Sequence[Sequence[int]],
-    z_nodes: Optional[Sequence[Fraction]] = None,
-    y_nodes: Optional[Sequence[Fraction]] = None,
     z_only: bool = False,
 ) -> Reduced:
     """The polynomials of member sets of one size m, the other features on z-mixture rows.
 
-    The batch requests, at each z-node (0..n-m by default), every set's
-    m+1 y-variants (y-nodes 0..m by default): its members on their
-    y-mixture rows, weighted by ``_signed_weights`` times (1+y)^m.  The
-    sums times (1+z)^(n-m) interpolate G_A in u = 1 + z.  ``z_only``
+    The batch requests, at each z-node 0..n-m, every set's m+1 y-variants,
+    one per y-node 0..m: its members on their y-mixture rows, weighted by
+    the integer (-1)^(m+y) C(m+1, y+1) (1+y)^m.  The sign and binomial are
+    (-1)^m l_y(-1), l_y the Lagrange basis polynomial of y-node y, so the
+    y-sum reads the members' discrete derivative.  The sums times
+    (1+z)^(n-m) interpolate G_A in u = 1 + z.  Any distinct nodes would
+    give the same exact polynomial, so the nodes are fixed.  ``z_only``
     scales by (1+z)^n alone, wrong whenever y != z, so even a feature
     takes the batches: no walk gives it.
     """
     n = dist.space.n
     m = len(member_sets[0])
-    if z_nodes is None:
-        z_nodes = range(n - m + 1)
-    if y_nodes is None:
-        y_nodes = range(m + 1)
     z_power, y_power = (n, 0) if z_only else (n - m, m)
     probs, hits = dist.probs, e._positions
 
     def batches(component, keys):
         # the rows are built only here, never on a call the walk answers
-        signed = _signed_weights(y_nodes)
         targets = [
             [
-                (w * (1 + y) ** y_power, {i: mixture_row(probs[i], hits[i], y) for i in members})
-                for y, w in zip(y_nodes, signed)
+                (
+                    (-1) ** (m + y) * comb(m + 1, y + 1) * (1 + y) ** y_power,
+                    {i: mixture_row(probs[i], hits[i], y) for i in members},
+                )
+                for y in range(m + 1)
             ]
             for members in member_sets
         ]
@@ -399,27 +396,12 @@ def _z_reduction(
             # at z = 0 the input rows themselves: nothing to build, and a
             # tree's batch key (row identity) sees them as the input rows
             tuple(mixture_row(row, hit, z) for row, hit in zip(probs, hits)) if z else probs
-            for z in z_nodes
+            for z in range(n - m + 1)
         )
         sums = batched_node_sums(component, dist.space, node_rows, targets)
-        return _node_polynomials(keys, z_nodes, sums, z_power)
+        return _node_polynomials(keys, sums, z_power)
 
     return _reduce(model, lambda: _z_factors(probs, hits), member_sets, batches, not z_only)
-
-
-def _signed_weights(nodes: Sequence[Fraction]) -> list[Fraction]:
-    """(-1)^m l_j(-1) per node, l_j the Lagrange basis polynomial of node j.
-
-    For m + 1 distinct nodes and every k <= m these satisfy
-    sum_j w_j * nodes[j]^k = (-1)^(m-k).
-    """
-    m = len(nodes) - 1
-    units = [[int(i == j) for i in range(m + 1)] for j in range(m + 1)]
-    rows, den = _lagrange(nodes, units)  # row j: the coefficients of l_j
-    return [
-        Fraction(sum(-c if (m - k) % 2 else c for k, c in enumerate(row)), den)
-        for row in rows
-    ]
 
 
 def interpolate_coefficients(
@@ -468,7 +450,7 @@ def _bernoulli_indices(
         mixed = bernoulli_mixture(dist, e, weights.theta)
         targets = [_derivative(dist, e, members) for members in member_sets]
         sums = batched_node_sums(component, space, [mixed.probs], targets)
-        return _node_polynomials(keys, [Fraction(0)], sums, 0)
+        return _node_polynomials(keys, sums, 0)
 
     by_set, den = _reduce(
         model, lambda: _fixed_factors(weights.theta, dist.probs, e._positions), member_sets, batches

@@ -12,9 +12,8 @@ model's walk where the model has one, as a feature does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
     BudgetExceededError,
@@ -44,7 +43,7 @@ PATH_BIVARIATE = "bivariate-interpolation"
 # Prefactor variants for the grid expectations.  "factored" scales by
 # (1+z)^(n-m) * (1+y)^m, which makes the scaled values the exact
 # generating polynomial and is validated against the brute-force oracle.
-# "z-only" scales by (1+z)^n instead; it is wrong whenever the grid uses
+# "z-only" scales by (1+z)^n instead; it is off at every grid point with
 # y != z and exists so the discrepancy is demonstrable.
 PREFACTOR_FACTORED = "factored"
 PREFACTOR_Z_ONLY = "z-only"
@@ -88,35 +87,6 @@ class InteractionWeights:
 BernoulliInteractionWeights = BernoulliWeights
 
 
-@dataclass(frozen=True)
-class BivariateGrid:
-    """Interpolation nodes for the two coalition-size variables.
-
-    z-nodes drive the coalitions outside the target set, y-nodes those
-    inside; each axis must be pairwise distinct and nonnegative so the
-    tensor-product Vandermonde system is solvable and every grid point
-    yields a genuine distribution.
-    """
-
-    z_nodes: tuple[Fraction, ...]
-    y_nodes: tuple[Fraction, ...]
-
-    def __init__(self, z_nodes: Sequence, y_nodes: Sequence):
-        zs = tuple(as_rational(z) for z in z_nodes)
-        ys = tuple(as_rational(y) for y in y_nodes)
-        for axis_name, axis in (("z", zs), ("y", ys)):
-            if any(v < 0 for v in axis):
-                raise ValueError(f"{axis_name}-nodes must be nonnegative")
-            if len(set(axis)) != len(axis):
-                raise ValueError(f"{axis_name}-nodes must be pairwise distinct")
-        object.__setattr__(self, "z_nodes", zs)
-        object.__setattr__(self, "y_nodes", ys)
-
-    @classmethod
-    def default(cls, n: int, m: int) -> "BivariateGrid":
-        return cls(range(n - m + 1), range(m + 1))
-
-
 def interaction_marginal(
     model: Model,
     dist: ProductDistribution,
@@ -144,18 +114,19 @@ def compute_interaction_simple(
     e: Instance,
     a_set: Coalition,
     weights: InteractionWeights,
-    grid: Optional[BivariateGrid] = None,
     prefactor: str = PREFACTOR_FACTORED,
 ) -> Fraction:
     """Cardinality-based interaction index via bivariate interpolation.
 
-    (n-m+1)(m+1) expectations: one per grid point, with the target set's
-    features mixed by the y-node and the rest by the z-node.  The scaled
-    values interpolate the generating polynomial whose coefficients are
-    the size-partitioned sums of E[F|S u B]; the index is their signed,
-    weighted total.  A one-member set is a feature: a model with its own
-    walk answers it from the walk instead, and the grid goes unused.  The
-    weights are a row for |A| = m; ``SimpleWeights`` fit a single feature.
+    (n-m+1)(m+1) expectations: one per point of the fixed integer grid
+    z = 0..n-m by y = 0..m, with the target set's features mixed by y and
+    the rest by z.  The scaled values interpolate the generating
+    polynomial whose coefficients are the size-partitioned sums of
+    E[F|S u B]; the index is their signed, weighted total.  Any distinct
+    nodes give the same exact value, so the nodes are not a parameter.  A
+    one-member set is a feature: a model with its own walk answers it from
+    the walk instead.  The weights are a row for |A| = m; ``SimpleWeights``
+    fit a single feature.
     """
     space = check_shared_space(model, dist, e)
     _check_target(a_set, space)
@@ -164,14 +135,8 @@ def compute_interaction_simple(
     n = space.n
     m = len(a_set)
     _check_scheme(weights, (InteractionWeights, SimpleWeights), n, m)
-    if grid is None:
-        grid = BivariateGrid.default(n, m)
-    if len(grid.z_nodes) != n - m + 1 or len(grid.y_nodes) != m + 1:
-        raise ValueError(
-            f"grid must be {n - m + 1} z-nodes by {m + 1} y-nodes for n={n}, |A|={m}"
-        )
     z_only = prefactor == PREFACTOR_Z_ONLY
-    reduced = _z_reduction(model, dist, e, [a_set.members()], grid.z_nodes, grid.y_nodes, z_only)
+    reduced = _z_reduction(model, dist, e, [a_set.members()], z_only)
     return _walked_indices(reduced, weights.q)[0]
 
 

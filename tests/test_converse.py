@@ -156,12 +156,11 @@ def test_the_integer_table_is_the_definition(kind, n, seed, points):
             value = eval_P(system, ell, z)
             assert type(value) is Fraction and value == horner
     # the table is no field: systems compare, hash and print by weights and nodes
-    same = ConverseSystem(w, nodes=range(1, n + 1))
+    same = ConverseSystem(w)
     assert same == system and hash(same) == hash(system) and repr(same) == repr(system)
     assert repr(system) == (
         f"ConverseSystem(weights={w!r}, nodes={system.nodes!r}, beta={system.beta!r})"
     )
-    assert ConverseSystem(w, nodes=range(2, n + 2)) != system
 
 
 def test_eval_P_rejects_the_index_before_the_point():
@@ -177,16 +176,6 @@ def test_eval_P_rejects_the_index_before_the_point():
 def test_default_nodes_are_one_through_n():
     system = ConverseSystem(SimpleWeights.shapley(4))
     assert system.nodes == (Fraction(1), Fraction(2), Fraction(3), Fraction(4))
-
-
-def test_nodes_must_be_distinct_and_positive():
-    w = SimpleWeights.shapley(2)
-    with pytest.raises(ValueError):
-        ConverseSystem(w, nodes=[Fraction(1), Fraction(1)])
-    with pytest.raises(ValueError):
-        ConverseSystem(w, nodes=[Fraction(0), Fraction(1)])
-    with pytest.raises(ValueError):
-        ConverseSystem(w, nodes=[Fraction(1)])
 
 
 # ---------------------------------------------------------------------------
@@ -248,20 +237,6 @@ def test_recovered_coefficients_match_brute_sums():
         assert diag.coefficients == brute_coalition_sums(model, dist, e)
 
 
-def test_recover_with_custom_nodes():
-    rng = random.Random(53)
-    space = random_space(rng, 3)
-    model = random_tree_model(rng, space)
-    dist = random_distribution(rng, space)
-    e = random_instance(rng, space)
-    w = SimpleWeights.shapley(3)
-    system = ConverseSystem(w, nodes=[Fraction(1, 2), Fraction(3), Fraction(13, 4)])
-    value = recover_expectation(
-        system, index_engine_oracle(model, e, w), dist, e, model.evaluate(e)
-    )
-    assert value == model.expected_value(dist)
-
-
 def test_marginal_weights_rejected():
     space = and_space(2)
     model = and_table_model(space)
@@ -316,10 +291,10 @@ def test_oracle_answers_may_be_ints():
     assert all(type(t) is Fraction for t in as_ints.theta_samples)
 
 
-def _random_recovery(rng, n, nodes):
+def _random_recovery(rng, n):
     # arbitrary theta sums, not those of any model: the recovery is the
     # solution of the n x n system P_l(z_i) whatever the oracle answers
-    system = ConverseSystem(random_simple_weights(rng, n, positive_q0=True), nodes=nodes)
+    system = ConverseSystem(random_simple_weights(rng, n, positive_q0=True))
     thetas = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in system.nodes]
     answers = iter(thetas)
 
@@ -344,47 +319,14 @@ def test_recovery_at_larger_n_equals_the_gaussian_solve():
     # the sizes where the fraction-free back-substitution's integers grow most
     rng = random.Random(2026)
     for n in range(11, 21):
-        nodes = []
-        while len(nodes) < n:
-            z = Fraction(rng.randint(1, 40), rng.randint(2, 9))
-            if z not in nodes:
-                nodes.append(z)
-        _random_recovery(rng, n, nodes)
+        _random_recovery(rng, n)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_back_substitution_equals_the_gaussian_solve(seed):
-    # arbitrary theta sums, not those of any model: the recovery is the
-    # solution of the n x n system P_l(z_i) whatever the oracle answers
     rng = random.Random(1000 + seed)
     for n in range(1, 11):
-        w = random_simple_weights(rng, n, positive_q0=True)
-        nodes = None  # the default nodes 1..n, or n random distinct positive ones
-        if rng.random() < 0.5:
-            nodes = []
-            while len(nodes) < n:
-                z = Fraction(rng.randint(1, 40), rng.randint(1, 9))
-                if z not in nodes:
-                    nodes.append(z)
-        system = ConverseSystem(w, nodes=nodes)
-        thetas = [Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in system.nodes]
-        answers = iter(thetas)
-
-        def oracle(dist):
-            return [next(answers)] + [Fraction(0)] * (n - 1)
-
-        space = random_space(rng, n)
-        dist = random_distribution(rng, space)
-        e = random_instance(rng, space)
-        c_n = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
-        diag = recover_expectation_detailed(system, oracle, dist, e, c_n)
-        matrix = [[eval_P(system, ell, z) for ell in range(n)] for z in system.nodes]
-        rhs = [
-            (1 + z) ** n * theta - c_n * eval_P(system, n, z)
-            for z, theta in zip(system.nodes, thetas)
-        ]
-        assert diag.coefficients == solve_linear_system(matrix, rhs) + (c_n,)
-        assert diag.theta_samples == tuple(thetas)
+        _random_recovery(rng, n)
 
 
 @pytest.mark.parametrize("ell", [-1, 3])

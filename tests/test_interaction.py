@@ -9,7 +9,6 @@ from powerdex import (
     AdditiveModel,
     BernoulliInteractionWeights,
     BernoulliWeights,
-    BivariateGrid,
     BudgetExceededError,
     Coalition,
     CountingModel,
@@ -59,7 +58,7 @@ BOTH = Coalition.from_members([0, 1])
 
 
 # ---------------------------------------------------------------------------
-# weights and grids
+# weights
 
 
 def test_interaction_weight_rows_validated(and2):
@@ -120,14 +119,6 @@ def test_weight_validation_messages(build, message):
     with pytest.raises(WeightError) as caught:
         build()
     assert str(caught.value) == message
-
-
-def test_grid_validation():
-    BivariateGrid([0, 1, 2], [0, 1])
-    with pytest.raises(ValueError):
-        BivariateGrid([0, 0], [1])
-    with pytest.raises(ValueError):
-        BivariateGrid([0, 1], [Fraction(-1, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +198,6 @@ def test_interaction_simple_call_count():
         counted, dist, e, a_set, InteractionWeights.single(5, 2, random_interaction_row(rng, 5, 2))
     )
     assert counted.expected_value_calls == (5 - 2 + 1) * (2 + 1)
-
-
-def test_interaction_simple_custom_grid_matches_brute():
-    rng = random.Random(85)
-    space = random_space(rng, 4)
-    model = random_tree_model(rng, space)
-    dist = random_distribution(rng, space)
-    e = random_instance(rng, space)
-    a_set = Coalition.from_members([0, 2])
-    w = InteractionWeights.single(4, 2, random_interaction_row(rng, 4, 2))
-    grid = BivariateGrid([Fraction(1, 2), Fraction(2), Fraction(9, 4)], [Fraction(0), Fraction(5, 3), Fraction(3)])
-    assert compute_interaction_simple(
-        model, dist, e, a_set, w, grid=grid
-    ) == brute_interaction_index(model, dist, e, a_set, w)
 
 
 def test_interaction_simple_full_set():
@@ -411,7 +388,7 @@ def test_both_paths_match_brute_on_random_models():
         dist = random_distribution(rng, space)
         e = random_instance(rng, space)
         table = conditional_table(model, dist, e)
-        for m in (1, 2, 3):
+        for m in range(1, n + 1):  # every y-weight row up to m = 6
             for combo in itertools.combinations(range(n), m):
                 a_set = Coalition.from_members(combo)
                 w = InteractionWeights.single(n, m, random_interaction_row(rng, n, m))
@@ -460,13 +437,6 @@ _HALVES = BernoulliWeights([Fraction(1, 2)] * 2)
             "unknown prefactor variant 'x'",
         ),
         (
-            lambda m, d, e: compute_interaction_simple(
-                m, d, e, BOTH, _PAIR_WEIGHTS, grid=BivariateGrid([0, 1], [0, 1])
-            ),
-            ValueError,
-            "grid must be 1 z-nodes by 3 y-nodes for n=2, |A|=2",
-        ),
-        (
             lambda m, d, e: compute_interaction_bernoulli(m, d, e, Coalition(), _HALVES),
             ValueError,
             "the interaction set must be nonempty",
@@ -488,7 +458,6 @@ _HALVES = BernoulliWeights([Fraction(1, 2)] * 2)
     ids=[
         "simple-empty-set",
         "unknown-prefactor",
-        "grid-shape",
         "bernoulli-empty-set",
         "brute-empty-set",
         "weights-n-0",

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from powerdex.indices import _signed_weights
 from powerdex.interpolation import (
     SingularSystemError,
     _lagrange,
@@ -15,8 +14,8 @@ from powerdex.interpolation import (
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
-# the z- and y-axes of a non-default bivariate grid
-GRID_AXES = (
+# fractional and zero nodes, which the public vandermonde_solve accepts
+FRACTION_NODES = (
     [Fraction(1, 2), Fraction(2), Fraction(9, 4)],
     [Fraction(0), Fraction(5, 3), Fraction(3)],
 )
@@ -52,8 +51,8 @@ def nodes_weights_values(draw):
 
 
 @given(nodes_weights_values(), st.integers(min_value=0, max_value=4))
-@example((GRID_AXES[0], [Fraction(1), Fraction(-2), Fraction(3, 7)], [Fraction(5), Fraction(-1, 3), Fraction(2)]), 0)
-@example((GRID_AXES[1], [Fraction(1), Fraction(-1), Fraction(1)], [Fraction(4, 9), Fraction(7), Fraction(-6)]), 3)
+@example((FRACTION_NODES[0], [Fraction(1), Fraction(-2), Fraction(3, 7)], [Fraction(5), Fraction(-1, 3), Fraction(2)]), 0)
+@example((FRACTION_NODES[1], [Fraction(1), Fraction(-1), Fraction(1)], [Fraction(4, 9), Fraction(7), Fraction(-6)]), 3)
 def test_the_integer_solve_equals_newton_and_passes_through_its_points(case, power):
     nodes, weights, values = case
     coefficients = vandermonde_solve(nodes, values)
@@ -69,17 +68,6 @@ def test_the_integer_solve_equals_newton_and_passes_through_its_points(case, pow
     # with a power, through (x, x^power v)
     (row,), den = _lagrange(nodes, [values], power)
     assert tuple(Fraction(c, den) for c in row) == newton_solve(nodes, [x**power * v for x, v in zip(nodes, values)])
-
-
-@given(st.lists(st.fractions(min_value=0, max_value=20, max_denominator=12), min_size=1, max_size=8, unique=True))
-@example(GRID_AXES[0])
-@example(GRID_AXES[1])
-def test_the_signed_weights_sum_each_power_to_its_sign(nodes):
-    # sum_j (-1)^m l_j(-1) y_j^k = (-1)^(m-k) for every k <= m
-    m = len(nodes) - 1
-    weights = _signed_weights(nodes)
-    for k in range(m + 1):
-        assert sum((w * y**k for w, y in zip(weights, nodes)), Fraction(0)) == (-1) ** (m - k)
 
 
 def test_the_gaussian_solve_satisfies_its_system():
