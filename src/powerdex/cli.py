@@ -164,11 +164,11 @@ def _model_nesting():
     The parser recurses about twice per split, so the decode may go
     2 * TREE_DEPTH_LIMIT + 100 levels below the caller; the recursion limit
     is raised, never lowered, and restored on exit.  Only the expected-value
-    walk and ``TreeModel(space, root)`` still recurse once per split (the
-    gap walk behind ``attribute`` is a loop), from about the same depth
-    under the restored limit, so the allowance stays below twice the levels
-    left there.  A file nested more deeply still fails with a
-    RecursionError, before the C stack is at risk.
+    walk still recurses once per split (``TreeModel(space, root)``,
+    ``TreeModel.root`` and the gap walk behind ``attribute`` are loops),
+    from about the same depth under the restored limit, so the allowance
+    stays below twice the levels left there.  A file nested more deeply
+    still fails with a RecursionError, before the C stack is at risk.
     """
     depth = 0
     frame = sys._getframe()

@@ -15,10 +15,11 @@ wanted feature's gap (pinned to e minus free) under given rows of the
 other features, as one polynomial per feature in powers of u = 1 + z,
 all over one denominator.  Both reductions of ``indices`` ask it,
 interpolation with the z-mixture rows and bernoulli-direct with the
-theta-mixture rows.  A tree answers from one walk of its own, an
-ensemble adds its components' answers, so its trees walk whatever their
-siblings are, and every other model hands back the batch reduction that
-``indices`` passes in.
+theta-mixture rows.  A tree answers from one walk of its own, two
+passes over its splits on polynomials packed into ints; an ensemble adds
+its components' answers, so its trees walk whatever their siblings are;
+and every other model hands back the batch reduction that ``indices``
+passes in.
 Tree kernels read each row as integers over one denominator (``Row``),
 and trees and ensembles return reduced (numerator, denominator) integer
 pairs, building a Fraction only for each value they return.  A batch
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import abc
 import itertools
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -64,8 +66,9 @@ from .core import (
 
 TABLE_SIZE_LIMIT = 1 << 24
 
-# Splits along one root-to-leaf path.  ``_expect``, compile and rebuild
-# recurse once per level; the bound keeps them far below Python's limit.
+# Splits along one root-to-leaf path.  Of the walks over a tree's levels
+# only ``_expect`` recurses, once per level; the bound keeps it far below
+# Python's limit.  Compile, rebuild and the gap walk are explicit-stack loops.
 TREE_DEPTH_LIMIT = 512
 
 # A rational as (numerator, denominator) ints in lowest terms, the
@@ -129,28 +132,6 @@ def _fixed_factors(
     return factors
 
 
-def _times(poly: list[int], num: int, den: int, hit: bool) -> list[int]:
-    # poly * ((num - den) + u*den) on e's child, poly * num on any other
-    if not hit:
-        return [num * c for c in poly]
-    low = num - den
-    return [low * a + den * b for a, b in zip(poly + [0], [0] + poly)]
-
-
-def _accumulate(acc: list[int], offset: int, s: int, coeffs: Sequence[int]) -> None:
-    # acc[offset + k] += s * coeffs[k], acc grown with zeros as needed
-    end = offset + len(coeffs)
-    if len(acc) < end:
-        acc.extend([0] * (end - len(acc)))
-    for k, c in enumerate(coeffs, offset):
-        acc[k] += s * c
-
-
-def _rescale(polys: dict[int, list[int]], grow: int) -> None:
-    for coeffs in polys.values():
-        coeffs[:] = [grow * c for c in coeffs]
-
-
 class Model(abc.ABC):
     """An evaluable map from full instances to rationals."""
 
@@ -210,10 +191,12 @@ class Model(abc.ABC):
         ``(polys, den)``: ``polys[a]`` holds den times g_0, g_1, ... for
         the features of the bitmask ``wanted`` (a missing feature or
         entry is 0).  ``factors`` holds every feature's factor.  Trees
-        walk and ensembles, additive models included, sum their
-        components' answers; the default, which tables, ``CountingModel``
-        and user models take, has no walk and answers ``batches(self)``,
-        which requests the expectations and interpolates them.
+        walk, top-down and then bottom-up over their splits, each
+        polynomial one int (see ``TreeModel._gap_polynomials``), and
+        ensembles, additive models included, sum their components'
+        answers; the default, which tables, ``CountingModel`` and user
+        models take, has no walk and answers ``batches(self)``, which
+        requests the expectations and interpolates them.
         """
         return batches(self)
 
@@ -353,13 +336,25 @@ def _fill(
         grid[offset + step : offset + run] = grid[offset : offset + step] * (run // step - 1)
 
 
-def _rebuild(node: Compiled) -> TreeNode:
-    if node.__class__ is not tuple:
-        return Leaf(node)
-    children = []
-    for child in node[1]:  # a loop, not a comprehension: one frame per level
-        children.append(_rebuild(child))
-    return Split(node[0], tuple(children))
+def _rebuild(tree: Compiled) -> TreeNode:
+    # depth first with an explicit stack of open splits, each (feature,
+    # compiled children left, rebuilt children), under a frame for the root
+    top = (None, iter((tree,)), [])
+    stack = [top]
+    while True:
+        frame = stack[-1]
+        feature, children, built = frame
+        for child in children:
+            if child.__class__ is not tuple:
+                built.append(Leaf(child))
+            else:
+                stack.append((child[0], iter(child[1]), []))
+                break
+        else:
+            if frame is top:
+                return built[0]
+            stack.pop()
+            stack[-1][2].append(Split(feature, tuple(built)))
 
 
 class TreeModel(Model):
@@ -370,12 +365,17 @@ class TreeModel(Model):
     a single traversal multiplying branch probabilities.  Paths hold at
     most ``TREE_DEPTH_LIMIT`` splits.  The tree is compiled once and only
     the compiled form is kept; ``root`` rebuilds the ``Leaf``/``Split``
-    nodes on each access.
+    nodes on each access.  The first gap walk measures the tree's packing
+    bound and keeps it.
     """
+
+    # (scale, bits) for packing the gap walk's polynomials, measured on the
+    # first walk and kept; construction never measures
+    _packing: tuple[int, int] | None = None
 
     def __init__(self, space: FeatureSpace, root: TreeNode):
         self.space = space
-        self._adopt(self._compile(root, seen_nodes=set(), path_features=frozenset()))
+        self._adopt(self._compile(root))
 
     @classmethod
     def _from_compiled(cls, space: FeatureSpace, tree: Compiled) -> "TreeModel":
@@ -396,36 +396,54 @@ class TreeModel(Model):
     def root(self) -> TreeNode:
         return _rebuild(self._tree)
 
-    def _compile(self, node: TreeNode, seen_nodes: set, path_features: frozenset) -> Compiled:
-        if id(node) in seen_nodes:
-            raise ValueError("tree nodes may not be shared; the structure must be a tree")
-        seen_nodes.add(id(node))
-        if isinstance(node, Leaf):
-            if not isinstance(node.value, Fraction):
-                raise ValueError("leaf values must be Fractions")
-            return node.value
-        if not isinstance(node, Split):
-            raise ValueError(f"unexpected tree node {node!r}")
-        if len(path_features) == TREE_DEPTH_LIMIT:
-            raise ValueError(f"tree is deeper than the limit of {TREE_DEPTH_LIMIT} splits")
-        self.space.check_feature(node.feature)
-        if node.feature in path_features:
-            raise ValueError(f"feature {node.feature} repeats along a path")
-        domain = self.space.domains[node.feature]
-        if len(node.children) != len(domain):
-            raise ValueError(
-                f"split on feature {node.feature} has {len(node.children)} children "
-                f"for {len(domain)} domain values"
-            )
-        on_path = path_features | {node.feature}
-        mask = 1 << node.feature
-        children = []
-        for child in node.children:
-            compiled = self._compile(child, seen_nodes, on_path)
-            if compiled.__class__ is tuple:
-                mask |= compiled[2]
-            children.append(compiled)
-        return (node.feature, tuple(children), mask)
+    def _compile(self, root: TreeNode) -> Compiled:
+        # depth first, children in order, with an explicit stack of open
+        # splits, each [feature, children left, compiled children, mask],
+        # under a frame for the root: every node is checked when it is
+        # reached, so the first error is that of the first bad node in
+        # preorder
+        space = self.space
+        seen_nodes: set[int] = set()
+        path_features: set[int] = set()  # the open splits' features
+        top = [None, iter((root,)), [], 0]
+        stack = [top]
+        while True:
+            split = stack[-1]
+            feature, children, done, mask = split
+            for node in children:
+                if id(node) in seen_nodes:
+                    raise ValueError("tree nodes may not be shared; the structure must be a tree")
+                seen_nodes.add(id(node))
+                if isinstance(node, Leaf):
+                    if not isinstance(node.value, Fraction):
+                        raise ValueError("leaf values must be Fractions")
+                    done.append(node.value)
+                    continue
+                if not isinstance(node, Split):
+                    raise ValueError(f"unexpected tree node {node!r}")
+                if len(stack) > TREE_DEPTH_LIMIT:  # the root's frame is not a split
+                    raise ValueError(f"tree is deeper than the limit of {TREE_DEPTH_LIMIT} splits")
+                space.check_feature(node.feature)
+                if node.feature in path_features:
+                    raise ValueError(f"feature {node.feature} repeats along a path")
+                domain = space.domains[node.feature]
+                if len(node.children) != len(domain):
+                    raise ValueError(
+                        f"split on feature {node.feature} has {len(node.children)} children "
+                        f"for {len(domain)} domain values"
+                    )
+                path_features.add(node.feature)
+                stack.append([node.feature, iter(node.children), [], 1 << node.feature])
+                break
+            else:
+                # every child is compiled: close the split into its parent
+                if split is top:
+                    return done[0]
+                stack.pop()
+                path_features.discard(feature)
+                parent = stack[-1]
+                parent[2].append((feature, tuple(done), mask))
+                parent[3] |= mask
 
     def evaluate(self, instance: Instance) -> Fraction:
         check_shared_space(self, instance)
@@ -501,65 +519,147 @@ class TreeModel(Model):
     def _gap_polynomials(
         self, factors: Sequence[Factor], wanted: int, batches: Batches
     ) -> GapPolynomials:
-        """One walk: a leaf of value v on a path P of length L adds to G_a, a in P,
+        """Two passes over one explicit stack of splits, on polynomials packed in ints.
+
+        A leaf of value v on a path P of length L adds to G_a, a in P,
 
         u^(n-L) * v * (delta_a - p_a)(c_a) * prod_{j in P, j != a} f_j(c_j),
 
         c_j being the path's child at feature j and f_j its context factor
-        (see ``Factor``), in powers of u = 1 + z.  The n - L features off
-        the path each sum to u, so u^(n-L) only shifts: the leaf adds into
-        a's one list at offset n - L.  The walk carries the product F of
-        the path's context factors and, per wanted feature a on the path,
-        E_a = g_a * prod_{j != a} f_j, all over the product of the path's
-        denominators.  A child whose context factor is 0 carries nothing
-        and starts only its own gap, and F is 0 below it; subtrees without
-        a wanted feature are skipped when no E_a is carried.
+        (see ``Factor``), in powers of u = 1 + z; each feature off the path
+        sums to u.  Over ``top``, the product of the denominators of the R
+        features the tree reads, every read feature j off the path is a
+        factor den_j * u of the leaf's own ``rest * u^(R-L)``, rest being
+        top over the path's denominators, and the n - R unread features
+        give u^(n-R), one shift of every answer.  So:
+
+        * top-down, F(s) is the product of the context factors above
+          split s;
+        * bottom-up, W(x) is sum_c f(c) * W(child c), a leaf's W being
+          v * scale * rest * u^(R-L), scale the lcm of the leaf
+          denominators;
+        * at each split s on a wanted feature a, G_a gains
+          F(s) * sum_c g_a(c) * W(child c).
+
+        No feature repeats along a path, so each leaf's term is counted at
+        the one split on a above it, and G_a is over top * scale.  A child
+        whose context factor is 0 gets F = 0, and the walk reaches a
+        subtree only for an F or a W it needs.
+
+        Each polynomial is one int, its value at u = 2^w (Kronecker
+        substitution): a linear factor is one multiply, and u^k a shift.
+        Each G_a is decoded once into balanced base-2^w digits, which are
+        its coefficients when 2^(w-1) > N * 2^D * V * top, N being the
+        leaf count, D the depth and V the largest |leaf numerator * scale /
+        leaf denominator|: a leaf's term has a coefficient absolute sum of at
+        most 2^(L-1) * top * V, because |g_a| <= den_a and each context
+        factor's coefficients sum to at most 2 * den_j in absolute value.
+        N, D, V and scale are measured on the first walk and kept
+        (``_measure``); w is a whole number of bytes, at least 64.
         """
-        polys: dict[int, list[int]] = {}
-        n = len(factors)
         tree = self._tree
         if tree.__class__ is not tuple or not wanted & self._mask:
-            return polys, 1
-        top = 1  # the product of the denominators of every feature the tree reads
-        for i in self._read:
+            return {}, 1
+        if self._packing is None:
+            self._packing = self._measure()
+        scale, bits = self._packing
+        read = self._read
+        top = 1
+        for i in read:
             top *= factors[i][0]
-        scale = 1  # the lcm of the leaf denominators met so far
-        # per split: the path length above it, F (None where no gap can start
-        # below), the carried E_a, and top over the denominators above it
-        stack = [(tree, 0, [1], [], top)]
+        # bytes per digit, at least a machine word, which decodes in one call
+        size = max(8, (bits + top.bit_length() + 8) // 8)
+        w = 8 * size
+        count = len(read)
+        # top-down: the splits reached, parents first, each with its F where
+        # it starts a gap (else 0), whether its W is needed, its leaves'
+        # factor top over the path's denominators and shift w * (R - L), and
+        # how many of its children were reached
+        order = []
+        stack = [(tree, 1, False, top, count)]
         while stack:
-            (feature, children, _), length, product, carried, rest = stack.pop()
-            den, nums, hit, own_gaps = factors[feature]
-            starting = wanted if product is not None else 0  # features that may start a gap
-            own = starting >> feature & 1
+            (feature, children, _), product, need, rest, left = stack.pop()
+            den, nums, hit, _ = factors[feature]
+            own = product if wanted >> feature & 1 else 0
+            below = need or own != 0  # the children's W is needed
             rest //= den
-            length += 1
-            for c, (num, child) in enumerate(zip(nums, children)):
-                if not child:
-                    continue  # a zero leaf; a split is a nonempty tuple
-                on_e = c == hit
-                live = num or on_e  # the context factor is not 0
-                gaps = [(a, _times(gap, num, den, on_e)) for a, gap in carried] if live else []
-                g = own_gaps[c] if own else 0
-                if g:
-                    gaps.append((feature, [g * x for x in product]))
+            left -= 1
+            reached = 0
+            for c, child in enumerate(children):
+                if child.__class__ is not tuple:
+                    continue
+                num = nums[c]
+                if product and child[2] & wanted and (num or c == hit):
+                    f = num if c != hit else num - den + (den << w)  # the factor at u = 2^w
+                    stack.append((child, product * f, below, rest, left))
+                elif below:
+                    stack.append((child, 0, True, rest, left))
+                else:
+                    continue
+                reached += 1
+            order.append((feature, children, own, need, rest, w * left, reached))
+        # bottom-up: each split's W on a stack of values, its children's on top
+        packed: dict[int, int] = {}
+        values: list[int] = []
+        for feature, children, own, need, rest, shift, reached in reversed(order):
+            if reached:
+                under = values[-reached:]
+                del values[-reached:]
+            if not (own or need):
+                values.append(0)
+                continue
+            den, nums, hit, gaps = factors[feature]
+            k = W = gap = 0
+            for c, child in enumerate(children):
                 if child.__class__ is tuple:
-                    # below a split the walk needs F only to start new gaps
-                    if live and child[2] & starting:
-                        stack.append((child, length, _times(product, num, den, on_e), gaps, rest))
-                    elif gaps:
-                        stack.append((child, length, None, gaps, rest))
-                elif gaps:
-                    # G_a += u^(n - length) * child * E_a, over top * scale
-                    vd = child.denominator
-                    if scale % vd:
-                        grow = vd // gcd(scale, vd)
-                        _rescale(polys, grow)
-                        scale *= grow
-                    s = rest * child.numerator * (scale // vd)
-                    for a, gap in gaps:
-                        _accumulate(polys.setdefault(a, []), n - length, s, gap)
+                    t = under[k]
+                    k += 1
+                    if not t:
+                        continue
+                elif child:
+                    t = child.numerator * (scale // child.denominator) * rest << shift
+                else:
+                    continue
+                if need:
+                    W += t * (nums[c] if c != hit else nums[c] - den + (den << w))
+                if own:
+                    gap += gaps[c] * t
+            if own and gap:
+                packed[feature] = packed.get(feature, 0) + own * gap
+            values.append(W)
+        # decode: adding half a digit at every digit leaves no borrows, and
+        # flipping each digit's top bit then makes it a two's complement
+        # field of ``size`` bytes; the n - R unread features shift by u^(n - R)
+        offset = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+        shifted = [0] * (len(factors) - count)
+        polys = {}
+        for a, G in packed.items():
+            data = ((G + offset) ^ offset).to_bytes(size * count, "little")
+            if size == 8:
+                digits = struct.unpack(f"<{count}q", data)
+            else:
+                digits = [
+                    int.from_bytes(data[k : k + size], "little", signed=True)
+                    for k in range(0, size * count, size)
+                ]
+            polys[a] = [*shifted, *digits]
         return polys, top * scale
+
+    def _measure(self) -> tuple[int, int]:
+        # (scale, bits): the lcm of the leaf denominators, and the bit length
+        # of N * V plus D (see ``_gap_polynomials``)
+        leaves, depth = [], 0
+        stack = [(self._tree, 0)]
+        while stack:
+            node, length = stack.pop()
+            if node.__class__ is tuple:
+                stack.extend([(child, length + 1) for child in node[1]])
+            else:
+                leaves.append(node)
+                depth = max(depth, length)
+        scale = lcm(*[v.denominator for v in leaves])
+        most = max([abs(v.numerator) * (scale // v.denominator) for v in leaves])
+        return scale, (len(leaves) * most).bit_length() + depth
 
     def features_used(self) -> frozenset[int]:
         return frozenset(self._read)
@@ -642,23 +742,23 @@ class EnsembleModel(Model):
     def _gap_polynomials(
         self, factors: Sequence[Factor], wanted: int, batches: Batches
     ) -> GapPolynomials:
-        # sum_j w_j * polys_j over one common denominator
-        total: dict[int, list[int]] = {}
-        den = 1
+        # sum_j w_j * polys_j over the lcm of the terms' denominators
+        answers = []
         for w, model in self.components:
-            if not w:
-                continue
-            polys, d = model._gap_polynomials(factors, wanted, batches)
-            if not polys:
-                continue
-            d *= w.denominator
-            common = den * d // gcd(den, d)
-            if common != den:
-                _rescale(total, common // den)
-                den = common
-            s = w.numerator * (den // d)
+            if w:
+                polys, d = model._gap_polynomials(factors, wanted, batches)
+                if polys:
+                    answers.append((w.numerator, polys, w.denominator * d))
+        den = lcm(*[d for _, _, d in answers])
+        total: dict[int, list[int]] = {}
+        for num, polys, d in answers:
+            s = num * (den // d)
             for a, coeffs in polys.items():
-                _accumulate(total.setdefault(a, []), 0, s, coeffs)
+                acc = total.get(a)
+                if acc is None:
+                    total[a] = [s * c for c in coeffs]
+                else:
+                    total[a] = [x + s * c for x, c in itertools.zip_longest(acc, coeffs, fillvalue=0)]
         return total, den
 
 

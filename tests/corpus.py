@@ -111,6 +111,18 @@ def peak_kib_of(script: str, timeout: int = 120) -> int:
     return peak // 1024 if sys.platform == "darwin" else peak  # ru_maxrss is in bytes there
 
 
+def exact_polynomials(reduced) -> list[list[Fraction]]:
+    """Each member set's polynomial of a reduction as Fractions, trailing zeros dropped."""
+    by_set, den = reduced
+    polys = []
+    for g in by_set:
+        g = list(g)
+        while g and not g[-1]:
+            g.pop()
+        polys.append([Fraction(c, den) for c in g])
+    return polys
+
+
 def cycles_left_by(call) -> int:
     """The unreachable objects ``gc.collect()`` finds after ``call()``, run with the collector off."""
     enabled = gc.isenabled()

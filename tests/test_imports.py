@@ -1,10 +1,12 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every
+private module-level function and class is referenced somewhere in it.
 
-``__init__.py`` re-exports, so it is not checked; a line marked
+``__init__.py`` re-exports, so its imports are not checked; a line marked
 ``# noqa: F401`` keeps its import on purpose.
 """
 
 import ast
+import collections
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,33 @@ def test_no_module_imports_a_name_it_never_uses(path):
         if name not in used
     )
     assert not unused, f"{path.name} imports unused names: {', '.join(unused)}"
+
+
+def _references(node: ast.AST) -> collections.Counter:
+    # the names read below ``node``: as names, attributes and imports
+    found = collections.Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            found[child.attr] += 1
+        elif isinstance(child, ast.alias):
+            found[child.name] += 1
+    return found
+
+
+def test_every_private_helper_is_referenced_somewhere_in_the_package():
+    trees = [ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))]
+    helpers = [
+        node
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    assert helpers, "the package defines private helpers"
+    everywhere = sum((_references(tree) for tree in trees), collections.Counter())
+    # a helper's references to itself, as in a recursion, do not count
+    dead = sorted(h.name for h in helpers if everywhere[h.name] == _references(h)[h.name])
+    assert not dead, f"private helpers that nothing in src/ references: {', '.join(dead)}"

@@ -40,6 +40,7 @@ from powerdex import (
 )
 
 from powerdex.core import point_mass_row
+from powerdex.indices import _bernoulli_indices, _z_reduction
 from powerdex.models import Leaf, Split, _fixed_factors
 
 from corpus import (
@@ -47,6 +48,7 @@ from corpus import (
     and_space,
     and_table_model,
     constant_model,
+    exact_polynomials,
     instances,
     models,
     ones_instance,
@@ -829,3 +831,92 @@ def test_the_theta_factor_hook_equals_the_batches_and_the_oracle(case):
         compute_interaction_bernoulli(model, dist, e, Coalition.singleton(a), theta)
         for a in range(n)
     ]
+
+
+# ---------------------------------------------------------------------------
+# the packing bound of the tree walk: each polynomial is one int, decoded in
+# digits whose width comes from the tree's leaf count, depth and largest
+# leaf, and the product of the read rows' denominators
+
+BIG_PRIMES = (1_000_000_007, 2**61 - 1, 2**89 - 1, 2**127 - 1)
+BIG_ROW_KINDS = ("random", "zero entry", "zero at e", "point mass at e")
+
+
+def _big_fraction(rng, bound):
+    return Fraction(rng.randint(-bound, bound), rng.choice((1, 7, *BIG_PRIMES)))
+
+
+def _big_tree(rng, space, depth):
+    # leaves up to about 10^30 over large primes, zero leaves among them
+    def leaf():
+        return Leaf(Fraction(0) if rng.random() < 0.15 else _big_fraction(rng, 10**30))
+
+    def build(available, level):
+        if level and (not available or level >= depth or rng.random() < 0.2):
+            return leaf()
+        feature = rng.choice(sorted(available))
+        rest = available - {feature}
+        return Split(feature, tuple(build(rest, level + 1) for _ in space.domains[feature]))
+
+    return TreeModel(space, build(frozenset(range(space.n)), 0))
+
+
+def _big_row(rng, size, hit, kind):
+    # entries over a large prime, with a zero at e's position or at a random one
+    if kind == "point mass at e" or size == 1:
+        return [Fraction(int(k == hit)) for k in range(size)]
+    den = rng.choice(BIG_PRIMES)
+    zero = {"zero at e": hit, "zero entry": rng.randrange(size)}.get(kind)
+    free = [k for k in range(size) if k != zero]
+    cuts = sorted(rng.randint(1, den - 1) for _ in range(len(free) - 1))
+    row = [Fraction(0)] * size
+    for k, low, high in zip(free, [0, *cuts], [*cuts, den]):
+        row[k] = Fraction(high - low, den)
+    return row
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    n=st.integers(min_value=1, max_value=6),
+    trees=st.integers(min_value=0, max_value=3),
+    one=st.booleans(),
+    kinds=st.lists(st.sampled_from(BIG_ROW_KINDS), min_size=6, max_size=6),
+)
+def test_the_packed_walk_is_exact_at_large_values(seed, n, trees, one, kinds):
+    rng = random.Random(seed)
+    space = random_space(rng, n)
+    e = random_instance(rng, space)
+    dist = ProductDistribution(space, [
+        _big_row(rng, len(domain), space.position(i, e[i]), kind)
+        for i, (domain, kind) in enumerate(zip(space.domains, kinds))
+    ])
+    # no trees: one bare tree; else an ensemble of that many, weights large too
+    if trees:
+        model = EnsembleModel([
+            (_big_fraction(rng, 10**20), _big_tree(rng, space, n)) for _ in range(trees)
+        ])
+    else:
+        model = _big_tree(rng, space, n)
+    features = [rng.randrange(n)] if one else list(range(n))
+    singles = [(a,) for a in features]
+    counted = CountingModel(model)
+    # z factors: the walk's polynomials are the batch reduction's
+    assert exact_polynomials(_z_reduction(model, dist, e, singles)) == exact_polynomials(
+        _z_reduction(counted, dist, e, singles)
+    )
+    # theta factors, e's own entry included: the derivative, the polynomial at u = 1
+    theta = BernoulliWeights([
+        rng.choice((Fraction(0), Fraction(1), Fraction(rng.randint(1, p - 1), p)))
+        for p in rng.choices(BIG_PRIMES, k=n)
+    ])
+    walked = _bernoulli_indices(model, dist, e, singles, theta)
+    assert walked == _bernoulli_indices(counted, dist, e, singles, theta)
+    assert counted.expected_value_calls == 2 * n * len(features) + 2 * len(features)
+    # and the indices are the oracle's
+    table = conditional_table(model, dist, e)
+    shapley = SimpleWeights.shapley(n)
+    assert [compute_simple_index(model, dist, e, a, shapley) for a in features] == [
+        brute_simple_index(model, dist, e, a, shapley, table=table) for a in features
+    ]
+    assert walked == [brute_bernoulli_index(model, dist, e, a, theta, table=table) for a in features]

@@ -28,13 +28,14 @@ from powerdex import (
     mixture_distribution,
 )
 from powerdex.core import check_shared_space
-from powerdex.indices import _derivative, batched_node_sums
+from powerdex.indices import _derivative, _z_reduction, batched_node_sums
 from powerdex.models import TREE_DEPTH_LIMIT, Leaf, Model, Split
 
 from corpus import (
     MODEL_KINDS,
     component_weights,
     cycles_left_by,
+    exact_polynomials,
     models,
     peak_kib_of,
     and_space,
@@ -550,10 +551,12 @@ def test_tree_root_is_rebuilt_equal():
 # the depth limit
 
 
-def _chain(space, depth):
+def _chain(space, depth, low=Fraction(0)):
+    # each split's child 0 a leaf ``low`` and child 1 the next split, the
+    # last leaf 1
     node = Leaf(Fraction(1))
     for feature in reversed(range(depth)):
-        node = Split(feature, (Leaf(Fraction(0)), node))
+        node = Split(feature, (Leaf(low), node))
     return node
 
 
@@ -566,8 +569,7 @@ def test_tree_depth_limit():
     pin = (Fraction(0), Fraction(1))
     assert tree.expected_value(dist.with_rows({depth - 1: pin})) == Fraction(1, 2 ** (depth - 1))
     assert tree.evaluate(ones_instance(space)) == 1
-    # the gap-polynomial walk recurses once per level too; at the point
-    # mass at e every gap is 0, so it stays cheap
+    # at the point mass at e every gap is 0, so the gap walk stays cheap
     e = ones_instance(space)
     report = attribute_all(tree, ProductDistribution.point_mass(e), e, SimpleWeights.shapley(depth + 1))
     assert report.values == (0,) * (depth + 1)
@@ -577,7 +579,7 @@ def test_tree_depth_limit():
     report = attribute_all(tree, dist, e, SimpleWeights.banzhaf(depth + 1))
     assert report.values == (Fraction(1, 2) * Fraction(3, 4) ** (depth - 1),) * depth + (0,)
     assert report.path == "bernoulli-direct"
-    root = tree.root  # rebuilt one frame per level, within the default limit
+    root = tree.root
     limit = sys.getrecursionlimit()
     # dataclass equality recurses about four frames per level
     sys.setrecursionlimit(limit + 4 * depth)
@@ -608,6 +610,46 @@ def test_the_walks_run_from_a_deep_caller():
     shallow = attribute_all(tree, dist, e, scheme)
     assert shallow.path == "bernoulli-direct"
     assert _from_depth(700, lambda: attribute_all(tree, dist, e, scheme)) == shallow
+
+
+def test_a_tree_at_the_depth_limit_compiles_and_rebuilds_from_a_deep_caller():
+    depth = TREE_DEPTH_LIMIT
+    space = and_space(depth + 1)
+    chain = _chain(space, depth)
+    tree = _from_depth(600, lambda: TreeModel(space, chain))
+    root = _from_depth(600, lambda: tree.root)
+    # compared down the chain in a loop: dataclass equality recurses
+    node, want = root, chain
+    while isinstance(want, Split):
+        assert isinstance(node, Split) and node.feature == want.feature
+        assert node.children[0] == want.children[0]
+        node, want = node.children[1], want.children[1]
+    assert node == want
+    with pytest.raises(ValueError, match="deeper than the limit"):
+        _from_depth(600, lambda: TreeModel(space, _chain(space, depth + 1)))
+
+
+def _minus_one_chain(depth):
+    # the chain over depth + 1 binary features, the last one never read
+    space = and_space(depth + 1)
+    tree = TreeModel(space, _chain(space, depth, Fraction(-1)))
+    return tree, ProductDistribution.uniform(space), ones_instance(space)
+
+
+def test_the_walk_on_a_deep_chain_equals_the_batch_reduction():
+    tree, dist, e = _minus_one_chain(32)
+    singles = [(a,) for a in range(tree.space.n)]
+    walked = exact_polynomials(_z_reduction(tree, dist, e, singles))
+    assert walked == exact_polynomials(_z_reduction(CountingModel(tree), dist, e, singles))
+    assert all(walked[:32]) and walked[32] == []  # the unread feature has no gap
+
+
+@pytest.mark.parametrize("depth", [128, 256])
+def test_shapley_on_a_deep_chain_is_efficient(depth):
+    tree, dist, e = _minus_one_chain(depth)
+    report = attribute_all(tree, dist, e, SimpleWeights.shapley(depth + 1))
+    assert report.path == "interpolation"
+    assert sum(report.values) == tree.evaluate(e) - tree.expected_value(dist)
 
 
 # Shapley at all zeros on an OR chain of 192 binary features: x_f = 1 gives
