@@ -555,7 +555,9 @@ class TreeModel(Model):
         most 2^(L-1) * top * V, because |g_a| <= den_a and each context
         factor's coefficients sum to at most 2 * den_j in absolute value.
         N, D, V and scale are measured on the first walk and kept
-        (``_measure``); w is a whole number of bytes, at least 64.
+        (``_measure``); w is a whole number of bytes, at least 64 so that
+        the digits of nearly every walk decode in one ``struct.unpack``
+        call, wider ones one ``int.from_bytes`` each.
         """
         tree = self._tree
         if tree.__class__ is not tuple or not wanted & self._mask:

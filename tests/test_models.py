@@ -551,12 +551,10 @@ def test_tree_root_is_rebuilt_equal():
 # the depth limit
 
 
-def _chain(space, depth, low=Fraction(0)):
-    # each split's child 0 a leaf ``low`` and child 1 the next split, the
-    # last leaf 1
+def _chain(space, depth):
     node = Leaf(Fraction(1))
     for feature in reversed(range(depth)):
-        node = Split(feature, (Leaf(low), node))
+        node = Split(feature, (Leaf(Fraction(0)), node))
     return node
 
 
@@ -569,7 +567,8 @@ def test_tree_depth_limit():
     pin = (Fraction(0), Fraction(1))
     assert tree.expected_value(dist.with_rows({depth - 1: pin})) == Fraction(1, 2 ** (depth - 1))
     assert tree.evaluate(ones_instance(space)) == 1
-    # at the point mass at e every gap is 0, so the gap walk stays cheap
+    # the gap-polynomial walk recurses once per level too; at the point
+    # mass at e every gap is 0, so it stays cheap
     e = ones_instance(space)
     report = attribute_all(tree, ProductDistribution.point_mass(e), e, SimpleWeights.shapley(depth + 1))
     assert report.values == (0,) * (depth + 1)
@@ -579,7 +578,7 @@ def test_tree_depth_limit():
     report = attribute_all(tree, dist, e, SimpleWeights.banzhaf(depth + 1))
     assert report.values == (Fraction(1, 2) * Fraction(3, 4) ** (depth - 1),) * depth + (0,)
     assert report.path == "bernoulli-direct"
-    root = tree.root
+    root = tree.root  # rebuilt one frame per level, within the default limit
     limit = sys.getrecursionlimit()
     # dataclass equality recurses about four frames per level
     sys.setrecursionlimit(limit + 4 * depth)
@@ -630,9 +629,13 @@ def test_a_tree_at_the_depth_limit_compiles_and_rebuilds_from_a_deep_caller():
 
 
 def _minus_one_chain(depth):
-    # the chain over depth + 1 binary features, the last one never read
+    # over depth + 1 binary features, the last one never read: each split's
+    # child 0 a leaf -1 and child 1 the next split, the last leaf 1
     space = and_space(depth + 1)
-    tree = TreeModel(space, _chain(space, depth, Fraction(-1)))
+    node = Leaf(Fraction(1))
+    for feature in reversed(range(depth)):
+        node = Split(feature, (Leaf(Fraction(-1)), node))
+    tree = TreeModel(space, node)
     return tree, ProductDistribution.uniform(space), ones_instance(space)
 
 
