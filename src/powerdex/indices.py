@@ -12,22 +12,27 @@ Three computation paths, all exact:
 
 Both paths that need expectations reduce a member set A (a feature is
 the one-member set) to one form (``Reduced``): its generating polynomial
-in powers of u = 1 + z, all over one denominator.  A one-member set gets
-it through ``Model._gap_polynomials``: trees from one walk of their own,
-ensembles (additive models among them) as the sum of their components'
-answers, and every other model through the batch reduction passed in.
-A set of two or more members takes the batch reduction on the model
-itself.  It requests, at each node, one ``expected_values`` batch
-(``batched_node_sums``) and interpolates the node sums at the nodes
-u = 1 + z (``_node_polynomials``): on the z path (``_z_reduction``) each
-set's m+1 y-variants at each of the n-m+1 z-nodes, on the theta path
-the 2^m signed variants of its derivative (``_derivative``) at the one
-theta node.  Each reader is one expression in the coefficients g_j: an
-index is sum_j g_j R_j with R_j = sum_k C(j, k) q_k, a Bernoulli
-derivative is sum_j g_j, and the coefficient sums come from Horner's
-rule in 1 + z.  Engine calls count requested expectations whichever way
-a model answers (``_engine_calls``): (n-m+1)(m+1) on the z path, 2n for
-a feature, and 2^m on the theta path, 2 for a feature.
+in powers of u = 1 + z, all over one denominator.  The model's hook,
+``Model._gap_polynomials``, is keyed by member sets: trees answer from
+passes of their own, ensembles (additive models among them) as the sum
+of their components' answers, and every other model through the batch
+reduction passed in.  Under the theta rows a tree answers features and
+sets of any size at u = 1, as plain ints; under the z rows it answers
+features, and a set of two or more members, or any set under the
+``z-only`` prefactor, takes the batch reduction on the model itself.
+The batch reduction requests, at each node, one ``expected_values``
+batch (``batched_node_sums``) and interpolates the node sums at the
+nodes u = 1 + z (``_node_polynomials``): on the z path (``_z_reduction``)
+each set's m+1 y-variants at each of the n-m+1 z-nodes, a feature's two
+being its pinned and free rows, on the theta path the 2^m signed
+variants of its derivative (``_derivative``) at the one theta node.
+Each reader is one expression in the coefficients g_j: an index is
+sum_j g_j R_j with R_j = sum_k C(j, k) q_k, a Bernoulli derivative is
+sum_j g_j, and the coefficient sums come from Horner's rule in 1 + z.
+Engine calls count requested expectations whichever way a model answers
+(``_engine_calls``): (n-m+1)(m+1) on the z path, 2n for a feature, and
+2^m on the theta path, 2 for a feature.  The closed form reads F at
+points only, in integers (``_marginal_indices``).
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from .models import (
     GapPolynomials,
     Model,
     _fixed_factors,
+    _row,
     _z_factors,
     conditional_expectation,
 )
@@ -312,23 +318,21 @@ def _reduce(
     batches: Callable[[Model, Sequence], GapPolynomials],
     walk: bool = True,
 ) -> Reduced:
-    """The member sets' polynomials: a feature's from the model's hook.
+    """The member sets' polynomials, from the model's hook.
 
     ``factors()`` builds the hook's factors, and ``batches(component,
-    keys)`` is the batch reduction keyed by ``keys``.  A set of two or
-    more members, and any set with ``walk`` off, takes the batches on the
-    model itself, and no factors are built.
+    keys)`` is the batch reduction keyed by ``keys``, the member sets as
+    tuples.  The hook answers a feature from a tree's walk under either
+    rows, and a larger set from a tree's pass under fixed rows.  With
+    ``walk`` off the batches run on the model itself, and no factors are
+    built.
     """
-    if walk and all(len(members) == 1 for members in member_sets):
-        keys = [a for (a,) in member_sets]
-        wanted = 0
-        for a in keys:
-            wanted |= 1 << a
+    keys = [tuple(members) for members in member_sets]
+    if walk:
         polys, den = model._gap_polynomials(
-            factors(), wanted, lambda component: batches(component, keys)
+            factors(), keys, lambda component: batches(component, keys)
         )
     else:
-        keys = range(len(member_sets))
         polys, den = batches(model, keys)
     return [polys.get(key, []) for key in keys], den
 
@@ -369,29 +373,34 @@ def _z_reduction(
     one per y-node 0..m: its members on their y-mixture rows, weighted by
     the integer (-1)^(m+y) C(m+1, y+1) (1+y)^m.  The sign and binomial are
     (-1)^m l_y(-1), l_y the Lagrange basis polynomial of y-node y, so the
-    y-sum reads the members' discrete derivative.  The sums times
+    y-sum reads the members' discrete derivative.  A feature's two
+    variants are that derivative's own rows, pinned (+1) and free (-1),
+    which the y = 0 and y = 1 mixtures weigh to exactly.  The sums times
     (1+z)^(n-m) interpolate G_A in u = 1 + z.  Any distinct nodes would
     give the same exact polynomial, so the nodes are fixed.  ``z_only``
     scales by (1+z)^n alone, wrong whenever y != z, so even a feature
-    takes the batches: no walk gives it.
+    keeps its y-mixtures and takes the batches: no walk gives it.  A set
+    of two or more members takes the batches too.
     """
     n = dist.space.n
     m = len(member_sets[0])
     z_power, y_power = (n, 0) if z_only else (n - m, m)
     probs, hits = dist.probs, e._positions
 
+    def variants(members):
+        if m == 1 and not z_only:
+            return _derivative(dist, e, members)
+        return [
+            (
+                (-1) ** (m + y) * comb(m + 1, y + 1) * (1 + y) ** y_power,
+                {i: mixture_row(probs[i], hits[i], y) for i in members},
+            )
+            for y in range(m + 1)
+        ]
+
     def batches(component, keys):
         # the rows are built only here, never on a call the walk answers
-        targets = [
-            [
-                (
-                    (-1) ** (m + y) * comb(m + 1, y + 1) * (1 + y) ** y_power,
-                    {i: mixture_row(probs[i], hits[i], y) for i in members},
-                )
-                for y in range(m + 1)
-            ]
-            for members in member_sets
-        ]
+        targets = [variants(members) for members in member_sets]
         node_rows = (
             # at z = 0 the input rows themselves: nothing to build, and a
             # tree's batch key (row identity) sees them as the input rows
@@ -401,7 +410,8 @@ def _z_reduction(
         sums = batched_node_sums(component, dist.space, node_rows, targets)
         return _node_polynomials(keys, sums, z_power)
 
-    return _reduce(model, lambda: _z_factors(probs, hits), member_sets, batches, not z_only)
+    walk = m == 1 and not z_only
+    return _reduce(model, lambda: _z_factors(probs, hits), member_sets, batches, walk)
 
 
 def interpolate_coefficients(
@@ -459,6 +469,30 @@ def _bernoulli_indices(
     return [Fraction(sum(g), den) for g in by_set]
 
 
+def _marginal_indices(
+    model: Model, dist: ProductDistribution, e: Instance, features: Iterable[int]
+) -> list[Fraction]:
+    # F(e), read once, minus each feature a's average of F over its row,
+    # the rest of e fixed: the point reads of a's values of nonzero
+    # probability, summed in integers over one denominator, one Fraction
+    # per index
+    positions = list(e._positions)
+    en, ed = model._evaluate_at(positions)
+    values = []
+    for a in features:
+        den, nums = _row(dist.probs[a])
+        reads = []
+        for k, num in enumerate(nums):
+            if num:
+                positions[a] = k
+                reads.append((num, *model._evaluate_at(positions)))
+        positions[a] = e._positions[a]
+        common = lcm(ed, *[vd for _, _, vd in reads])
+        averaged = sum([num * vn * (common // vd) for num, vn, vd in reads])
+        values.append(Fraction(en * (common // ed) * den - averaged, common * den))
+    return values
+
+
 def marginal_index(
     model: Model, dist: ProductDistribution, e: Instance, a: int
 ) -> Fraction:
@@ -466,16 +500,12 @@ def marginal_index(
 
     Needs one model evaluation per value of feature a's domain with a
     nonzero probability, plus F(e), and no expected-value engine calls.
+    The sum runs in integers over one denominator; ``attribute_all`` runs
+    the same body over every feature and reads F(e) once.
     """
     space = check_shared_space(model, dist, e)
     space.check_feature(a)
-    positions = list(e._positions)
-    averaged = Fraction(0)
-    for k, p in enumerate(dist.probs[a]):
-        if p:
-            positions[a] = k
-            averaged += p * Fraction(*model._evaluate_at(positions))
-    return Fraction(*model._evaluate_at(e._positions)) - averaged
+    return _marginal_indices(model, dist, e, [a])[0]
 
 
 def _simple_indices(
@@ -487,10 +517,10 @@ def _simple_indices(
 ) -> list[Fraction]:
     space = check_shared_space(model, dist, e)
     _check_scheme(weights, SimpleWeights, space.n)
-    if weights.preset == "marginal":
-        return [marginal_index(model, dist, e, a) for a in features]
     for a in features:
         space.check_feature(a)
+    if weights.preset == "marginal":
+        return _marginal_indices(model, dist, e, features)
     return _walked_indices(_z_reduction(model, dist, e, [(a,) for a in features]), weights.q)
 
 
@@ -578,7 +608,7 @@ def attribute_all(
         values = _bernoulli_indices(model, dist, e, singles, direct)
     elif scheme.preset == "marginal":
         path = PATH_CLOSED_FORM
-        values = [marginal_index(model, dist, e, a) for a in range(n)]
+        values = _marginal_indices(model, dist, e, range(n))
     else:
         path = PATH_INTERPOLATION
         reduced = _z_reduction(model, dist, e, singles)

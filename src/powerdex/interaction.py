@@ -7,7 +7,9 @@ m members, a feature being the m = 1 case: cardinality-based interaction
 weights read the z-reduction, whose batch interpolates a (n-m+1) x (m+1)
 grid of scaled expected values, and Bernoulli interaction weights the
 theta-reduction's 2^m expected values.  A one-member set takes the
-model's walk where the model has one, as a feature does.
+model's walk where the model has one, as a feature does; a Bernoulli set
+of any size takes a tree's one pass per set, and a cardinality set of
+two or more members the batches.
 """
 
 from __future__ import annotations
@@ -153,7 +155,12 @@ def compute_interaction_bernoulli(
     pinned to e, the rest of the target set left on its original
     marginals, and the complement on its theta-mixtures.  theta entries
     inside the target set are ignored.  This is the reduction of
-    ``compute_bernoulli_index``, whose feature is the |A| = 1 case.
+    ``compute_bernoulli_index``, whose feature is the |A| = 1 case.  A
+    tree, and each tree of an ensemble, answers it with no expectation
+    at all: one top-down pass at u = 1 with every member on its signed
+    row delta_e - p, over the paths that read every member.  Tables,
+    ``CountingModel`` and user models get the 2^|A| expectations as one
+    batch, and ``engine_calls`` counts them either way.
     """
     _check_target(a_set, check_shared_space(model, dist, e))
     m = len(a_set)

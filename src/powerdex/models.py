@@ -10,16 +10,19 @@ Trees walk, ensembles sum their components, and a table reads its
 values.  An additive model is an ensemble of a leaf holding its bias and
 one single-split tree per feature, and runs their code.
 
-Every model answers the private hook ``Model._gap_polynomials``: every
-wanted feature's gap (pinned to e minus free) under given rows of the
-other features, as one polynomial per feature in powers of u = 1 + z,
-all over one denominator.  Both reductions of ``indices`` ask it,
-interpolation with the z-mixture rows and bernoulli-direct with the
-theta-mixture rows.  A tree answers from one walk of its own, two
-passes over its splits on polynomials packed into ints; an ensemble adds
-its components' answers, so its trees walk whatever their siblings are;
-and every other model hands back the batch reduction that ``indices``
-passes in.
+Every model answers the private hook ``Model._gap_polynomials``: each
+wanted member set's gap (its discrete derivative: every member's row
+replaced by pinned to e minus free) under given rows of the other
+features, as one polynomial per set in powers of u = 1 + z, all over one
+denominator.  Both reductions of ``indices`` ask it, interpolation with
+the z-mixture rows for features and bernoulli-direct with the
+theta-mixture rows for features and sets.  A tree answers features from
+one walk of its own, two passes over its splits, on polynomials packed
+into ints under z rows and on plain ints at u = 1 under fixed rows, and
+each set of two or more members from one top-down pass at u = 1; an
+ensemble adds its components' answers, so its trees walk whatever their
+siblings are; and every other model hands back the batch reduction that
+``indices`` passes in.
 Tree kernels read each row as integers over one denominator (``Row``),
 and trees and ensembles return reduced (numerator, denominator) integer
 pairs, building a Fraction only for each value they return.  A batch
@@ -95,10 +98,11 @@ def _row(probs: Sequence[Fraction]) -> Row:
 # row p, which is gaps[c] / den; on a z-mixture row p is the row itself.
 Factor = tuple[int, tuple[int, ...], int, tuple[int, ...]]
 
-# Gap polynomials (see ``Model._gap_polynomials``): per feature, the
-# coefficients of its polynomial in powers of u = 1 + z, lowest first,
-# times the shared denominator, and that denominator.
-GapPolynomials = tuple[dict[int, list[int]], int]
+# Gap polynomials (see ``Model._gap_polynomials``): per member set (a
+# feature is a one-member set), the coefficients of its polynomial in
+# powers of u = 1 + z, lowest first, times the shared denominator, and
+# that denominator.
+GapPolynomials = tuple[dict[tuple[int, ...], list[int]], int]
 
 # The batch reduction of the caller: a model's gap polynomials from its
 # expected values, for a model without a walk of its own.
@@ -178,21 +182,21 @@ class Model(abc.ABC):
         return [(v.numerator, v.denominator) for v in self.expected_values(dists)]
 
     def _gap_polynomials(
-        self, factors: Sequence[Factor], wanted: int, batches: Batches
+        self, factors: Sequence[Factor], member_sets: Sequence[tuple[int, ...]], batches: Batches
     ) -> GapPolynomials:
-        """Each wanted feature's gap polynomial in powers of u = 1 + z.
+        """Each member set's gap polynomial in powers of u = 1 + z.
 
-        Feature a's gap is E[F] with a's row replaced by its own gap
-        delta_{e_a} - p_a and every other feature j on its context row
-        (see ``Factor``).  Under the z-mixture (z*delta_j + p_j)/(1+z), the
-        gap times (1+z)^(n-1) is the generating polynomial
-        G_a = g_0 + g_1 u + ... + g_{n-1} u^(n-1); under fixed rows the gap
-        is G_a at u = 1, the sum of the g_j.  The answer is
-        ``(polys, den)``: ``polys[a]`` holds den times g_0, g_1, ... for
-        the features of the bitmask ``wanted`` (a missing feature or
-        entry is 0).  ``factors`` holds every feature's factor.  Trees
-        walk, top-down and then bottom-up over their splits, each
-        polynomial one int (see ``TreeModel._gap_polynomials``), and
+        A set A's gap is E[F] with each member a's row replaced by its own
+        gap delta_{e_a} - p_a and every other feature j on its context row
+        (see ``Factor``): the discrete derivative along A, a feature's
+        pinned-minus-free gap when A = (a,).  Under the z-mixture
+        (z*delta_j + p_j)/(1+z), the gap times (1+z)^(n-m) is the
+        generating polynomial G_A = g_0 + g_1 u + ... + g_{n-m} u^(n-m);
+        under fixed rows (no factor with a z term) the gap is G_A(1), the
+        one entry answered.  The answer is ``(polys, den)``: ``polys[A]``
+        holds den times g_0, g_1, ... for each set A of ``member_sets``
+        (a missing set or entry is 0).  ``factors`` holds every feature's
+        factor.  Trees walk (see ``TreeModel._gap_polynomials``), and
         ensembles, additive models included, sum their components'
         answers; the default, which tables, ``CountingModel`` and user
         models take, has no walk and answers ``batches(self)``, which
@@ -366,12 +370,13 @@ class TreeModel(Model):
     most ``TREE_DEPTH_LIMIT`` splits.  The tree is compiled once and only
     the compiled form is kept; ``root`` rebuilds the ``Leaf``/``Split``
     nodes on each access.  The first gap walk measures the tree's packing
-    bound and keeps it.
+    bound and keeps it, with a copy of the compiled form whose leaves are
+    integers.
     """
 
-    # (scale, bits) for packing the gap walk's polynomials, measured on the
-    # first walk and kept; construction never measures
-    _packing: tuple[int, int] | None = None
+    # (scale, bits, walked) for the gap walk's polynomials, measured on the
+    # first walk and kept (see ``_measure``); construction never measures
+    _packing: tuple[int, int, Compiled] | None = None
 
     def __init__(self, space: FeatureSpace, root: TreeNode):
         self.space = space
@@ -517,68 +522,111 @@ class TreeModel(Model):
         return values
 
     def _gap_polynomials(
-        self, factors: Sequence[Factor], wanted: int, batches: Batches
+        self, factors: Sequence[Factor], member_sets: Sequence[tuple[int, ...]], batches: Batches
     ) -> GapPolynomials:
-        """Two passes over one explicit stack of splits, on polynomials packed in ints.
+        """The features' gaps from one walk, and each larger set's from one pass.
 
-        A leaf of value v on a path P of length L adds to G_a, a in P,
+        A leaf of value v on a path P of length L adds to G_A, A within P,
 
-        u^(n-L) * v * (delta_a - p_a)(c_a) * prod_{j in P, j != a} f_j(c_j),
+        u^(n-L) * v * prod_{a in A} (delta_a - p_a)(c_a) * prod_{j in P - A} f_j(c_j),
 
         c_j being the path's child at feature j and f_j its context factor
         (see ``Factor``), in powers of u = 1 + z; each feature off the path
-        sums to u.  Over ``top``, the product of the denominators of the R
-        features the tree reads, every read feature j off the path is a
-        factor den_j * u of the leaf's own ``rest * u^(R-L)``, rest being
-        top over the path's denominators, and the n - R unread features
-        give u^(n-R), one shift of every answer.  So:
+        sums to u, and a path that misses a member adds nothing, since a
+        gap row sums to 0.  Over ``top``, the product of the denominators
+        of the R features the tree reads, every read feature j off the
+        path is a factor den_j * u of the leaf's own ``rest * u^(R-L)``,
+        rest being top over the path's denominators, and the n - R unread
+        features give u^(n-R), one shift of every answer.  Every G_A is
+        over top * scale, scale the lcm of the leaf denominators.
+
+        The one-member sets take one walk of two passes (``_walk``).  When
+        no factor the tree reads has a z term (fixed rows, hit -1), every
+        polynomial is its value at u = 1, and each set of two or more
+        members takes one top-down pass (``_set_pass``).  Under z rows such
+        a set has no walk, and the tree answers ``batches(self)``.
+        """
+        tree = self._tree
+        if tree.__class__ is not tuple:
+            return {}, 1
+        mask = self._mask
+        top, fixed = 1, True
+        for i in self._read:
+            den, _, hit, _ = factors[i]
+            top *= den
+            if hit >= 0:
+                fixed = False
+        wanted, sets = 0, []
+        for members in member_sets:
+            if len(members) == 1:
+                wanted |= 1 << members[0]
+            elif not fixed:
+                return batches(self)
+            elif all([mask >> a & 1 for a in members]):  # else some member is never read
+                sets.append(members)
+        wanted &= mask
+        if not (wanted or sets):
+            return {}, 1
+        if self._packing is None:
+            self._packing = self._measure()
+        scale, bits, walked = self._packing
+        polys = {}
+        if wanted:
+            # bytes per packed digit, at least a machine word, which decodes
+            # in one call; none at u = 1
+            size = 0 if fixed else max(8, (bits + top.bit_length() + 8) // 8)
+            polys = self._walk(walked, factors, wanted, top, size)
+        for members in sets:
+            G = self._set_pass(walked, factors, members, top)
+            if G:
+                polys[members] = [G]
+        return polys, top * scale
+
+    def _walk(
+        self, walked: Compiled, factors: Sequence[Factor], wanted: int, top: int, size: int
+    ) -> dict[tuple[int, ...], list[int]]:
+        """The gaps of the features of the bitmask ``wanted``, in two passes over one stack of splits.
+
+        ``walked`` is the compiled tree with each leaf v as the int
+        v * scale (see ``_measure``).
 
         * top-down, F(s) is the product of the context factors above
           split s;
         * bottom-up, W(x) is sum_c f(c) * W(child c), a leaf's W being
-          v * scale * rest * u^(R-L), scale the lcm of the leaf
-          denominators;
+          v * scale * rest * u^(R-L) (see ``_gap_polynomials``);
         * at each split s on a wanted feature a, G_a gains
           F(s) * sum_c g_a(c) * W(child c).
 
         No feature repeats along a path, so each leaf's term is counted at
-        the one split on a above it, and G_a is over top * scale.  A child
-        whose context factor is 0 gets F = 0, and the walk reaches a
-        subtree only for an F or a W it needs.
+        the one split on a above it.  A child whose context factor is 0
+        gets F = 0, and the walk reaches a subtree only for an F or a W it
+        needs.
 
-        Each polynomial is one int, its value at u = 2^w (Kronecker
-        substitution): a linear factor is one multiply, and u^k a shift.
-        Each G_a is decoded once into balanced base-2^w digits, which are
-        its coefficients when 2^(w-1) > N * 2^D * V * top, N being the
-        leaf count, D the depth and V the largest |leaf numerator * scale /
-        leaf denominator|: a leaf's term has a coefficient absolute sum of at
-        most 2^(L-1) * top * V, because |g_a| <= den_a and each context
+        With ``size`` 0 the rows are fixed and every polynomial is a plain
+        int, its value at u = 1: no factor has a z term and no leaf a
+        shift, and each G_a is answered as the one entry [G_a(1)].
+        Otherwise each polynomial is one int, its value at u = 2^w,
+        w = 8 * size (Kronecker substitution): a linear factor is one
+        multiply, and u^k a shift.  Each G_a is decoded once into balanced
+        base-2^w digits, which are its coefficients when
+        2^(w-1) > N * 2^D * V * top, N being the leaf count, D the depth
+        and V the largest |leaf numerator * scale / leaf denominator|: a
+        leaf's term has a coefficient absolute sum of at most
+        2^(L-1) * top * V, because |g_a| <= den_a and each context
         factor's coefficients sum to at most 2 * den_j in absolute value.
         N, D, V and scale are measured on the first walk and kept
         (``_measure``); w is a whole number of bytes, at least 64 so that
         the digits of nearly every walk decode in one ``struct.unpack``
         call, wider ones one ``int.from_bytes`` each.
         """
-        tree = self._tree
-        if tree.__class__ is not tuple or not wanted & self._mask:
-            return {}, 1
-        if self._packing is None:
-            self._packing = self._measure()
-        scale, bits = self._packing
-        read = self._read
-        top = 1
-        for i in read:
-            top *= factors[i][0]
-        # bytes per digit, at least a machine word, which decodes in one call
-        size = max(8, (bits + top.bit_length() + 8) // 8)
         w = 8 * size
-        count = len(read)
+        count = len(self._read)
         # top-down: the splits reached, parents first, each with its F where
         # it starts a gap (else 0), whether its W is needed, its leaves'
         # factor top over the path's denominators and shift w * (R - L), and
         # how many of its children were reached
         order = []
-        stack = [(tree, 1, False, top, count)]
+        stack = [(walked, 1, False, top, count)]
         while stack:
             (feature, children, _), product, need, rest, left = stack.pop()
             den, nums, hit, _ = factors[feature]
@@ -619,7 +667,7 @@ class TreeModel(Model):
                     if not t:
                         continue
                 elif child:
-                    t = child.numerator * (scale // child.denominator) * rest << shift
+                    t = child * rest << shift
                 else:
                     continue
                 if need:
@@ -629,6 +677,8 @@ class TreeModel(Model):
             if own and gap:
                 packed[feature] = packed.get(feature, 0) + own * gap
             values.append(W)
+        if not size:
+            return {(a,): [G] for a, G in packed.items()}
         # decode: adding half a digit at every digit leaves no borrows, and
         # flipping each digit's top bit then makes it a two's complement
         # field of ``size`` bytes; the n - R unread features shift by u^(n - R)
@@ -644,12 +694,49 @@ class TreeModel(Model):
                     int.from_bytes(data[k : k + size], "little", signed=True)
                     for k in range(0, size * count, size)
                 ]
-            polys[a] = [*shifted, *digits]
-        return polys, top * scale
+            polys[(a,)] = [*shifted, *digits]
+        return polys
 
-    def _measure(self) -> tuple[int, int]:
-        # (scale, bits): the lcm of the leaf denominators, and the bit length
-        # of N * V plus D (see ``_gap_polynomials``)
+    def _set_pass(
+        self, walked: Compiled, factors: Sequence[Factor], members: Sequence[int], top: int
+    ) -> int:
+        """G_A(1) times top * scale for a set A of two or more members, under fixed rows.
+
+        ``walked`` is the compiled tree with each leaf v as the int
+        v * scale (see ``_measure``).
+
+        One top-down pass over an explicit stack of splits: each member is
+        on its gap row and every other read feature on its context row.  A
+        child whose subtree misses a member not yet on the path is
+        skipped, and a leaf counts only when every member is on its path.
+        """
+        left = 0  # the members not yet on the path
+        for a in members:
+            left |= 1 << a
+        total = 0
+        stack = [(walked, 1, top, left)]
+        while stack:
+            (feature, children, _), product, rest, left = stack.pop()
+            den, row, _, gaps = factors[feature]
+            rest //= den
+            if left >> feature & 1:
+                row, left = gaps, left ^ (1 << feature)
+            for f, child in zip(row, children):
+                if not f:
+                    continue
+                if child.__class__ is tuple:
+                    if child[2] & left == left:
+                        stack.append((child, product * f, rest, left))
+                elif child and not left:
+                    total += product * f * child * rest
+        return total
+
+    def _measure(self) -> tuple[int, int, Compiled]:
+        # (scale, bits, walked): the lcm of the leaf denominators, the bit
+        # length of N * V plus D (see ``_gap_polynomials``), and the
+        # compiled tree with each leaf v as the int v * scale, built depth
+        # first with an explicit stack of open splits, each (feature, mask,
+        # children left, built children), under a frame for the root
         leaves, depth = [], 0
         stack = [(self._tree, 0)]
         while stack:
@@ -661,7 +748,22 @@ class TreeModel(Model):
                 depth = max(depth, length)
         scale = lcm(*[v.denominator for v in leaves])
         most = max([abs(v.numerator) * (scale // v.denominator) for v in leaves])
-        return scale, (len(leaves) * most).bit_length() + depth
+        top = (None, 0, iter((self._tree,)), [])
+        stack = [top]
+        while True:
+            frame = stack[-1]
+            feature, mask, children, built = frame
+            for child in children:
+                if child.__class__ is not tuple:
+                    built.append(child.numerator * (scale // child.denominator))
+                else:
+                    stack.append((child[0], child[2], iter(child[1]), []))
+                    break
+            else:
+                if frame is top:
+                    return scale, (len(leaves) * most).bit_length() + depth, built[0]
+                stack.pop()
+                stack[-1][3].append((feature, tuple(built), mask))
 
     def features_used(self) -> frozenset[int]:
         return frozenset(self._read)
@@ -742,17 +844,17 @@ class EnsembleModel(Model):
         return totals
 
     def _gap_polynomials(
-        self, factors: Sequence[Factor], wanted: int, batches: Batches
+        self, factors: Sequence[Factor], member_sets: Sequence[tuple[int, ...]], batches: Batches
     ) -> GapPolynomials:
         # sum_j w_j * polys_j over the lcm of the terms' denominators
         answers = []
         for w, model in self.components:
             if w:
-                polys, d = model._gap_polynomials(factors, wanted, batches)
+                polys, d = model._gap_polynomials(factors, member_sets, batches)
                 if polys:
                     answers.append((w.numerator, polys, w.denominator * d))
         den = lcm(*[d for _, _, d in answers])
-        total: dict[int, list[int]] = {}
+        total: dict[tuple[int, ...], list[int]] = {}
         for num, polys, d in answers:
             s = num * (den // d)
             for a, coeffs in polys.items():

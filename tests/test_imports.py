@@ -1,8 +1,9 @@
-"""Every module of the package uses each name it imports, and every
-private module-level function and class is referenced somewhere in it.
+"""Every module of the package uses each name it imports, imports only at
+module level, and every private module-level function and class is
+referenced somewhere in it.
 
-``__init__.py`` re-exports, so its imports are not checked; a line marked
-``# noqa: F401`` keeps its import on purpose.
+``__init__.py`` re-exports, so its imports are not checked for use; a line
+marked ``# noqa: F401`` keeps its import on purpose.
 """
 
 import ast
@@ -48,6 +49,21 @@ def test_no_module_imports_a_name_it_never_uses(path):
         if name not in used
     )
     assert not unused, f"{path.name} imports unused names: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_imports_inside_its_body(path):
+    # an import run at call time would hide a cycle between the package's
+    # modules, and its cost from the time ``import powerdex`` takes
+    tree = ast.parse(path.read_text())
+    lazy = sorted({
+        f"{function.name} (line {node.lineno})"
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+    assert not lazy, f"{path.name} imports inside functions: {', '.join(lazy)}"
 
 
 def _references(node: ast.AST) -> collections.Counter:

@@ -27,6 +27,7 @@ from powerdex import (
     bernoulli_mixture,
     brute_bernoulli_index,
     brute_coefficient_sums,
+    brute_interaction_index,
     brute_simple_index,
     compute_bernoulli_index,
     compute_interaction_bernoulli,
@@ -39,9 +40,9 @@ from powerdex import (
     simple_indices,
 )
 
-from powerdex.core import point_mass_row
+from powerdex.core import mixture_row, point_mass_row
 from powerdex.indices import _bernoulli_indices, _z_reduction
-from powerdex.models import Leaf, Split, _fixed_factors
+from powerdex.models import Leaf, Split, _fixed_factors, _z_factors
 
 from corpus import (
     THETA_GRID,
@@ -833,6 +834,29 @@ def test_the_theta_factor_hook_equals_the_batches_and_the_oracle(case):
     ]
 
 
+def test_a_feature_batch_on_the_z_path_requests_its_pinned_and_free_rows():
+    # a table has no walk: at each z-node, each feature's two variants are
+    # e's point mass and its input row, the others on their z-mixtures
+    rng = random.Random(9)
+    space = random_space(rng, 3)
+    model = TableModel.tabulate(random_tree_model(rng, space))
+    dist = random_distribution(rng, space)
+    e = random_instance(rng, space)
+    recorder = _RecordingModel(model)
+    sums = all_coefficients(recorder, dist, e)
+    assert sums == [brute_coefficient_sums(model, dist, e, a) for a in range(3)]
+    requested = []
+    for z in range(3):
+        node = [mixture_row(row, hit, z) for row, hit in zip(dist.probs, e._positions)]
+        for a, hit in enumerate(e._positions):
+            for own in (point_mass_row(len(dist.probs[a]), hit), dist.probs[a]):
+                requested.append([*node[:a], own, *node[a + 1 :]])
+    assert recorder.expected_value_calls == 2 * 3 * 3
+    assert [[list(row) for row in rows] for rows in recorder.requested] == [
+        [list(row) for row in rows] for rows in requested
+    ]
+
+
 # ---------------------------------------------------------------------------
 # the packing bound of the tree walk: each polynomial is one int, decoded in
 # digits whose width comes from the tree's leaf count, depth and largest
@@ -920,3 +944,218 @@ def test_the_packed_walk_is_exact_at_large_values(seed, n, trees, one, kinds):
         brute_simple_index(model, dist, e, a, shapley, table=table) for a in features
     ]
     assert walked == [brute_bernoulli_index(model, dist, e, a, theta, table=table) for a in features]
+
+
+# ---------------------------------------------------------------------------
+# Bernoulli sets: one pass per set on trees, at u = 1 with each member on its
+# signed row delta_e - p, against the 2^m batch and the oracle
+
+SET_SHAPES = SHAPES + ("additive",)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    n=st.integers(min_value=2, max_value=6),
+    m=st.integers(min_value=2, max_value=4),
+    full=st.booleans(),
+    shape=st.sampled_from(SET_SHAPES),
+    depth=st.integers(min_value=1, max_value=6),
+    kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=6, max_size=6),
+    thetas=st.lists(st.sampled_from(THETA_GRID), min_size=6, max_size=6),
+)
+# e on a zero-probability value with theta 0, and point masses at e with
+# theta 1: a context factor of 0 beside a nonzero gap
+@example(
+    seed=2, n=4, m=2, full=False, shape="tree", depth=4, kinds=["zero at e"] * 6,
+    thetas=[Fraction(0)] * 6,
+)
+@example(
+    seed=2, n=4, m=3, full=True, shape="ensemble", depth=4, kinds=["point mass at e"] * 6,
+    thetas=[Fraction(1)] * 6,
+)
+def test_the_set_pass_equals_the_batches_and_the_oracle(
+    seed, n, m, full, shape, depth, kinds, thetas
+):
+    rng = random.Random(seed)
+    space = random_space(rng, n)
+    e = random_instance(rng, space)
+    dist = ProductDistribution(space, [
+        _row(rng, len(domain), space.position(i, e[i]), kind)
+        for i, (domain, kind) in enumerate(zip(space.domains, kinds))
+    ])
+    if shape == "additive":
+        model = random_additive_model(rng, space)
+    else:
+        model = _walk_model(rng, space, shape, depth)
+    a_set = Coalition.from_members(range(n) if full else rng.sample(range(n), min(m, n)))
+    theta = BernoulliWeights(thetas[:n])
+    # every bare tree answers from its own pass (none behind a zero
+    # weight) and requests no expectation, whatever its siblings are
+    with _tree_spies() as (walks, traversals):
+        value = compute_interaction_bernoulli(model, dist, e, a_set, theta)
+    for tree, live in _bare_trees(model):
+        assert (walks[id(tree)], traversals[id(tree)]) == (int(live), 0)
+    counted = CountingModel(model)
+    assert compute_interaction_bernoulli(counted, dist, e, a_set, theta) == value
+    assert counted.expected_value_calls == 2 ** len(a_set)
+    assert value == brute_interaction_index(model, dist, e, a_set, theta)
+
+
+def _set_cases():
+    # over six binary features: feature 0 at the root, 1 and 2 in its two
+    # subtrees, 3 below 1, and 5 read by no split
+    space = and_space(6)
+    leaf = lambda k: Leaf(Fraction(k, 7))
+    left = Split(1, (Split(3, (leaf(1), leaf(-4))), leaf(2)))
+    right = Split(2, (leaf(-3), Split(4, (leaf(5), leaf(6)))))
+    tree = TreeModel(space, Split(0, (left, right)))
+    dist = ProductDistribution(space, [[Fraction(k, k + 2), Fraction(2, k + 2)] for k in range(1, 7)])
+    e = ones_instance(space)
+    theta = BernoulliWeights([Fraction(1, 3), Fraction(1), Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1, 5)])
+    return tree, dist, e, theta
+
+
+@pytest.mark.parametrize(
+    "members, zero",
+    [
+        ((0, 1), False),  # on one path
+        ((0, 1, 3), False),  # on one path, three deep
+        ((0, 2, 4), False),
+        ((1, 2), True),  # in sibling subtrees: no path reads both
+        ((1, 4), True),
+        ((0, 5), True),  # 5 is read by no split
+        ((0, 1, 2, 3, 4, 5), True),
+    ],
+)
+def test_a_set_pass_counts_only_the_paths_that_read_every_member(members, zero):
+    tree, dist, e, theta = _set_cases()
+    a_set = Coalition.from_members(members)
+    value = compute_interaction_bernoulli(tree, dist, e, a_set, theta)
+    assert value == brute_interaction_index(tree, dist, e, a_set, theta)
+    assert (value == 0) == zero
+    counted = CountingModel(tree)
+    assert compute_interaction_bernoulli(counted, dist, e, a_set, theta) == value
+    for inner in (tree, TableModel.tabulate(tree), AdditiveModel(tree.space, Fraction(1), [[Fraction(1), Fraction(2)]] * 6)):
+        ensemble = EnsembleModel([(Fraction(2), tree), (Fraction(-1, 3), inner)])
+        assert compute_interaction_bernoulli(ensemble, dist, e, a_set, theta) == brute_interaction_index(
+            ensemble, dist, e, a_set, theta
+        )
+
+
+class _CountedFactors(list):
+    """Walk factors that count how often a split's factor is read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_a_set_pass_skips_every_subtree_that_misses_a_member():
+    tree, dist, e, theta = _set_cases()
+    factors = _CountedFactors(_fixed_factors(theta.theta, dist.probs, e._positions))
+    refuse = lambda component: pytest.fail("a tree answers a Bernoulli set itself")
+    tree._gap_polynomials(factors, [(0, 1, 3)], refuse)
+    before = factors.reads
+    polys, den = tree._gap_polynomials(factors, [(0, 1, 3)], refuse)
+    # the splits on 0, 1 and 3, not feature 2's subtree or the leaf beside 3
+    assert factors.reads - before == len(tree._read) + 3
+    assert [Fraction(sum(g), den) for g in polys.values()] == [
+        brute_interaction_index(tree, dist, e, Coalition.from_members([0, 1, 3]), theta)
+    ]
+
+
+def test_an_unwrapped_tree_answers_a_bernoulli_pair_with_no_traversal():
+    rng = random.Random(5)
+    space = random_space(rng, 4)
+    leaves = lambda k: tuple(Leaf(Fraction(rng.randint(-9, 9), 7)) for _ in range(k))
+    root = Split(0, tuple(Split(1, leaves(len(space.domains[1]))) for _ in space.domains[0]))
+    spy = SpyTree(space, root)
+    dist = random_distribution(rng, space)
+    e = random_instance(rng, space)
+    theta = BernoulliWeights([Fraction(k, 5) for k in range(4)])
+    pair = Coalition.from_members([0, 1])
+    value = compute_interaction_bernoulli(spy, dist, e, pair, theta)
+    assert (spy.walks, spy.traversals) == (1, 0)  # one pass, no expectation
+    counted = CountingModel(spy)
+    assert compute_interaction_bernoulli(counted, dist, e, pair, theta) == value
+    assert counted.expected_value_calls == 4  # the 2^m contract counts distributions
+    assert (spy.walks, spy.traversals) == (1, 4)  # wrapped: the four variants differ on read features
+    assert value == brute_interaction_index(spy, dist, e, pair, theta)
+
+
+def test_a_tree_takes_the_batches_for_a_set_under_z_rows():
+    # the z rows have a z term: a set of two or more members has no pass
+    tree, dist, e, _ = _set_cases()
+    factors = _z_factors(dist.probs, e._positions)
+    answer = ({(0, 1): [1, 2]}, 3)
+    assert tree._gap_polynomials(factors, [(0,), (0, 1)], lambda component: answer) is answer
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    n=st.integers(min_value=1, max_value=6),
+    trees=st.integers(min_value=0, max_value=3),
+    m=st.integers(min_value=2, max_value=4),
+    kinds=st.lists(st.sampled_from(BIG_ROW_KINDS), min_size=6, max_size=6),
+)
+def test_the_u1_passes_are_exact_at_large_values(seed, n, trees, m, kinds):
+    # the shapes of the packed walk's test: big leaves, weights and rows
+    rng = random.Random(seed)
+    space = random_space(rng, n)
+    e = random_instance(rng, space)
+    dist = ProductDistribution(space, [
+        _big_row(rng, len(domain), space.position(i, e[i]), kind)
+        for i, (domain, kind) in enumerate(zip(space.domains, kinds))
+    ])
+    if trees:
+        model = EnsembleModel([
+            (_big_fraction(rng, 10**20), _big_tree(rng, space, n)) for _ in range(trees)
+        ])
+    else:
+        model = _big_tree(rng, space, n)
+    theta = BernoulliWeights([
+        rng.choice((Fraction(0), Fraction(1), Fraction(rng.randint(1, p - 1), p)))
+        for p in rng.choices(BIG_PRIMES, k=n)
+    ])
+    member_sets = [(a,) for a in range(n)] + [tuple(sorted(rng.sample(range(n), min(m, n))))]
+    # at u = 1 every answer is one int per set, as the batch's one theta node
+    factors = _fixed_factors(theta.theta, dist.probs, e._positions)
+    refuse = lambda component: pytest.fail("trees and ensembles of trees answer fixed rows themselves")
+    polys, _ = model._gap_polynomials(factors, member_sets, refuse)
+    assert all(len(g) == 1 for g in polys.values())
+    counted = CountingModel(model)
+    for sets in (member_sets[:-1], member_sets[-1:]):
+        walked = _bernoulli_indices(model, dist, e, sets, theta)
+        assert walked == _bernoulli_indices(counted, dist, e, sets, theta)
+    table = conditional_table(model, dist, e)
+    a_set = Coalition.from_members(member_sets[-1])
+    assert walked == [brute_interaction_index(model, dist, e, a_set, theta, table=table)]
+
+
+# ---------------------------------------------------------------------------
+# the marginal closed form in integers
+
+
+@given(_theta_cases())
+@example(_unread_feature_case())
+@example(_zero_at_e_case())
+@settings(deadline=None)
+def test_the_integer_closed_form_is_the_oracles_marginal_preset(case):
+    model, dist, e, _ = case
+    n = model.space.n
+    marginal = SimpleWeights.marginal(n)
+    counted = CountingModel(model)
+    report = attribute_all(counted, dist, e, marginal)
+    assert report.path == "closed-form"
+    # F(e) once for the call, then one read per value of nonzero probability
+    assert counted.evaluate_calls == 1 + sum(1 for row in dist.probs for p in row if p)
+    assert counted.expected_value_calls == 0
+    table = conditional_table(model, dist, e)
+    want = tuple(brute_simple_index(model, dist, e, a, marginal, table=table) for a in range(n))
+    assert report.values == want
+    assert tuple(marginal_index(model, dist, e, a) for a in range(n)) == want
+    assert tuple(simple_indices(model, dist, e, marginal)) == want

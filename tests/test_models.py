@@ -567,8 +567,8 @@ def test_tree_depth_limit():
     pin = (Fraction(0), Fraction(1))
     assert tree.expected_value(dist.with_rows({depth - 1: pin})) == Fraction(1, 2 ** (depth - 1))
     assert tree.evaluate(ones_instance(space)) == 1
-    # the gap-polynomial walk recurses once per level too; at the point
-    # mass at e every gap is 0, so it stays cheap
+    # the gap-polynomial walk is a loop over an explicit stack; at the
+    # point mass at e every gap is 0, so it stays cheap
     e = ones_instance(space)
     report = attribute_all(tree, ProductDistribution.point_mass(e), e, SimpleWeights.shapley(depth + 1))
     assert report.values == (0,) * (depth + 1)
@@ -578,7 +578,7 @@ def test_tree_depth_limit():
     report = attribute_all(tree, dist, e, SimpleWeights.banzhaf(depth + 1))
     assert report.values == (Fraction(1, 2) * Fraction(3, 4) ** (depth - 1),) * depth + (0,)
     assert report.path == "bernoulli-direct"
-    root = tree.root  # rebuilt one frame per level, within the default limit
+    root = tree.root  # rebuilt in a loop over an explicit stack, no frame per level
     limit = sys.getrecursionlimit()
     # dataclass equality recurses about four frames per level
     sys.setrecursionlimit(limit + 4 * depth)
